@@ -21,11 +21,10 @@ from .spectral import (
     MultiplierOp,
     RealField,
     apply_multiplier,
-    fractional_laplacian,
     invariants,
     load_field,
     m_symbol,
-    q_symbol,
+    profile_operator,
     save_field,
 )
 from .petviashvili import (
@@ -36,7 +35,7 @@ from .petviashvili import (
     solve_coupled,
     solve_scalar,
 )
-from .accel import ExtrapolationWindow, accelerated_solve, mpe_extrapolate
+from .accel import mpe_extrapolate
 from .evolve import EvolveConfig, EvolutionReport, run, step_midpoint
 from .analysis import (
     DecayFit,

@@ -9,47 +9,20 @@ sets c_kappa = 1, normalizes gamma_i = c_i / sum(c) and returns
 sum gamma_i z_i.  The width mw = kappa + 1 controls how many base
 iterations feed one extrapolation; mw = 1 disables acceleration.
 
-The driver below uses restarted cycles: run mw base iterations, extrapolate,
-flush the window and restart from the extrapolant.  Iterates are flat real
-vectors (complex fields enter with real and imaginary parts stacked).
+The driver below uses restarted cycles: run mw base iterations, extrapolate
+from the cycle's mw + 1 iterates and restart from the extrapolant; with
+mw = 1 it is the plain iteration.  Iterates are flat real vectors (complex
+fields enter with real and imaginary parts stacked).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _DEGENERATE_RTOL = 1e-12  # |sum c| below this times the coefficient scale
 _COND_LIMIT = 1e12  # normal equations handed to SVD lstsq beyond this
-
-
-@dataclass
-class ExtrapolationWindow:
-    """Rolling storage of the kappa+2 iterates one extrapolation needs."""
-
-    kappa: int
-    iterates: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-
-    @property
-    def capacity(self) -> int:
-        return self.kappa + 2
-
-    @property
-    def full(self) -> bool:
-        return len(self.iterates) >= self.capacity
-
-    def push(self, z: np.ndarray) -> None:
-        self.iterates.append(np.asarray(z, dtype=float))
-        if len(self.iterates) > self.capacity:
-            self.iterates.pop(0)
-
-    def reset(self) -> None:
-        self.iterates.clear()
 
 
 def mpe_coefficients(diffs: np.ndarray):
@@ -81,17 +54,16 @@ def mpe_coefficients(diffs: np.ndarray):
     return c_full / total
 
 
-def mpe_extrapolate(window: ExtrapolationWindow):
-    """Extrapolated vector from a full window, or None on degeneracy.
+def mpe_extrapolate(iterates):
+    """Extrapolated vector from one cycle's iterates z0..z_{kappa+1}, or
+    None on degeneracy.
 
     gamma weights sum to one by construction, so fixed points of the base
     iteration are themselves fixed under extrapolation.
     """
-    if not window.full:
-        raise ValueError(
-            f"window holds {len(window.iterates)} iterates, needs {window.capacity}"
-        )
-    zs = np.asarray(window.iterates)
+    if len(iterates) < 2:
+        raise ValueError(f"MPE needs at least two iterates, got {len(iterates)}")
+    zs = np.asarray(iterates)
     gamma = mpe_coefficients(np.diff(zs.T, axis=1))
     if gamma is None:
         return None
@@ -119,7 +91,6 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
     recorded, including each cycle's extrapolant (evaluated on the profile
     equation itself); ``iterations`` counts base applications only.
     """
-    mw = cfg.mw
     z = iteration.initial()
     res, m = iteration.diagnostics(z)
     history_r = [res]
@@ -130,35 +101,21 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
     if res <= cfg.tol:
         return AccelResult(z, True, 0, history_r, history_m, cycle_ends, fallbacks)
 
-    if mw == 1:
-        while it < cfg.max_iter:
-            z, _ = iteration.step(z)
-            it += 1
-            _check_finite(z, it)
-            res, m = iteration.diagnostics(z)
-            history_r.append(res)
-            history_m.append(m)
-            if res <= cfg.tol:
-                return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
-        return AccelResult(z, False, it, history_r, history_m, cycle_ends, fallbacks)
-
-    window = ExtrapolationWindow(kappa=mw - 1)
     while it < cfg.max_iter:
-        window.reset()
-        window.push(z)
-        for _ in range(mw):
+        cycle = [z]
+        for _ in range(cfg.mw):
             z, _ = iteration.step(z)
             it += 1
             _check_finite(z, it)
-            window.push(z)
+            cycle.append(z)
             res, m = iteration.diagnostics(z)
             history_r.append(res)
             history_m.append(m)
-            if res <= cfg.tol:
-                return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
-            if it >= cfg.max_iter:
-                return AccelResult(z, False, it, history_r, history_m, cycle_ends, fallbacks)
-        y = mpe_extrapolate(window)
+            if res <= cfg.tol or it >= cfg.max_iter:
+                return AccelResult(z, res <= cfg.tol, it, history_r, history_m, cycle_ends, fallbacks)
+        if cfg.mw == 1:
+            continue
+        y = mpe_extrapolate(cycle)
         if y is None:
             fallbacks += 1
             continue
@@ -170,13 +127,6 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
         if res <= cfg.tol:
             return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
     return AccelResult(z, False, it, history_r, history_m, cycle_ends, fallbacks)
-
-
-def accelerated_solve(iteration, cfg):
-    """Run a base solver under MPE acceleration, returning its SolveReport."""
-    from .petviashvili import finish_report
-
-    return finish_report(iteration, cfg, accelerated_iterate(iteration, cfg))
 
 
 class DivergenceError(RuntimeError):

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .params import ProblemParams, ValidatedParams, Kind, validate
+from .params import Kind, ProblemParams
 from .petviashvili import SolveReport, SolverConfig, initial_iterate, solve_coupled, solve_scalar
 from .spectral import ComplexField, Grid, RealField, derivative_samples
 

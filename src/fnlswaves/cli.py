@@ -201,14 +201,8 @@ def _seed_for(cfg: RunConfig):
 
 
 def _solve(cfg: RunConfig):
-    seed = _seed_for(cfg)
-    if cfg.params.kind is Kind.COUPLED:
-        return solve_coupled(cfg.params, cfg.grid, cfg.solver_cfg, seed=seed)
-    solver_cfg = cfg.solver_cfg if seed is None else SolverConfig(
-        alpha=cfg.solver_cfg.alpha, tol=cfg.solver_cfg.tol,
-        max_iter=cfg.solver_cfg.max_iter, mw=cfg.solver_cfg.mw, seed=seed,
-    )
-    return solve_scalar(cfg.params, cfg.grid, solver_cfg)
+    solve = solve_coupled if cfg.params.kind is Kind.COUPLED else solve_scalar
+    return solve(cfg.params, cfg.grid, cfg.solver_cfg, seed=_seed_for(cfg))
 
 
 def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:

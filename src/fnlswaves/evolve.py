@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .params import ProblemParams, ValidatedParams, metadata, validate
+from .params import metadata, validate
 from .spectral import ComplexField, Grid, hamiltonian, mass, momentum, save_field
 
 
@@ -42,6 +42,10 @@ class EvolveConfig:
             raise ValueError("dt must be positive")
         if self.nl_tol <= 0.0:
             raise ValueError("nl_tol must be positive")
+        if self.nl_max < 1:
+            raise ValueError("nl_max must be >= 1")
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be >= 0")
 
 
 @dataclass
@@ -75,7 +79,7 @@ class EvolutionReport:
 def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None = None) -> ComplexField:
     """One implicit-midpoint step of size dt (negative dt steps backward)."""
     cfg = cfg or EvolveConfig(dt=abs(dt) or 1.0)
-    vparams = params if isinstance(params, ValidatedParams) else validate(params)
+    vparams = validate(params)
     grid = u.grid
     frac = np.abs(grid.xi) ** (2.0 * vparams.s)
     out, _ = _step_raw(u.samples, np.fft.fft(u.samples), dt, frac, vparams.sigma, cfg)
@@ -118,7 +122,7 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     A step failure terminates the run and returns the partial report with
     ``aborted`` set to the failure message.
     """
-    vparams = params if isinstance(params, ValidatedParams) else validate(params)
+    vparams = validate(params)
     grid = u0.grid
     s, sigma = vparams.s, vparams.sigma
     frac = np.abs(grid.xi) ** (2.0 * s)

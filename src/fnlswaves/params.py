@@ -102,8 +102,8 @@ class ProblemParams:
         return out
 
 
-@dataclass(frozen=True)
-class ValidatedParams:
+@dataclass(frozen=True, kw_only=True)
+class ValidatedParams(ProblemParams):
     """Parameters after admissibility checks and speed canonicalization.
 
     Negative speeds map onto the positive-speed problem through the
@@ -111,56 +111,15 @@ class ValidatedParams:
     lambda2 >= 0; ``flipped`` records when that swap applies to outputs.
     """
 
-    base: ProblemParams
     flipped: bool
 
-    @property
-    def s(self) -> float:
-        return self.base.s
 
-    @property
-    def sigma(self) -> float:
-        return self.base.sigma
+@dataclass(frozen=True, kw_only=True)
+class LinearPhaseParams(ValidatedParams):
+    """Validated params plus the linear-phase slope A and spectral shift a."""
 
-    @property
-    def lambda1(self) -> float:
-        return self.base.lambda1
-
-    @property
-    def lambda2(self) -> float:
-        return self.base.lambda2
-
-    @property
-    def kind(self) -> Kind:
-        return self.base.kind
-
-    def limiting_speed(self) -> float:
-        return self.base.limiting_speed()
-
-
-@dataclass(frozen=True)
-class LinearPhaseParams:
-    """Linear-phase subfamily quantities derived from validated params."""
-
-    base: ValidatedParams
     A: float
     a: float
-
-    @property
-    def s(self) -> float:
-        return self.base.s
-
-    @property
-    def sigma(self) -> float:
-        return self.base.sigma
-
-    @property
-    def lambda1(self) -> float:
-        return self.base.lambda1
-
-    @property
-    def lambda2(self) -> float:
-        return self.base.lambda2
 
 
 def validate(params: ProblemParams) -> ValidatedParams:
@@ -168,50 +127,48 @@ def validate(params: ProblemParams) -> ValidatedParams:
 
     Raises ParameterError listing every violated bound.  lambda2 = 0 is
     accepted (standing wave); the existence theory needs |lambda2| > 0 but
-    the zero-speed profile equation is perfectly well posed.
+    the zero-speed profile equation is perfectly well posed.  Validated
+    params come back unchanged, so ``flipped`` survives a second call.
     """
+    if isinstance(params, ValidatedParams):
+        return params
     bad = params.violations()
     if bad:
         raise ParameterError("; ".join(bad))
-    if params.lambda2 < 0.0:
-        canon = ProblemParams(
-            s=params.s,
-            sigma=params.sigma,
-            lambda1=params.lambda1,
-            lambda2=-params.lambda2,
-            kind=params.kind,
-        )
-        return ValidatedParams(base=canon, flipped=True)
-    return ValidatedParams(base=params, flipped=False)
+    flipped = params.lambda2 < 0.0
+    return ValidatedParams(
+        s=params.s,
+        sigma=params.sigma,
+        lambda1=params.lambda1,
+        lambda2=-params.lambda2 if flipped else params.lambda2,
+        kind=params.kind,
+        flipped=flipped,
+    )
 
 
-def linear_phase_params(params: ProblemParams | ValidatedParams) -> LinearPhaseParams:
+def linear_phase_params(params: ProblemParams) -> LinearPhaseParams:
     """Derive (A, a) for the linear-phase subfamily."""
-    if isinstance(params, ProblemParams):
-        params = validate(params)
-    A = phase_slope(params.s, params.lambda2)
-    a = spectral_shift(params.s, params.lambda1, A)
-    return LinearPhaseParams(base=params, A=A, a=a)
+    vp = validate(params)
+    A = phase_slope(vp.s, vp.lambda2)
+    a = spectral_shift(vp.s, vp.lambda1, A)
+    return LinearPhaseParams(
+        s=vp.s, sigma=vp.sigma, lambda1=vp.lambda1, lambda2=vp.lambda2,
+        kind=vp.kind, flipped=vp.flipped, A=A, a=a,
+    )
 
 
-def metadata(params: ProblemParams | ValidatedParams | LinearPhaseParams) -> dict:
+def metadata(params: ProblemParams) -> dict:
     """Flat key/value view of the parameters plus derived quantities,
     echoed into every output file header."""
-    if isinstance(params, LinearPhaseParams):
-        vp = params.base
-    elif isinstance(params, ValidatedParams):
-        vp = params
-    else:
-        vp = validate(params)
-    lp = linear_phase_params(vp)
+    lp = linear_phase_params(params)
     return {
-        "s": vp.s,
-        "sigma": vp.sigma,
-        "lambda1": vp.lambda1,
-        "lambda2": vp.lambda2,
-        "kind": vp.kind.value,
-        "limiting_speed": vp.limiting_speed(),
+        "s": lp.s,
+        "sigma": lp.sigma,
+        "lambda1": lp.lambda1,
+        "lambda2": lp.lambda2,
+        "kind": lp.kind.value,
+        "limiting_speed": lp.limiting_speed(),
         "phase_slope_A": lp.A,
         "spectral_shift_a": lp.a,
-        "speed_sign_flipped": vp.flipped,
+        "speed_sign_flipped": lp.flipped,
     }

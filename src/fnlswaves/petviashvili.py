@@ -30,15 +30,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import accel
-from .params import (
-    LinearPhaseParams,
-    ProblemParams,
-    ValidatedParams,
-    linear_phase_params,
-    metadata,
-    validate,
-)
-from .spectral import ComplexField, Grid, RealField, save_field
+from .params import ValidatedParams, linear_phase_params, metadata, validate
+from .spectral import ComplexField, Grid, RealField, profile_operator, save_field
 
 
 @dataclass(frozen=True)
@@ -47,16 +40,14 @@ class SolverConfig:
 
     alpha ``None`` selects the optimal (2 sigma + 1)/(2 sigma) for the
     problem's sigma; explicit values must lie in (1, (2 sigma + 2)/(2 sigma)).
-    mw is the extrapolation width (1 = no acceleration).  ``seed`` may be a
-    RealField (interpreted in the rho frame and modulated by e^{iAx}), a
-    ComplexField used as-is, or None for the default sech seed.
+    mw is the extrapolation width (1 = no acceleration).  Seeds are passed
+    to the solve functions, not stored here.
     """
 
     alpha: float | None = None
     tol: float = 1e-10
     max_iter: int = 500
     mw: int = 1
-    seed: object = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -132,11 +123,7 @@ class ProfileIteration:
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
-        sym = (
-            np.abs(grid.xi) ** (2.0 * params.s)
-            + params.lambda1
-            - params.lambda2 * grid.xi_odd
-        )
+        sym = profile_operator(params, grid).values
         if np.any(sym <= 0.0):
             raise ValueError(
                 "profile operator loses positivity on the grid modes; "
@@ -194,19 +181,56 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.roll(u, grid.zero_index() - j)
 
 
-def finish_report(iteration: ProfileIteration, cfg: SolverConfig, raw: accel.AccelResult,
-                  meta: dict | None = None, scalar: bool = False,
-                  flipped: bool = False) -> SolveReport:
-    """Wrap the raw iteration outcome into a SolveReport."""
-    grid = iteration.grid
+def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None, seed=None) -> SolveReport:
+    """Solve the linear-phase profile equation (M + a) rho = rho^{2 sigma + 1}.
+
+    The iteration runs on the complex envelope u = rho e^{iAx} (the operator
+    is diagonal in Fourier space there); the report's ``profile`` is the
+    real modulus, centered, and ``envelope`` retains the full complex
+    profile that time evolution should be seeded with.  ``seed`` may be a
+    RealField (read in the rho frame and modulated by e^{iAx}), a
+    ComplexField used as-is, or None for the sech e^{iAx} seed.
+    """
+    return _solve(params, grid, cfg, seed, scalar=True)
+
+
+def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None) -> SolveReport:
+    """Solve the coupled profile system Q z = G(z) for z = (v, w).
+
+    ``seed`` is a ComplexField v + i w (build one with initial_iterate);
+    a RealField seed is taken as a zero-phase pair (v, 0), and None gives
+    the sech e^{iAx} seed.
+    """
+    return _solve(params, grid, cfg, seed, scalar=False)
+
+
+def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> SolveReport:
+    """The one solve path: seed, iterate, then center and project the result."""
+    cfg = cfg or SolverConfig()
+    lp = linear_phase_params(params)
+    alpha = cfg.resolved_alpha(lp.sigma)
+    if seed is None:
+        seed = initial_iterate(grid, lp.A)
+    if isinstance(seed, RealField):
+        if scalar and lp.A != 0.0:
+            seed = ComplexField(grid, seed.samples * np.exp(1j * lp.A * grid.x))
+        else:
+            seed = ComplexField(grid, seed.samples.astype(complex))
+    if not isinstance(seed, ComplexField):
+        raise TypeError(f"unsupported seed {type(seed).__name__}")
+    iteration = ProfileIteration(lp, grid, alpha, seed)
+    raw = accel.accelerated_iterate(iteration, cfg)
+
     u = center_samples(iteration.unpack(raw.z), grid)
-    if flipped:
+    if lp.flipped:
         # (lambda2, v, w) -> (-lambda2, w, v): u maps to i * conj(u)
         u = 1j * np.conj(u)
     envelope = ComplexField(grid, u)
-    profile = envelope.modulus() if scalar else envelope
+    meta = metadata(lp)
+    meta.update({"solver": "scalar" if scalar else "coupled", "alpha": alpha,
+                 "mw": cfg.mw, "tol": cfg.tol})
     return SolveReport(
-        profile=profile,
+        profile=envelope.modulus() if scalar else envelope,
         envelope=envelope,
         residual_history=raw.residual_history,
         m_history=raw.m_history,
@@ -214,122 +238,47 @@ def finish_report(iteration: ProfileIteration, cfg: SolverConfig, raw: accel.Acc
         converged=raw.converged,
         cycle_ends=raw.cycle_ends,
         mpe_fallbacks=raw.fallbacks,
-        meta=dict(meta or {}),
+        meta=meta,
         grid=grid,
     )
-
-
-def _resolve_seed(cfg_seed, grid: Grid, lp: LinearPhaseParams | None) -> ComplexField:
-    if cfg_seed is None:
-        if lp is not None:
-            seeded = initial_iterate(grid, lp.A)
-        else:
-            seeded = initial_iterate(grid, None)
-    else:
-        seeded = cfg_seed
-    if isinstance(seeded, RealField):
-        if lp is not None and lp.A != 0.0:
-            carrier = np.exp(1j * lp.A * grid.x)
-            return ComplexField(grid, seeded.samples * carrier)
-        return ComplexField(grid, seeded.samples.astype(complex))
-    if isinstance(seeded, ComplexField):
-        return seeded
-    raise TypeError(f"unsupported seed {type(seeded).__name__}")
-
-
-def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None) -> SolveReport:
-    """Solve the linear-phase profile equation (M + a) rho = rho^{2 sigma + 1}.
-
-    The iteration runs on the complex envelope u = rho e^{iAx} (the operator
-    is diagonal in Fourier space there); the report's ``profile`` is the
-    real modulus, centered, and ``envelope`` retains the full complex
-    profile that time evolution should be seeded with.
-    """
-    cfg = cfg or SolverConfig()
-    lp = params if isinstance(params, LinearPhaseParams) else linear_phase_params(params)
-    vparams = lp.base
-    alpha = cfg.resolved_alpha(vparams.sigma)
-    seed = _resolve_seed(cfg.seed, grid, lp)
-    iteration = ProfileIteration(vparams, grid, alpha, seed)
-    raw = accel.accelerated_iterate(iteration, cfg)
-    meta = metadata(vparams)
-    meta.update({"solver": "scalar", "alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
-    return finish_report(iteration, cfg, raw, meta, scalar=True, flipped=vparams.flipped)
-
-
-def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None) -> SolveReport:
-    """Solve the coupled profile system Q z = G(z) for z = (v, w).
-
-    ``seed`` is a ComplexField v + i w (build one with initial_iterate);
-    a RealField seed is taken as a zero-phase pair (v, 0).
-    """
-    cfg = cfg or SolverConfig()
-    vparams = params if isinstance(params, ValidatedParams) else validate(params)
-    alpha = cfg.resolved_alpha(vparams.sigma)
-    if seed is None:
-        seed = cfg.seed
-    if seed is None:
-        seed = initial_iterate(grid, linear_phase_params(vparams).A)
-    if isinstance(seed, RealField):
-        seed = ComplexField(grid, seed.samples.astype(complex))
-    iteration = ProfileIteration(vparams, grid, alpha, seed)
-    raw = accel.accelerated_iterate(iteration, cfg)
-    meta = metadata(vparams)
-    meta.update({"solver": "coupled", "alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
-    return finish_report(iteration, cfg, raw, meta, scalar=False, flipped=vparams.flipped)
 
 
 def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
                                max_iter: int = 200, tol: float = 1e-8) -> float:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
-    Finite-difference Jacobian-vector products drive a power iteration.
-    The translation and phase-rotation directions carry multiplier exactly
-    one (the symmetry orbit of the wave) and are deflated, so the estimate
-    measures the convergence rate transverse to the orbit: below one for a
-    stabilized iteration, 2 sigma + 1 for the naive map alpha = 0.
+    Finite-difference Jacobian-vector products of ``ProfileIteration.step``
+    drive a power iteration.  The translation and phase-rotation directions
+    carry multiplier exactly one (the symmetry orbit of the wave) and are
+    deflated, so the estimate measures the convergence rate transverse to
+    the orbit: below one for a stabilized iteration, 2 sigma + 1 for the
+    naive map alpha = 0.
     """
-    vparams = params if isinstance(params, ValidatedParams) else validate(params)
     if isinstance(profile, SolveReport):
         profile = profile.envelope
     if isinstance(profile, RealField):
         profile = ComplexField(grid, profile.samples.astype(complex))
+    iteration = ProfileIteration(validate(params), grid, alpha, profile)
     u0 = profile.samples
-    sigma = vparams.sigma
-    sym = (
-        np.abs(grid.xi) ** (2.0 * vparams.s)
-        + vparams.lambda1
-        - vparams.lambda2 * grid.xi_odd
-    )
-
-    def T(u):
-        lu = np.fft.ifft(sym * np.fft.fft(u))
-        g = np.abs(u) ** (2.0 * sigma) * u
-        m = float(np.sum((lu * np.conj(u)).real)) / float(np.sum((g * np.conj(u)).real))
-        return np.fft.ifft((m ** alpha) * np.fft.fft(g) / sym)
-
-    n = grid.n
-    pack = lambda u: np.concatenate([u.real, u.imag])
-    unpack = lambda z: z[:n] + 1j * z[n:]
 
     # symmetry directions: translation du/dx and phase rotation i*u
     du = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(u0))
-    d0 = pack(du)
+    d0 = iteration.pack(du)
     d0 /= np.linalg.norm(d0)
-    d1 = pack(1j * u0)
+    d1 = iteration.pack(1j * u0)
     d1 -= np.dot(d1, d0) * d0
     d1 /= np.linalg.norm(d1)
 
-    z0 = pack(u0)
+    z0 = iteration.initial()
     eps = 1e-7 * np.linalg.norm(z0)
     rng = np.random.default_rng(0)
-    h = rng.standard_normal(2 * n)
+    h = rng.standard_normal(2 * grid.n)
     estimate = 0.0
     for k in range(max_iter):
         h -= np.dot(h, d0) * d0
         h -= np.dot(h, d1) * d1
         h /= np.linalg.norm(h)
-        jv = (pack(T(unpack(z0 + eps * h))) - pack(T(unpack(z0 - eps * h)))) / (2.0 * eps)
+        jv = (iteration.step(z0 + eps * h)[0] - iteration.step(z0 - eps * h)[0]) / (2.0 * eps)
         new = float(np.dot(jv, h))
         done = k > 10 and abs(new - estimate) < tol
         estimate = new

@@ -4,10 +4,12 @@ Everything lives on the uniform collocation grid x_j = -l + j*h of the
 interval (-l, l) with h = 2l/n, and spectra are plain DFT coefficients in
 numpy's fft ordering, wavenumbers xi_k = pi*k/l for k = -n/2 .. n/2-1.
 
-Operators are diagonal in Fourier space.  Two conventions keep real data
-real:
+Operators are scalar Fourier multipliers.  The coupled (v, w) profile
+system is diagonal in u = v + i w, so its 2x2 operator reduces to the one
+real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
+``profile_operator``.  Two conventions keep real data real:
 
-* applying a scalar multiplier to a RealField drops the roundoff/odd-part
+* applying a multiplier to a RealField drops the roundoff/odd-part
   imaginary remainder of the inverse transform, which is exactly the
   Hermitian (even-symbol) projection of the operator;
 * symbols built from odd terms (the -lambda2*xi drift, first derivatives)
@@ -16,12 +18,11 @@ real:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .params import LinearPhaseParams, ProblemParams, ValidatedParams, validate
+from .params import LinearPhaseParams, ProblemParams
 
 
 @dataclass(frozen=True)
@@ -121,33 +122,28 @@ Field = RealField | ComplexField
 
 @dataclass(frozen=True)
 class MultiplierOp:
-    """Fourier multiplier bound to a grid.
-
-    ``symbol`` maps wavenumbers to values: scalar ops return real values,
-    matrix ops a (2, 2, ...) Hermitian stack.  ``values`` caches the symbol
-    on the grid modes with the Nyquist rules already applied.
-    """
+    """Fourier multiplier bound to a grid: ``values`` holds the real symbol
+    on the grid modes with the Nyquist rules already applied."""
 
     grid: Grid
-    symbol: Callable[[np.ndarray], np.ndarray]
     values: np.ndarray
-    tag: str = ""
-
-    @property
-    def is_matrix(self) -> bool:
-        return self.values.ndim == 3
 
 
-def fractional_laplacian(grid: Grid, s: float) -> MultiplierOp:
-    """(-d_xx)^s with symbol |xi|^{2s}."""
-    sym = lambda xi: np.abs(xi) ** (2.0 * s)
-    return MultiplierOp(grid, sym, _freeze(sym(grid.xi)), tag=f"(-dxx)^{s}")
+def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
+    """Profile operator L with symbol |xi|^{2s} + lambda1 - lambda2*xi.
 
-
-def halforder_derivative(grid: Grid, s: float) -> MultiplierOp:
-    """|D|^s with symbol |xi|^s (enters the Hamiltonian density)."""
-    sym = lambda xi: np.abs(xi) ** s
-    return MultiplierOp(grid, sym, _freeze(sym(grid.xi)), tag=f"|D|^{s}")
+    L acts on u = v + i w exactly as the coupled 2x2 operator
+    Q = [[lambda1 + |xi|^{2s}, -i lambda2 xi], [i lambda2 xi, lambda1 + |xi|^{2s}]]
+    acts on (v, w); the eigenvalues of Q(xi) are L(xi) and L(-xi).  L is
+    positive on every mode inside the speed window.  The drift is odd, so
+    it is zeroed at the Nyquist mode.
+    """
+    values = (
+        np.abs(grid.xi) ** (2.0 * params.s)
+        + params.lambda1
+        - params.lambda2 * grid.xi_odd
+    )
+    return MultiplierOp(grid, _freeze(values))
 
 
 def m_symbol(params: LinearPhaseParams, grid: Grid) -> MultiplierOp:
@@ -155,75 +151,20 @@ def m_symbol(params: LinearPhaseParams, grid: Grid) -> MultiplierOp:
 
     m(0) = 0 and, with A from the phase-slope relation, m'(0) = 0 and the
     symbol is convex for s > 1/2, so m + a > 0 inside the speed window.
-    The grid cache drops the odd drift term at the Nyquist mode.
+    The odd drift term is dropped at the Nyquist mode.
     """
     s, A, lam2 = params.s, params.A, params.lambda2
     a2s = abs(A) ** (2.0 * s)
-
-    def sym(xi):
-        return np.abs(xi + A) ** (2.0 * s) - lam2 * xi - a2s
-
     vals = np.abs(grid.xi + A) ** (2.0 * s) - lam2 * grid.xi_odd - a2s
-    return MultiplierOp(grid, sym, _freeze(vals), tag="m")
-
-
-def q_symbol(params: ProblemParams | ValidatedParams, grid: Grid) -> MultiplierOp:
-    """2x2 Hermitian symbol of the coupled profile operator.
-
-    Q(xi) = [[lambda1 + |xi|^{2s}, -i lambda2 xi],
-             [ i lambda2 xi,        lambda1 + |xi|^{2s}]]
-    with eigenvalues |xi|^{2s} + lambda1 +- lambda2*xi, strictly positive
-    on every mode inside the speed window.
-    """
-    if isinstance(params, ProblemParams):
-        params = validate(params)
-    s, lam1, lam2 = params.s, params.lambda1, params.lambda2
-
-    def sym(xi):
-        xi = np.asarray(xi, dtype=float)
-        diag = lam1 + np.abs(xi) ** (2.0 * s)
-        off = -1j * lam2 * xi
-        return np.array([[diag, off], [np.conj(off), diag]])
-
-    diag = lam1 + np.abs(grid.xi) ** (2.0 * s)
-    off = -1j * lam2 * grid.xi_odd
-    vals = np.empty((2, 2, grid.n), dtype=complex)
-    vals[0, 0] = diag
-    vals[0, 1] = off
-    vals[1, 0] = np.conj(off)
-    vals[1, 1] = diag
-    return MultiplierOp(grid, sym, _freeze(vals), tag="Q")
-
-
-def q_eigenvalues(params: ProblemParams | ValidatedParams, grid: Grid):
-    """Eigenvalue pair (lambda_minus, lambda_plus) of Q on the grid modes."""
-    if isinstance(params, ProblemParams):
-        params = validate(params)
-    base = params.lambda1 + np.abs(grid.xi) ** (2.0 * params.s)
-    drift = params.lambda2 * grid.xi_odd
-    return base - np.abs(drift), base + np.abs(drift)
+    return MultiplierOp(grid, _freeze(vals))
 
 
 def apply_multiplier(op: MultiplierOp, f):
-    """Apply a multiplier: spectrum(out) = symbol * spectrum(in), per mode.
+    """Apply a multiplier: spectrum(out) = values * spectrum(in), per mode.
 
-    Scalar ops act on a single field; the output of a RealField input is
-    re-projected onto real samples (Hermitian part of the symbol).  Matrix
-    ops act on a (v, w) pair given either as a tuple of RealFields or as a
-    ComplexField, returned in kind.
+    The output of a RealField input is re-projected onto real samples
+    (Hermitian part of the symbol); a ComplexField comes back complex.
     """
-    if op.is_matrix:
-        if isinstance(f, ComplexField):
-            pair = (RealField(f.grid, f.v), RealField(f.grid, f.w))
-            rv, rw = apply_multiplier(op, pair)
-            return ComplexField(f.grid, rv.samples + 1j * rw.samples)
-        fv, fw = f
-        _require_same_grid(op.grid, fv.grid)
-        _require_same_grid(op.grid, fw.grid)
-        sv, sw = fv.spectrum(), fw.spectrum()
-        out_v = np.fft.ifft(op.values[0, 0] * sv + op.values[0, 1] * sw).real
-        out_w = np.fft.ifft(op.values[1, 0] * sv + op.values[1, 1] * sw).real
-        return RealField(op.grid, out_v), RealField(op.grid, out_w)
     _require_same_grid(op.grid, f.grid)
     out = np.fft.ifft(op.values * f.spectrum())
     if isinstance(f, RealField):
@@ -325,9 +266,19 @@ def load_field(path):
                 meta[key.strip()] = val.strip()
             else:
                 rows.append([float(tok) for tok in line.split()])
-    grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
+    missing = [k for k in ("field_type", "l", "n") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: snapshot header lacks {', '.join(missing)}")
+    columns = {"real": 1, "complex": 2}.get(meta["field_type"])
+    if columns is None:
+        raise ValueError(f"{path}: unknown field_type {meta['field_type']!r}")
+    if not rows:
+        raise ValueError(f"{path}: snapshot has no sample rows")
     data = np.asarray(rows)
-    if meta["field_type"] == "complex":
+    if data.ndim != 2 or data.shape[1] < columns:
+        raise ValueError(f"{path}: {meta['field_type']} snapshot needs {columns} columns per row")
+    grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
+    if columns == 2:
         fld: Field = ComplexField(grid, data[:, 0] + 1j * data[:, 1])
     else:
         fld = RealField(grid, data[:, 0])

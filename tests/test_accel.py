@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from fnlswaves.accel import (
-    ExtrapolationWindow,
-    accelerated_iterate,
-    mpe_coefficients,
-    mpe_extrapolate,
-)
+from fnlswaves import accel
+from fnlswaves.accel import accelerated_iterate, mpe_coefficients, mpe_extrapolate
 from fnlswaves.params import ProblemParams
 from fnlswaves.petviashvili import SolverConfig, solve_scalar
 from fnlswaves.spectral import Grid
@@ -29,38 +25,31 @@ class LinearIteration:
         return float(np.linalg.norm(self.step(z)[0] - z)), 1.0
 
 
-def window_from_sequence(kappa, seq):
-    w = ExtrapolationWindow(kappa=kappa)
-    for z in seq:
-        w.push(z)
-    return w
-
-
 class TestWindow:
+    """One cycle's iterates z0..z_{kappa+1} feed a kappa-step extrapolation."""
+
     def test_requires_kappa_plus_two(self):
-        w = ExtrapolationWindow(kappa=2)
-        for k in range(3):
-            assert not w.full
-            w.push(np.ones(4) * k)
-        w.push(np.ones(4) * 3)
-        assert w.full
+        # kappa + 2 iterates give kappa + 1 weights on z0..z_kappa
+        rng = np.random.default_rng(3)
+        for kappa in range(4):
+            seq = list(rng.standard_normal((kappa + 2, 6)))
+            gamma = mpe_coefficients(np.diff(np.asarray(seq).T, axis=1))
+            assert gamma.shape == (kappa + 1,)
+            assert np.allclose(mpe_extrapolate(seq), gamma @ np.asarray(seq[:-1]))
 
     def test_extrapolate_before_full_raises(self):
-        w = ExtrapolationWindow(kappa=1)
-        w.push(np.zeros(3))
-        with pytest.raises(ValueError, match="needs 3"):
-            mpe_extrapolate(w)
+        with pytest.raises(ValueError, match="at least two iterates, got 1"):
+            mpe_extrapolate([np.zeros(3)])
 
     def test_negative_kappa(self):
-        with pytest.raises(ValueError):
-            ExtrapolationWindow(kappa=-1)
+        with pytest.raises(ValueError, match="got 0"):
+            mpe_extrapolate([])
 
 
 class TestExtrapolation:
     def test_kappa_zero_returns_first_iterate(self):
         z0, z1 = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        w = window_from_sequence(0, [z0, z1])
-        out = mpe_extrapolate(w)
+        out = mpe_extrapolate([z0, z1])
         assert np.array_equal(out, z0)
 
     def test_gamma_weights_sum_to_one(self):
@@ -82,16 +71,14 @@ class TestExtrapolation:
         seq = [it.initial()]
         for _ in range(kappa + 1):
             seq.append(it.step(seq[-1])[0])
-        w = window_from_sequence(kappa, seq)
-        out = mpe_extrapolate(w)
+        out = mpe_extrapolate(seq)
         assert np.linalg.norm(out - it.fixed_point) < 1e-10
 
     def test_degenerate_sum_signals_fallback(self):
         # arithmetic progression: equal difference vectors, sum(c) = 0
         z = np.array([0.0, 1.0])
         d = np.array([1.0, 1.0])
-        w = window_from_sequence(1, [z, z + d, z + 2 * d])
-        assert mpe_extrapolate(w) is None
+        assert mpe_extrapolate([z, z + d, z + 2 * d]) is None
 
 
 class TestAcceleratedIterate:
@@ -106,6 +93,28 @@ class TestAcceleratedIterate:
             z, _ = it.step(z)
         assert np.array_equal(res.z, z)
         assert res.converged
+
+    def test_mw1_never_extrapolates(self, monkeypatch):
+        def refuse(iterates):
+            raise AssertionError("mw=1 must not extrapolate")
+
+        monkeypatch.setattr(accel, "mpe_extrapolate", refuse)
+        it = LinearIteration(np.diag([0.5, 0.2]), np.ones(2), np.zeros(2))
+        res = accelerated_iterate(it, SolverConfig(tol=1e-12, max_iter=100, mw=1))
+        assert res.converged and res.cycle_ends == [] and res.fallbacks == 0
+
+    def test_fallback_keeps_base_iterate(self):
+        # z -> z + d: every cycle is an arithmetic progression, so each
+        # extrapolation is degenerate and the loop goes on from the plain
+        # iterate; the fourth cycle ends at max_iter before extrapolating
+        class Drift(LinearIteration):
+            def __init__(self):
+                self.M, self.b, self.z0 = np.eye(2), np.ones(2), np.zeros(2)
+
+        res = accelerated_iterate(Drift(), SolverConfig(tol=1e-12, max_iter=12, mw=3))
+        assert not res.converged and res.iterations == 12
+        assert res.fallbacks == 3 and res.cycle_ends == []
+        assert np.array_equal(res.z, np.full(2, 12.0))
 
     def test_restart_reaches_linear_fixed_point_fast(self):
         rng = np.random.default_rng(5)

@@ -115,6 +115,29 @@ class TestOtherCommands:
         text = open(os.path.join(out, "evolve.csv")).read()
         assert "t,I1,I2,H,amplitude,peak_x" in text
 
+    @pytest.mark.parametrize("header, body", [
+        ({"field_type": "complex", "n": "1024"}, None),
+        ({"field_type": "complex", "l": "32.0"}, None),
+        ({"l": "32.0", "n": "1024"}, None),
+        ({"field_type": "vector", "l": "32.0", "n": "1024"}, None),
+        ({"field_type": "complex", "l": "32.0", "n": "1024"}, ""),
+        ({"field_type": "complex", "l": "32.0", "n": "1024"}, "1.0e+00\n"),
+    ], ids=["no-l", "no-n", "no-field_type", "unknown-field_type", "no-rows",
+            "one-column-complex"])
+    def test_malformed_seed_profile_exits_2(self, tmp_path, capsys, header, body):
+        if body is None:
+            body = "1.0e+00 0.0e+00\n" * 1024
+        snap = write(tmp_path, "bad.dat", "# fnlswaves-field 1\n" + "".join(
+            f"# {k} = {v}\n" for k, v in header.items()) + body)
+        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve") + (
+            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n"
+        )
+        cfg = write(tmp_path, "evolve.ini", evolve_text)
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--seed-profile", snap])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.dat" in err and "Traceback" not in err
+
     def test_scan_command(self, tmp_path):
         text = SOLVE_CONFIG.replace("command = solve", "command = scan") + (
             "\n[scan]\nspeeds = 0.5, 1.0\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fnlswaves.cli import main
 from fnlswaves.evolve import EvolveConfig, StepError, run, step_midpoint
 from fnlswaves.params import ProblemParams
 from fnlswaves.petviashvili import SolverConfig, solve_scalar
@@ -18,6 +19,43 @@ def wave2048():
     rep = solve_scalar(params34(), grid, SolverConfig(tol=1e-12, max_iter=600))
     assert rep.converged
     return rep.envelope
+
+
+EVOLVE_CONFIG = """
+[run]
+command = evolve
+[problem]
+s = 0.75
+sigma = 1.0
+lambda1 = 1.0
+lambda2 = 1.0
+[grid]
+l = 16.0
+n = 256
+[evolve]
+dt = 0.01
+t_end = 0.02
+{key} = {value}
+"""
+
+
+class TestEvolveConfig:
+    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("nl_max", -3), ("snapshot_stride", -1)])
+    def test_bad_inner_settings_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            EvolveConfig(**{key: value})
+
+    def test_edge_settings_accepted(self):
+        cfg = EvolveConfig(nl_max=1, snapshot_stride=0)
+        assert cfg.nl_max == 1 and cfg.snapshot_stride == 0
+
+    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("snapshot_stride", -1)])
+    def test_cli_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "evolve.ini"
+        path.write_text(EVOLVE_CONFIG.format(key=key, value=value))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 class TestStepMidpoint:

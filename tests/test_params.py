@@ -133,3 +133,15 @@ def test_linear_phase_params_and_metadata():
     assert meta["limiting_speed"] == pytest.approx(1.8899, abs=5e-4)
     assert meta["phase_slope_A"] == pytest.approx(4.0 / 9.0)
     assert meta["kind"] == "linear_phase"
+    assert not lp.flipped and meta["speed_sign_flipped"] is False
+    # validated params are ProblemParams too; deriving from them must keep
+    # the speed-sign flip rather than re-validate it away
+    for lambda2 in (-0.5, -1.0, -1.5):
+        vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
+        assert validate(vp) is vp
+        lp = linear_phase_params(vp)
+        assert lp.flipped and lp.lambda2 == -lambda2
+        assert lp.A == pytest.approx(phase_slope(0.75, -lambda2), rel=1e-14)
+        assert metadata(vp)["speed_sign_flipped"] is True
+        assert metadata(lp)["speed_sign_flipped"] is True
+

@@ -76,15 +76,22 @@ class TestSolveScalar:
         assert np.max(np.abs(rep.profile.samples - exact)) < 1e-8
 
     def test_exact_seed_converges_immediately(self, grid64, report_c1):
-        cfg = SolverConfig(seed=report_c1.envelope)
-        rep = solve_scalar(fig1_params(1.0), grid64, cfg)
+        rep = solve_scalar(fig1_params(1.0), grid64, seed=report_c1.envelope)
         assert rep.converged and rep.iterations == 0
         assert rep.m_history[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_seed_rejected(self, grid64):
-        cfg = SolverConfig(seed=RealField(grid64, np.zeros(grid64.n)))
         with pytest.raises(ValueError, match="degenerate seed"):
-            solve_scalar(fig1_params(1.0), grid64, cfg)
+            solve_scalar(fig1_params(1.0), grid64, seed=RealField(grid64, np.zeros(grid64.n)))
+
+    def test_real_seed_is_read_in_rho_frame(self, grid64, report_c1):
+        # a RealField seed is modulated by e^{iAx}, so the plain sech seed
+        # reproduces the default sech e^{iAx} solve bit for bit
+        rep = solve_scalar(fig1_params(1.0), grid64, seed=initial_iterate(grid64))
+        assert rep.iterations == report_c1.iterations == 42
+        assert rep.residual_history == report_c1.residual_history
+        assert rep.m_history == report_c1.m_history
+        assert np.array_equal(rep.envelope.samples, report_c1.envelope.samples)
 
     @pytest.mark.parametrize("lambda2", [0.5, 1.0, 1.5])
     def test_fig1_convergence(self, grid64, lambda2):
@@ -108,7 +115,7 @@ class TestSolveScalar:
     def test_translation_covariance(self, grid64, report_c1):
         seed = initial_iterate(grid64, 4.0 / 9.0)
         shifted = ComplexField(grid64, np.roll(seed.samples, 257))
-        rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(seed=shifted))
+        rep = solve_scalar(fig1_params(1.0), grid64, seed=shifted)
         assert rep.converged
         assert np.max(np.abs(rep.profile.samples - report_c1.profile.samples)) < 1e-8
 

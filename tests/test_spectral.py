@@ -7,14 +7,26 @@ from fnlswaves.spectral import (
     Grid,
     RealField,
     apply_multiplier,
-    fractional_laplacian,
     invariants,
     load_field,
     m_symbol,
-    q_eigenvalues,
-    q_symbol,
+    profile_operator,
     save_field,
 )
+
+
+def fig1_params(lambda2=1.0, s=0.75):
+    return ProblemParams(s=s, sigma=1.0, lambda1=1.0, lambda2=lambda2)
+
+
+def integer_mode_grid(n=64):
+    """Grid on (-pi, pi): the wavenumbers are the integers -n/2 .. n/2-1."""
+    return Grid(l=np.pi, n=n)
+
+
+def mode(grid, xi):
+    """Index of the grid mode closest to the wavenumber xi."""
+    return int(np.argmin(np.abs(grid.xi - xi)))
 
 
 def dft_multiplier_oracle(grid, symbol_values, samples):
@@ -90,23 +102,28 @@ class TestFields:
 
 class TestApplyMultiplier:
     def test_constant_field_annihilated(self):
+        # m(0) = 0 annihilates constants; L(0) = lambda1 only rescales them
         g = Grid(l=4.0, n=64)
-        op = fractional_laplacian(g, 0.75)
-        out = apply_multiplier(op, RealField(g, np.full(g.n, 2.5)))
+        p = fig1_params()
+        const = RealField(g, np.full(g.n, 2.5))
+        out = apply_multiplier(m_symbol(linear_phase_params(p), g), const)
         assert np.max(np.abs(out.samples)) < 1e-13
+        out = apply_multiplier(profile_operator(p, g), const)
+        assert np.max(np.abs(out.samples - p.lambda1 * 2.5)) < 1e-13
 
     def test_fourier_eigenfunction(self):
         g = Grid(l=4.0, n=64)
-        s = 0.75
-        op = fractional_laplacian(g, s)
+        p = fig1_params()
+        op = profile_operator(p, g)
         k = g.xi[5]
         f = ComplexField(g, np.exp(1j * k * g.x))
         out = apply_multiplier(op, f)
-        assert np.allclose(out.samples, abs(k) ** (2 * s) * f.samples, atol=1e-11)
+        expected = abs(k) ** (2 * p.s) + p.lambda1 - p.lambda2 * k
+        assert np.allclose(out.samples, expected * f.samples, atol=1e-11)
 
     def test_sech_against_direct_summation(self):
         g = Grid(l=16.0, n=256)
-        op = fractional_laplacian(g, 0.75)
+        op = profile_operator(fig1_params(), g)
         f = RealField(g, 1.0 / np.cosh(g.x))
         fast = apply_multiplier(op, f).samples
         slow = dft_multiplier_oracle(g, op.values, f.samples)
@@ -116,18 +133,18 @@ class TestApplyMultiplier:
     def test_random_fields_against_oracle(self, n):
         g = Grid(l=8.0, n=n)
         rng = np.random.default_rng(n)
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        op = m_symbol(linear_phase_params(p), g)
+        p = fig1_params()
         fr = RealField(g, rng.standard_normal(n))
         fc = ComplexField(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for f in (fr, fc):
-            fast = apply_multiplier(op, f).samples
-            slow = dft_multiplier_oracle(g, op.values, f.samples)
-            assert np.linalg.norm(fast - slow) <= 1e-12 * max(1.0, np.linalg.norm(slow))
+        for op in (m_symbol(linear_phase_params(p), g), profile_operator(p, g)):
+            for f in (fr, fc):
+                fast = apply_multiplier(op, f).samples
+                slow = dft_multiplier_oracle(g, op.values, f.samples)
+                assert np.linalg.norm(fast - slow) <= 1e-12 * max(1.0, np.linalg.norm(slow))
 
     def test_linearity(self):
         g = Grid(l=8.0, n=128)
-        op = fractional_laplacian(g, 0.6)
+        op = profile_operator(ProblemParams(s=0.6, sigma=1.0, lambda1=1.0, lambda2=0.5), g)
         rng = np.random.default_rng(5)
         f = rng.standard_normal(g.n)
         h = rng.standard_normal(g.n)
@@ -139,86 +156,99 @@ class TestApplyMultiplier:
         assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
     def test_grid_mismatch(self):
-        op = fractional_laplacian(Grid(l=4.0, n=64), 0.75)
+        op = profile_operator(fig1_params(), Grid(l=4.0, n=64))
         f = RealField(Grid(l=4.0, n=128), np.zeros(128))
         with pytest.raises(ValueError, match="grid mismatch"):
             apply_multiplier(op, f)
 
 
 class TestMSymbol:
+    """m evaluated on grid modes that hit the wavenumbers of interest."""
+
     def test_zero_at_origin(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        op = m_symbol(linear_phase_params(p), Grid(l=8.0, n=64))
-        assert op.symbol(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-15)
+        op = m_symbol(linear_phase_params(fig1_params()), Grid(l=8.0, n=64))
+        assert op.values[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_classical_reduces_to_xi_squared(self):
-        p = ProblemParams(s=1.0, sigma=1.0, lambda1=1.0, lambda2=1.0)
+        p = fig1_params(s=1.0)
         g = Grid(l=8.0, n=64)
         op = m_symbol(linear_phase_params(p), g)
-        xi = np.linspace(-20, 20, 101)
-        assert np.allclose(op.symbol(xi), xi ** 2, atol=1e-12)
+        paired = np.arange(g.n) != g.nyquist_index()  # the drift is zeroed at Nyquist
+        assert np.allclose(op.values[paired], g.xi[paired] ** 2, atol=1e-12)
 
     def test_value_at_one(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        op = m_symbol(linear_phase_params(p), Grid(l=8.0, n=64))
+        g = integer_mode_grid()
+        op = m_symbol(linear_phase_params(fig1_params()), g)
         expected = abs(1.0 + 4.0 / 9.0) ** 1.5 - 1.0 - (4.0 / 9.0) ** 1.5
-        assert op.symbol(np.array([1.0]))[0] == pytest.approx(expected, rel=1e-14)
+        assert op.values[mode(g, 1.0)] == pytest.approx(expected, rel=1e-14)
 
     def test_stationary_at_origin(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        op = m_symbol(linear_phase_params(p), Grid(l=8.0, n=64))
+        lp = linear_phase_params(fig1_params())
         for eps in (1e-2, 1e-3, 1e-4):
-            diff = (op.symbol(np.array([eps]))[0] - op.symbol(np.array([-eps]))[0]) / (2 * eps)
+            g = Grid(l=np.pi / eps, n=64)  # first modes at xi = +-eps
+            op = m_symbol(lp, g)
+            diff = (op.values[1] - op.values[-1]) / (2 * eps)
             assert abs(diff) < 10.0 * eps  # m'(0) = 0, odd part is O(eps^3)
 
     def test_positive_shifted_on_grid(self):
         for lam2 in (0.5, 1.0, 1.5, 1.8):
-            p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lam2)
-            lp = linear_phase_params(p)
+            lp = linear_phase_params(fig1_params(lam2))
             op = m_symbol(lp, Grid(l=64.0, n=1024))
             assert np.all(op.values + lp.a > 0.0)
 
 
 class TestQSymbol:
+    """The coupled 2x2 operator Q is diagonal in u = v + i w: its
+    eigenvalues at xi are L(xi) and L(-xi), checked on profile_operator."""
+
+    @staticmethod
+    def eigenvalue_pair(p, g):
+        vals = profile_operator(p, g).values
+        mirrored = vals[(-np.arange(g.n)) % g.n]  # L(-xi) off the Nyquist mode
+        return np.minimum(vals, mirrored), np.maximum(vals, mirrored)
+
     def test_eigenvalues_at_origin(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
         g = Grid(l=8.0, n=64)
-        lo, hi = q_eigenvalues(p, g)
-        zero = np.argmin(np.abs(g.xi))
-        assert lo[zero] == pytest.approx(1.0) and hi[zero] == pytest.approx(1.0)
+        lo, hi = self.eigenvalue_pair(fig1_params(), g)
+        assert lo[0] == pytest.approx(1.0) and hi[0] == pytest.approx(1.0)
 
     def test_zero_speed_diagonal(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=0.0)
         g = Grid(l=8.0, n=64)
-        op = q_symbol(p, g)
-        assert np.all(op.values[0, 1] == 0.0) and np.all(op.values[1, 0] == 0.0)
-        lo, hi = q_eigenvalues(p, g)
+        p = fig1_params(0.0)
+        vals = profile_operator(p, g).values
+        assert np.array_equal(vals, np.abs(g.xi) ** (2 * p.s) + p.lambda1)
+        lo, hi = self.eigenvalue_pair(p, g)
         assert np.allclose(lo, hi)
 
     def test_example_at_xi_one(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        op = q_symbol(p, Grid(l=8.0, n=64))
-        mat = op.symbol(1.0)
-        eig = np.linalg.eigvalsh(mat)
-        assert eig[0] == pytest.approx(1.0, rel=1e-12)
-        assert eig[1] == pytest.approx(3.0, rel=1e-12)
+        g = integer_mode_grid()
+        vals = profile_operator(fig1_params(), g).values
+        assert vals[mode(g, 1.0)] == pytest.approx(1.0, rel=1e-12)
+        assert vals[mode(g, -1.0)] == pytest.approx(3.0, rel=1e-12)
 
     def test_hermitian_everywhere(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.3)
-        op = q_symbol(p, Grid(l=8.0, n=64))
-        assert np.allclose(op.values[0, 1], np.conj(op.values[1, 0]))
-        assert np.allclose(op.values[0, 0].imag, 0.0)
+        # a real symbol is a self-adjoint operator: <L f, h> = <f, L h>
+        g = Grid(l=8.0, n=64)
+        op = profile_operator(fig1_params(1.3), g)
+        assert np.isrealobj(op.values)
+        rng = np.random.default_rng(4)
+        f, h = (ComplexField(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+                for _ in range(2))
+        lhs = np.vdot(apply_multiplier(op, f).samples, h.samples)
+        rhs = np.vdot(f.samples, apply_multiplier(op, h).samples)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_positive_definite_inside_window(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.85)
-        lo, hi = q_eigenvalues(p, Grid(l=64.0, n=2048))
-        assert np.all(lo > 0.0) and np.all(hi > 0.0)
+        # L > 0 on every grid mode, up to a speed just below the limit
+        for lam2 in (0.5, 1.0, 1.5, 1.85, 1.889):
+            lo, _ = self.eigenvalue_pair(fig1_params(lam2), Grid(l=64.0, n=2048))
+            assert np.all(lo > 0.0)
 
     def test_eigenvalue_bounds(self):
         # alpha0 + alpha1 |xi|^2s < lambda_pm < 2 lambda1 + 2 |xi|^2s
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.5)
+        p = fig1_params(1.5)
         g = Grid(l=32.0, n=1024)
-        lo, hi = q_eigenvalues(p, g)
+        lo, hi = self.eigenvalue_pair(p, g)
         xi2s = np.abs(g.xi) ** (2 * p.s)
         upper = 2.0 * p.lambda1 + 2.0 * xi2s
         assert np.all(hi < upper)
@@ -228,18 +258,18 @@ class TestQSymbol:
         assert np.all(lower < lo)
 
     def test_pair_application_real(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
+        # a hand-built Q acting on (v, w) equals L acting on v + i w
+        p = fig1_params()
         g = Grid(l=8.0, n=64)
-        op = q_symbol(p, g)
         rng = np.random.default_rng(9)
-        fv = RealField(g, rng.standard_normal(g.n))
-        fw = RealField(g, rng.standard_normal(g.n))
-        rv, rw = apply_multiplier(op, (fv, fw))
-        assert isinstance(rv, RealField) and isinstance(rw, RealField)
-        # same operator through the complex packing
-        fc = ComplexField(g, fv.samples + 1j * fw.samples)
-        out = apply_multiplier(op, fc)
-        assert np.allclose(out.samples, rv.samples + 1j * rw.samples)
+        v, w = rng.standard_normal(g.n), rng.standard_normal(g.n)
+        diag = p.lambda1 + np.abs(g.xi) ** (2 * p.s)
+        off = -1j * p.lambda2 * g.xi_odd
+        sv, sw = np.fft.fft(v), np.fft.fft(w)
+        qv = np.fft.ifft(diag * sv + off * sw).real
+        qw = np.fft.ifft(np.conj(off) * sv + diag * sw).real
+        out = apply_multiplier(profile_operator(p, g), ComplexField(g, v + 1j * w))
+        assert np.allclose(out.samples, qv + 1j * qw, atol=1e-12)
 
 
 class TestInvariants:
