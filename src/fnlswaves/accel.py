@@ -12,7 +12,9 @@ iterations feed one extrapolation; mw = 1 disables acceleration.
 The driver below uses restarted cycles: run mw base iterations, extrapolate
 from the cycle's mw + 1 iterates and restart from the extrapolant; with
 mw = 1 it is the plain iteration.  Iterates are flat real vectors (complex
-fields enter with real and imaginary parts stacked).
+fields enter with real and imaginary parts stacked).  A step reports the
+residual of the iterate it starts from, so the driver records residuals
+without evaluating the operator a second time.
 """
 
 from __future__ import annotations
@@ -86,29 +88,39 @@ class AccelResult:
 def accelerated_iterate(iteration, cfg) -> AccelResult:
     """Drive a fixed-point iteration with restarted-MPE cycles.
 
-    ``iteration`` provides initial() -> z, step(z) -> (z_next, m), and
-    diagnostics(z) -> (residual, m).  The residual of every iterate is
-    recorded, including each cycle's extrapolant (evaluated on the profile
-    equation itself); ``iterations`` counts base applications only.
+    ``iteration`` provides initial() -> z, step(z) -> (z_next, residual, m)
+    with the residual and m of its input z, and diagnostics(z) ->
+    (residual, m).  The residual of every iterate is recorded, including
+    each cycle's extrapolant (evaluated on the profile equation itself);
+    ``iterations`` counts base applications only.
+
+    Each iterate's residual comes from the step taken from it, so one base
+    iteration costs one step.  ``diagnostics`` is called only for iterates
+    that are never stepped from: the last base iterate of an mw > 1 cycle,
+    which feeds the extrapolation, and the iterate at max_iter.  After a
+    degenerate extrapolation the loop steps from that kept base iterate.
+    The only step output thrown away is the one taken from the converged
+    iterate.
     """
     z = iteration.initial()
-    res, m = iteration.diagnostics(z)
+    nxt, res, m = iteration.step(z)
     history_r = [res]
     history_m = [m]
     cycle_ends: list[int] = []
     fallbacks = 0
     it = 0
-    if res <= cfg.tol:
-        return AccelResult(z, True, 0, history_r, history_m, cycle_ends, fallbacks)
 
-    while it < cfg.max_iter:
+    while not res <= cfg.tol:  # a NaN residual is not convergence
         cycle = [z]
-        for _ in range(cfg.mw):
-            z, _ = iteration.step(z)
+        for k in range(1, cfg.mw + 1):
+            z = nxt
             it += 1
             _check_finite(z, it)
             cycle.append(z)
-            res, m = iteration.diagnostics(z)
+            if it >= cfg.max_iter or (cfg.mw > 1 and k == cfg.mw):
+                res, m = iteration.diagnostics(z)
+            else:
+                nxt, res, m = iteration.step(z)
             history_r.append(res)
             history_m.append(m)
             if res <= cfg.tol or it >= cfg.max_iter:
@@ -118,15 +130,14 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
         y = mpe_extrapolate(cycle)
         if y is None:
             fallbacks += 1
+            nxt = iteration.step(z)[0]
             continue
-        res, m = iteration.diagnostics(y)
+        z = y
+        nxt, res, m = iteration.step(z)
         history_r.append(res)
         history_m.append(m)
         cycle_ends.append(len(history_r) - 1)
-        z = y
-        if res <= cfg.tol:
-            return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
-    return AccelResult(z, False, it, history_r, history_m, cycle_ends, fallbacks)
+    return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
 
 
 class DivergenceError(RuntimeError):

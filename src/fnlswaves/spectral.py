@@ -19,6 +19,7 @@ real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,21 +43,24 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.l / self.n
 
-    @property
+    # The coordinate arrays are built once per grid and shared read-only;
+    # cached_property stores them outside the dataclass fields, so equality
+    # and hashing still see only (l, n).
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.l + self.h * np.arange(self.n)
+        return _freeze(-self.l + self.h * np.arange(self.n))
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
         """Wavenumbers pi*k/l in fft order; single unpaired mode at -n/2."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        return _freeze(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h))
 
-    @property
+    @cached_property
     def xi_odd(self) -> np.ndarray:
         """Wavenumbers with the Nyquist entry zeroed, for odd symbols."""
         xi = self.xi.copy()
         xi[self.n // 2] = 0.0
-        return xi
+        return _freeze(xi)
 
     def nyquist_index(self) -> int:
         return self.n // 2

@@ -19,10 +19,11 @@ class LinearIteration:
         return self.z0.copy()
 
     def step(self, z):
-        return self.M @ z + self.b, 1.0
+        nxt = self.M @ z + self.b
+        return nxt, float(np.linalg.norm(nxt - z)), 1.0
 
     def diagnostics(self, z):
-        return float(np.linalg.norm(self.step(z)[0] - z)), 1.0
+        return self.step(z)[1:]
 
 
 class TestWindow:
@@ -90,7 +91,7 @@ class TestAcceleratedIterate:
         res = accelerated_iterate(it, cfg)
         z = it.initial()
         for _ in range(res.iterations):
-            z, _ = it.step(z)
+            z = it.step(z)[0]
         assert np.array_equal(res.z, z)
         assert res.converged
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fnlswaves.params import Kind, ProblemParams
+from fnlswaves import accel
+from fnlswaves.params import Kind, ProblemParams, linear_phase_params
 from fnlswaves.petviashvili import (
+    ProfileIteration,
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
@@ -198,6 +200,81 @@ class TestSpectrumProbe:
         tail = rep.residual_history[-6:]
         ratios = [b / a for a, b in zip(tail, tail[1:])]
         assert all(r < 1.0 for r in ratios)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count every np.fft.fft and np.fft.ifft call made while installed."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    return calls
+
+
+def profile_iteration(lambda2, grid):
+    lp = linear_phase_params(fig1_params(lambda2))
+    alpha = SolverConfig().resolved_alpha(lp.sigma)
+    return ProfileIteration(lp, grid, alpha, initial_iterate(grid, lp.A))
+
+
+class TestFusedResidual:
+    """step(z) reports the residual and m of z, so each base iteration costs
+    one step (4 FFTs) and diagnostics (2 FFTs) is left for iterates that are
+    never stepped from."""
+
+    def test_step_reports_diagnostics_of_its_input(self, fft_calls):
+        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
+        z = it.initial()
+        for _ in range(5):
+            before = fft_calls[0]
+            nxt, res, m = it.step(z)
+            assert fft_calls[0] - before == 4
+            before = fft_calls[0]
+            assert (res, m) == it.diagnostics(z)
+            assert fft_calls[0] - before == 2
+            z = nxt
+
+    @pytest.mark.parametrize("mw, iterations, ffts",
+                             [(1, 42, 172), (3, 30, 140), (4, 22, 102), (6, 18, 82)])
+    def test_fft_budget_per_solve(self, grid64, fft_calls, mw, iterations, ffts):
+        # the diagnostics-per-iterate loop took 254/200/144/116
+        rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(mw=mw))
+        assert rep.converged and rep.iterations == iterations
+        assert fft_calls[0] == ffts
+
+    @pytest.mark.parametrize("mw", [1, 3])
+    @pytest.mark.parametrize("max_iter", [500, 7])
+    def test_history_replays_diagnostics(self, mw, max_iter):
+        # every recorded entry is exactly diagnostics() of its iterate:
+        # base iterates from plain steps, extrapolants from each cycle
+        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
+        raw = accel.accelerated_iterate(it, SolverConfig(mw=mw, max_iter=max_iter))
+        assert raw.converged == (max_iter == 500)
+        history = list(zip(raw.residual_history, raw.m_history))
+        z = it.initial()
+        replay = [it.diagnostics(z)]
+        while len(replay) < len(history):
+            cycle = [z]
+            for _ in range(mw):
+                z = it.step(z)[0]
+                cycle.append(z)
+                replay.append(it.diagnostics(z))
+                if len(replay) == len(history):
+                    break
+            else:
+                if mw > 1:
+                    z = accel.mpe_extrapolate(cycle)
+                    replay.append(it.diagnostics(z))
+                    assert len(replay) - 1 in raw.cycle_ends
+        assert replay == history
+        assert np.array_equal(raw.z, z)
 
 
 class TestSolverConfig:

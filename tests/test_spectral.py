@@ -64,6 +64,26 @@ class TestGrid:
         assert set(np.round(others, 12)) == set(np.round(-others, 12))
         assert xi[nyq] == pytest.approx(-np.pi * (g.n // 2) / g.l)
 
+    def test_coordinate_arrays_are_cached_read_only(self):
+        g = Grid(l=5.0, n=32)
+        for name in ("x", "xi", "xi_odd"):
+            arr = getattr(g, name)
+            assert getattr(g, name) is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert g.xi_odd[g.nyquist_index()] == 0.0
+        assert g.xi[g.nyquist_index()] != 0.0
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        cold, warm = Grid(l=5.0, n=32), Grid(l=5.0, n=32)
+        _ = (warm.x, warm.xi, warm.xi_odd)
+        assert cold == warm and hash(cold) == hash(warm)
+        assert {warm: 1}[cold] == 1
+        assert repr(warm) == "Grid(l=5.0, n=32)"
+        assert warm != Grid(l=5.0, n=64)
+        with pytest.raises(AttributeError):
+            warm.n = 64
+
     @pytest.mark.parametrize("n", [7, 9, 4, 2])
     def test_bad_n(self, n):
         with pytest.raises(ValueError):
