@@ -14,42 +14,30 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .analysis import decay_slope, evenness_defect, phase_plane, speed_amplitude_scan
 from .evolve import EvolveConfig, run as evolve_run, save_evolution
 from .params import Kind, ParameterError, ProblemParams, metadata, validate
 from .petviashvili import (
     SolverConfig,
+    _history_iteration_counts,
     fixed_point_spectrum_probe,
     initial_iterate,
     save_report,
     solve_coupled,
     solve_scalar,
 )
-from .spectral import ComplexField, Grid, load_field
+from .spectral import ComplexField, Grid, load_field, write_csv
 
 SCHEMA_VERSION = 1
 
-_COMMANDS = ("solve", "evolve", "scan", "analyze", "probe")
-
-_SCHEMA = {
-    "run": {"command", "format_version", "out"},
-    "problem": {"s", "sigma", "lambda1", "lambda2", "kind"},
-    "grid": {"l", "n"},
-    "solver": {"alpha", "tol", "max_iter", "mw", "theta"},
-    "evolve": {"dt", "t_end", "snapshot_stride", "nl_tol", "nl_max"},
-    "scan": {"speeds"},
-    "analyze": {"window_min", "window_max"},
-    "probe": {"alpha"},
-}
-
-_REQUIRED_BLOCKS = {
+# The sections each command needs.
+_COMMANDS = {
     "solve": ("problem", "grid"),
     "evolve": ("problem", "grid", "evolve"),
     "scan": ("problem", "grid", "scan"),
@@ -57,26 +45,75 @@ _REQUIRED_BLOCKS = {
     "probe": ("problem", "grid", "probe"),
 }
 
+_REQUIRED_KEYS = {
+    "run": ("command",),
+    "problem": ("s", "sigma", "lambda1", "lambda2"),
+    "scan": ("speeds",),
+}
+
 
 class ConfigError(ValueError):
     pass
 
 
+# Value readers: each returns the parsed value or raises ValueError.
+def _number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"'{text}' is not a finite number")
+    return value
+
+
+def _numbers(text: str) -> list:
+    values = [_number(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("needs at least one number")
+    return values
+
+
+def _choice(*options):
+    """Reader for one of ``options`` (strings or enum members), any case."""
+    by_name = {getattr(o, "value", o): o for o in options}
+
+    def read(text: str):
+        if text.lower() not in by_name:
+            raise ValueError(f"'{text}' is not one of {'|'.join(by_name)}")
+        return by_name[text.lower()]
+    return read
+
+
+# Every config key and its reader; a section or key not listed is rejected.
+# [grid], [solver] (but theta, the seed phase) and [evolve] keys are fields
+# of Grid, SolverConfig and EvolveConfig, built from the keys present.
+_KEYS = {
+    "run": {"command": _choice(*_COMMANDS), "format_version": int, "out": str},
+    "problem": {"s": _number, "sigma": _number, "lambda1": _number, "lambda2": _number,
+                "kind": _choice(*Kind)},
+    "grid": {"l": _number, "n": int},
+    "solver": {"alpha": lambda text: _number(text) if text else None, "tol": _number,
+               "max_iter": int, "mw": int, "theta": _choice("linear", "quadratic", "none")},
+    "evolve": {"dt": _number, "t_end": _number, "snapshot_stride": int,
+               "nl_tol": _number, "nl_max": int},
+    "scan": {"speeds": _numbers},
+    "analyze": {"window_min": _number, "window_max": _number},
+    "probe": {"alpha": _number},
+}
+
+
+@dataclass
 class RunConfig:
     """Parsed and validated run configuration."""
 
-    def __init__(self, command, params, grid, solver_cfg, evolve_cfg,
-                 speeds, window, probe_alpha, theta, out):
-        self.command = command
-        self.params = params
-        self.grid = grid
-        self.solver_cfg = solver_cfg
-        self.evolve_cfg = evolve_cfg
-        self.speeds = speeds
-        self.window = window
-        self.probe_alpha = probe_alpha
-        self.theta = theta
-        self.out = out
+    command: str
+    params: ProblemParams
+    grid: Grid
+    solver_cfg: SolverConfig
+    evolve_cfg: EvolveConfig
+    speeds: list | None
+    window: tuple | None
+    probe_alpha: float | None
+    theta: str
+    out: str
 
 
 def parse_config(path) -> RunConfig:
@@ -88,108 +125,55 @@ def parse_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
 
-    problems = []
+    problems, values = [], {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        readers = _KEYS.get(section)
+        if readers is None:
             problems.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
+        values[section] = {}
+        for key, text in cp[section].items():
+            if key not in readers:
                 problems.append(f"unknown key '{key}' in [{section}]")
-    if "run" not in cp:
+                continue
+            try:
+                values[section][key] = readers[key](text)
+            except ValueError as err:
+                problems.append(f"[{section}] {key}: {err}")
+    if "run" not in values:
         problems.append("missing [run] section with 'command'")
+    problems += [f"[{section}] missing '{key}'" for section, keys in _REQUIRED_KEYS.items()
+                 if section in values for key in keys if key not in values[section]]
     if problems:
         raise ConfigError("; ".join(problems))
 
-    command = cp["run"].get("command", "").strip()
-    if command not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got '{command}'")
-    version = cp["run"].getint("format_version", fallback=SCHEMA_VERSION)
+    run = values["run"]
+    command = run["command"]
+    version = run.get("format_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported format_version {version} (expected {SCHEMA_VERSION})")
-
-    missing = [b for b in _REQUIRED_BLOCKS[command] if b not in cp]
+    missing = [b for b in _COMMANDS[command] if b not in values]
     if missing:
         raise ConfigError(f"command '{command}' needs section(s): {', '.join(missing)}")
 
-    def fsec(name):
-        return cp[name] if name in cp else {}
-
-    prob = fsec("problem")
-    report = []
-    for key in ("s", "sigma", "lambda1", "lambda2"):
-        if key not in prob:
-            report.append(f"[problem] missing '{key}'")
-    if report:
-        raise ConfigError("; ".join(report))
-    kind_txt = prob.get("kind", "linear_phase").strip().lower()
-    try:
-        kind = Kind(kind_txt)
-    except ValueError:
-        raise ConfigError(f"kind must be linear_phase or coupled, got '{kind_txt}'")
-    params = ProblemParams(
-        s=float(prob["s"]),
-        sigma=float(prob["sigma"]),
-        lambda1=float(prob["lambda1"]),
-        lambda2=float(prob["lambda2"]),
-        kind=kind,
+    grid = Grid(**values["grid"])
+    solver = dict(values.get("solver", {}))
+    theta = solver.pop("theta", "linear")
+    analyze = values.get("analyze")
+    window = (analyze.get("window_min", 0.15 * grid.l),
+              analyze.get("window_max", 0.8 * grid.l)) if analyze else None
+    return RunConfig(
+        command=command,
+        params=ProblemParams(**values["problem"]),
+        grid=grid,
+        solver_cfg=SolverConfig(**solver),
+        evolve_cfg=EvolveConfig(**values.get("evolve", {})),
+        speeds=values.get("scan", {}).get("speeds"),
+        window=window,
+        probe_alpha=values.get("probe", {}).get("alpha"),
+        theta=theta,
+        out=run.get("out", "results"),
     )
-
-    gsec = fsec("grid")
-    grid = Grid(l=float(gsec.get("l", 64.0)), n=int(gsec.get("n", 4096)))
-
-    ssec = fsec("solver")
-    alpha_txt = ssec.get("alpha", "").strip() if "solver" in cp else ""
-    solver_cfg = SolverConfig(
-        alpha=float(alpha_txt) if alpha_txt else None,
-        tol=float(ssec.get("tol", 1e-10)),
-        max_iter=int(ssec.get("max_iter", 500)),
-        mw=int(ssec.get("mw", 1)),
-    )
-    theta = ssec.get("theta", "linear").strip().lower() if "solver" in cp else "linear"
-    if theta not in ("linear", "quadratic", "none"):
-        raise ConfigError(f"solver theta must be linear|quadratic|none, got '{theta}'")
-
-    esec = fsec("evolve")
-    evolve_cfg = EvolveConfig(
-        dt=float(esec.get("dt", 0.01)),
-        t_end=float(esec.get("t_end", 10.0)),
-        snapshot_stride=int(esec.get("snapshot_stride", 0)),
-        nl_tol=float(esec.get("nl_tol", 1e-12)),
-        nl_max=int(esec.get("nl_max", 50)),
-    ) if "evolve" in cp else EvolveConfig()
-
-    speeds = None
-    if "scan" in cp:
-        try:
-            speeds = [float(tok) for tok in cp["scan"]["speeds"].replace(",", " ").split()]
-        except (KeyError, ValueError):
-            raise ConfigError("[scan] needs 'speeds' as a list of numbers")
-
-    asec = fsec("analyze")
-    window = None
-    if "analyze" in cp and ("window_min" in asec or "window_max" in asec):
-        window = (float(asec.get("window_min", 0.15 * grid.l)),
-                  float(asec.get("window_max", 0.8 * grid.l)))
-
-    probe_alpha = float(cp["probe"]["alpha"]) if "probe" in cp and "alpha" in cp["probe"] else None
-
-    out = cp["run"].get("out", "results").strip()
-    return RunConfig(command, params, grid, solver_cfg, evolve_cfg,
-                     speeds, window, probe_alpha, theta, out)
-
-
-def _write_csv(path, header_meta: dict, columns: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# fnlswaves {__version__}\n")
-        for k, v in header_meta.items():
-            fh.write(f"# {k} = {v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["%.17e" % v if isinstance(v, float) else v for v in row]
-            )
 
 
 def _seed_for(cfg: RunConfig):
@@ -210,17 +194,7 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
     out = out_dir or cfg.out
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as err:
-        print(f"error: cannot create output directory: {err}", file=sys.stderr)
-        return 4
-
-    try:
         validate(cfg.params)
-    except ParameterError as err:
-        print(f"error: invalid parameters: {err}", file=sys.stderr)
-        return 2
-
-    try:
         if cfg.command == "solve":
             report = _solve(cfg)
             save_report(report, out, "solve")
@@ -230,17 +204,15 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
 
         if cfg.command == "evolve":
             if seed_profile:
-                fld, meta = load_field(seed_profile)
-                if not isinstance(fld, ComplexField):
-                    fld = ComplexField(fld.grid, fld.samples.astype(complex))
-                u0, egrid = fld, fld.grid
+                fld, _ = load_field(seed_profile)
+                u0 = ComplexField(fld.grid, fld.samples.astype(complex))
             else:
                 report = _solve(cfg)
                 if not report.converged:
                     save_report(report, out, "solve")
                     print("error: profile solve did not converge", file=sys.stderr)
                     return 3
-                u0, egrid = report.envelope, cfg.grid
+                u0 = report.envelope
             evo = evolve_run(u0, cfg.params, cfg.evolve_cfg)
             save_evolution(evo, out, "evolve")
             if evo.aborted:
@@ -255,9 +227,9 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
                 (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
                 for r in result.rows
             ]
-            _write_csv(os.path.join(out, "scan.csv"), metadata(cfg.params),
-                       ["lambda2", "speed_gap", "amplitude", "iterations",
-                        "residual", "converged"], rows)
+            write_csv(os.path.join(out, "scan.csv"), metadata(cfg.params),
+                      ["lambda2", "speed_gap", "amplitude", "iterations",
+                       "residual", "converged"], rows)
             print(f"scan: {len(rows)} rows, all_converged={result.all_converged}")
             return 0 if result.all_converged else 3
 
@@ -269,16 +241,12 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
             fit = decay_slope(report.profile, cfg.window)
             defect = evenness_defect(report.profile)
             plane = phase_plane(report.profile)
-            meta = metadata(cfg.params)
-            meta.update({
-                "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
-                "evenness_defect": defect,
-                "tail_oscillations": plane.tail_oscillations,
-            })
-            x = cfg.grid.x
-            rows = list(zip(x.tolist(), plane.rho.tolist(), plane.rho_x.tolist()))
-            _write_csv(os.path.join(out, "analyze.csv"), meta,
-                       ["x", "rho", "rho_x"], rows)
+            meta = {**metadata(cfg.params),
+                    "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
+                    "evenness_defect": defect,
+                    "tail_oscillations": plane.tail_oscillations}
+            rows = zip(cfg.grid.x.tolist(), plane.rho.tolist(), plane.rho_x.tolist())
+            write_csv(os.path.join(out, "analyze.csv"), meta, ["x", "rho", "rho_x"], rows)
             print(f"analyze: slope={fit.slope:.4f} model_ok={fit.model_ok} "
                   f"evenness={defect:.3e} oscillations={plane.tail_oscillations}")
             return 0
@@ -292,13 +260,14 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
             if alpha is None:
                 alpha = cfg.solver_cfg.resolved_alpha(cfg.params.sigma)
             est = fixed_point_spectrum_probe(cfg.params, cfg.grid, report, alpha)
-            meta = metadata(cfg.params)
-            meta.update({"alpha": alpha})
-            _write_csv(os.path.join(out, "probe.csv"), meta,
-                       ["alpha", "dominant_multiplier"], [(float(alpha), float(est))])
+            write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": alpha},
+                      ["alpha", "dominant_multiplier"], [(float(alpha), float(est))])
             print(f"probe: alpha={alpha} dominant multiplier={est:.6f}")
             return 0
-    except (ParameterError, ValueError) as err:
+    except ParameterError as err:
+        print(f"error: invalid parameters: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
@@ -308,185 +277,152 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
 
 
 # --------------------------------------------------------------------------
-# Figure recipes.  Parameter sets follow the reproduction notes in the
-# README; all CSVs carry full metadata headers.
+# Figure recipes; the README lists each one's parameter set.  A recipe
+# returns the names of the CSVs it wrote and whether each solve it ran
+# converged.
 # --------------------------------------------------------------------------
 
+# Every recipe works around s = 3/4, the cubic nonlinearity and lambda1 = 1.
+_RECIPE = {"s": 0.75, "sigma": 1.0, "lambda1": 1.0}
 _FIG1_SPEEDS = (0.5, 1.0, 1.5)
+_FIG3_S = tuple(0.5 + eps for eps in (0.05, 0.1, 0.25))
+_FIG3_SIGMAS = (1.0, 2.0, 3.0)
 _FIG6_SPEEDS = (0.5, 1.0, 1.5, 1.75)
+_FIG7_SPEEDS = tuple(0.25 * k for k in range(1, 8))
 
 
-def _base_params(lambda2: float, sigma: float = 1.0, s: float = 0.75,
-                 kind: Kind = Kind.LINEAR_PHASE) -> ProblemParams:
-    return ProblemParams(s=s, sigma=sigma, lambda1=1.0, lambda2=lambda2, kind=kind)
+def _params(lambda2: float, kind: Kind = Kind.LINEAR_PHASE, **change) -> ProblemParams:
+    return ProblemParams(**{**_RECIPE, **change}, lambda2=lambda2, kind=kind)
 
 
-def reproduce_figures(recipe: str, out_dir) -> int:
-    recipes = {
-        "fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
-        "fig5": _fig5, "fig6": _fig6, "fig7": _fig7,
-    }
-    if recipe not in recipes:
-        print(f"error: unknown recipe '{recipe}' (have {sorted(recipes)})", file=sys.stderr)
-        return 2
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        return recipes[recipe](out_dir)
-    except OSError as err:
-        print(f"error: I/O failure: {err}", file=sys.stderr)
-        return 4
+def _header(*drop, **extra) -> dict:
+    """The recipe parameter set without the keys in ``drop``, then ``extra``."""
+    return {**{k: v for k, v in _RECIPE.items() if k not in drop}, **extra}
 
 
-def _fig1(out) -> int:
+def _write(out, name: str, meta: dict, columns, rows) -> str:
+    write_csv(os.path.join(out, name), meta, columns, rows)
+    return name
+
+
+def _profile_table(out, name: str, meta: dict, columns: dict):
+    """x, then the profile rho for each {column name: params} entry."""
     grid = Grid()
-    profiles = {}
-    status = 0
-    for c in _FIG1_SPEEDS:
-        rep = solve_scalar(_base_params(c), grid)
-        profiles[c] = rep.profile.samples
-        if not rep.converged:
-            status = 3
-    rows = zip(grid.x.tolist(), *[profiles[c].tolist() for c in _FIG1_SPEEDS])
-    _write_csv(os.path.join(out, "fig1a.csv"),
-               {"s": 0.75, "sigma": 1.0, "lambda1": 1.0,
-                "speeds": list(_FIG1_SPEEDS)},
-               ["x"] + [f"rho_c{c}" for c in _FIG1_SPEEDS], rows)
+    reports = [solve_scalar(p, grid) for p in columns.values()]
+    rows = zip(grid.x.tolist(), *[r.profile.samples.tolist() for r in reports])
+    return _write(out, name, meta, ["x", *columns], rows), [r.converged for r in reports]
 
-    hist_rows = []
+
+def _fig1(out):
+    fig1a, solved = _profile_table(out, "fig1a.csv", _header(speeds=list(_FIG1_SPEEDS)),
+                                   {f"rho_c{c}": _params(c) for c in _FIG1_SPEEDS})
+    rows = []
     for mw in (1, 3, 4, 6):
-        cfg = SolverConfig(mw=mw)
-        rep = solve_scalar(_base_params(1.0), grid, cfg)
-        from .petviashvili import _history_iteration_counts
-
-        for it, r in zip(_history_iteration_counts(rep), rep.residual_history):
-            hist_rows.append((mw, it, float(r)))
-        if not rep.converged:
-            status = 3
-    _write_csv(os.path.join(out, "fig1b.csv"),
-               {"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 1.0},
-               ["mw", "iter", "residual"], hist_rows)
-    print("fig1: wrote fig1a.csv, fig1b.csv")
-    return status
+        rep = solve_scalar(_params(1.0), Grid(), SolverConfig(mw=mw))
+        rows += [(mw, it, float(r))
+                 for it, r in zip(_history_iteration_counts(rep), rep.residual_history)]
+        solved.append(rep.converged)
+    fig1b = _write(out, "fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows)
+    return [fig1a, fig1b], solved
 
 
-def _fig2(out) -> int:
-    params = _base_params(1.0)
-    grid = Grid(l=64.0, n=2048)  # spatial step h = 6.25e-2
-    rep = solve_scalar(params, grid, SolverConfig(tol=1e-12, max_iter=600))
+def _fig2(out):
+    params = _params(1.0)
+    # h = 6.25e-2 on the default l = 64; the default dt = 0.01 up to t = 10
+    rep = solve_scalar(params, Grid(n=2048), SolverConfig(tol=1e-12, max_iter=600))
     if not rep.converged:
-        return 3
-    evo = evolve_run(rep.envelope, params, EvolveConfig(dt=0.01, t_end=10.0, nl_tol=1e-13))
+        return [], [False]
+    evo = evolve_run(rep.envelope, params, EvolveConfig(nl_tol=1e-13))
     amp_err = np.abs(evo.amplitude - evo.amplitude[0])
     ham_err = np.abs(evo.hamiltonian - evo.hamiltonian[0])
     rows = zip(evo.times.tolist(), amp_err.tolist(), ham_err.tolist())
-    _write_csv(os.path.join(out, "fig2.csv"), evo.meta,
-               ["t", "amplitude_error", "hamiltonian_error"], rows)
-    print("fig2: wrote fig2.csv")
-    return 3 if evo.aborted else 0
+    fig2 = _write(out, "fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows)
+    return [fig2], [not evo.aborted]
 
 
-def _fig3(out) -> int:
+def _fig3(out):
+    fig3a, solved_a = _profile_table(
+        out, "fig3a.csv", _header("s", lambda2=0.75, s_values=list(_FIG3_S)),
+        {f"rho_s{s}": _params(0.75, s=s) for s in _FIG3_S})
+    fig3b, solved_b = _profile_table(
+        out, "fig3b.csv", _header("sigma", lambda2=1.0, sigma_values=list(_FIG3_SIGMAS)),
+        {f"rho_sigma{sigma}": _params(1.0, sigma=sigma) for sigma in _FIG3_SIGMAS})
+    return [fig3a, fig3b], solved_a + solved_b
+
+
+def _fig4(out):
     grid = Grid()
-    status = 0
-    eps_set = (0.05, 0.1, 0.25)
-    cols, data = ["x"], [grid.x.tolist()]
-    for eps in eps_set:
-        rep = solve_scalar(_base_params(0.75, s=0.5 + eps), grid)
-        cols.append(f"rho_s{0.5 + eps}")
-        data.append(rep.profile.samples.tolist())
-        status = status or (0 if rep.converged else 3)
-    _write_csv(os.path.join(out, "fig3a.csv"),
-               {"sigma": 1.0, "lambda1": 1.0, "lambda2": 0.75,
-                "s_values": [0.5 + e for e in eps_set]},
-               cols, zip(*data))
-
-    cols, data = ["x"], [grid.x.tolist()]
-    for sigma in (1.0, 2.0, 3.0):
-        rep = solve_scalar(_base_params(1.0, sigma=sigma), grid)
-        cols.append(f"rho_sigma{sigma}")
-        data.append(rep.profile.samples.tolist())
-        status = status or (0 if rep.converged else 3)
-    _write_csv(os.path.join(out, "fig3b.csv"),
-               {"s": 0.75, "lambda1": 1.0, "lambda2": 1.0,
-                "sigma_values": [1.0, 2.0, 3.0]},
-               cols, zip(*data))
-    print("fig3: wrote fig3a.csv, fig3b.csv")
-    return status
-
-
-def _fig4(out) -> int:
-    grid = Grid()
-    params = _base_params(1.0, kind=Kind.COUPLED)
-    rep_q = solve_coupled(params, grid, seed=initial_iterate(grid, "quadratic"))
-    rep_l = solve_scalar(_base_params(1.0), grid)
+    rep_q = solve_coupled(_params(1.0, Kind.COUPLED), grid,
+                          seed=initial_iterate(grid, "quadratic"))
+    rep_l = solve_scalar(_params(1.0), grid)
     rows = zip(grid.x.tolist(),
                np.abs(rep_q.envelope.samples).tolist(),
                rep_l.profile.samples.tolist())
-    _write_csv(os.path.join(out, "fig4.csv"),
-               {"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 1.0,
-                "evenness_defect_quadratic": evenness_defect(rep_q.profile),
-                "evenness_defect_linear": evenness_defect(rep_l.profile)},
-               ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
-    print("fig4: wrote fig4.csv")
-    return 0 if (rep_q.converged and rep_l.converged) else 3
+    meta = _header(lambda2=1.0,
+                   evenness_defect_quadratic=evenness_defect(rep_q.profile),
+                   evenness_defect_linear=evenness_defect(rep_l.profile))
+    fig4 = _write(out, "fig4.csv", meta, ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
+    return [fig4], [rep_q.converged, rep_l.converged]
 
 
-def _fig5(out) -> int:
+def _fig5(out):
     grid = Grid()
-    rows = []
-    status = 0
+    x = grid.x
+    rows, solved = [], []
     for c in _FIG1_SPEEDS:
-        rep = solve_scalar(_base_params(c), grid)
-        status = status or (0 if rep.converged else 3)
-        x = grid.x
+        rep = solve_scalar(_params(c), grid)
+        solved.append(rep.converged)
         vals = rep.profile.samples
         mask = (x > 0.0) & (vals > 0.0)
-        for lx, lr in zip(np.log(x[mask]).tolist(), np.log(vals[mask]).tolist()):
-            rows.append((c, lx, lr))
-    _write_csv(os.path.join(out, "fig5.csv"),
-               {"s": 0.75, "sigma": 1.0, "lambda1": 1.0,
-                "reference_slope": -(2 * 0.75 + 1)},
-               ["lambda2", "log_x", "log_rho"], rows)
-    print("fig5: wrote fig5.csv")
-    return status
+        logs = zip(np.log(x[mask]).tolist(), np.log(vals[mask]).tolist())
+        rows += [(c, lx, lr) for lx, lr in logs]
+    meta = _header(reference_slope=-(2 * _RECIPE["s"] + 1))
+    return [_write(out, "fig5.csv", meta, ["lambda2", "log_x", "log_rho"], rows)], solved
 
 
-def _fig6(out) -> int:
+def _fig6(out):
     grid = Grid()
-    rows = []
-    osc = {}
-    status = 0
+    rows, osc, solved = [], {}, []
     for c in _FIG6_SPEEDS:
-        rep = solve_scalar(_base_params(c), grid)
-        status = status or (0 if rep.converged else 3)
+        rep = solve_scalar(_params(c), grid)
+        solved.append(rep.converged)
         plane = phase_plane(rep.profile)
-        osc[c] = plane.tail_oscillations
-        for r, rx in zip(plane.rho.tolist(), plane.rho_x.tolist()):
-            rows.append((c, r, rx))
-    _write_csv(os.path.join(out, "fig6.csv"),
-               {"s": 0.75, "sigma": 1.0, "lambda1": 1.0,
-                "tail_oscillations": {str(k): v for k, v in osc.items()}},
-               ["lambda2", "rho", "rho_x"], rows)
-    print("fig6: wrote fig6.csv")
-    return status
+        osc[str(c)] = plane.tail_oscillations
+        rows += [(c, r, rx) for r, rx in zip(plane.rho.tolist(), plane.rho_x.tolist())]
+    meta = _header(tail_oscillations=osc)
+    return [_write(out, "fig6.csv", meta, ["lambda2", "rho", "rho_x"], rows)], solved
 
 
-def _fig7(out) -> int:
-    grid = Grid()
-    speeds = [0.25 * k for k in range(1, 8)]
-    status = 0
+def _fig7(out):
+    files, solved = [], []
     for tag, kind in (("a", Kind.LINEAR_PHASE), ("b", Kind.COUPLED)):
-        base = _base_params(speeds[0], kind=kind)
-        result = speed_amplitude_scan(base, speeds, grid)
+        result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0], kind), _FIG7_SPEEDS, Grid())
         rows = [(r.speed_gap, r.amplitude, r.lambda2, r.iterations, r.converged)
                 for r in result.rows]
-        _write_csv(os.path.join(out, f"fig7{tag}.csv"),
-                   {"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "kind": kind.value},
-                   ["speed_gap", "amplitude", "lambda2", "iterations", "converged"],
-                   rows)
-        status = status or (0 if result.all_converged else 3)
-    print("fig7: wrote fig7a.csv, fig7b.csv")
-    return status
+        files.append(_write(out, f"fig7{tag}.csv", _header(kind=kind.value),
+                            ["speed_gap", "amplitude", "lambda2", "iterations", "converged"],
+                            rows))
+        solved.append(result.all_converged)
+    return files, solved
+
+
+_RECIPES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
+            "fig5": _fig5, "fig6": _fig6, "fig7": _fig7}
+
+
+def reproduce_figures(recipe: str, out_dir) -> int:
+    if recipe not in _RECIPES:
+        print(f"error: unknown recipe '{recipe}' (have {sorted(_RECIPES)})", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        files, solved = _RECIPES[recipe](out_dir)
+    except OSError as err:
+        print(f"error: I/O failure: {err}", file=sys.stderr)
+        return 4
+    if files:
+        print(f"{recipe}: wrote {', '.join(files)}")
+    return 0 if all(solved) else 3
 
 
 def main(argv=None) -> int:

@@ -15,14 +15,13 @@ is how a computed profile proves it travels as a solitary wave.
 
 from __future__ import annotations
 
-import csv
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import metadata, validate
-from .spectral import ComplexField, Grid, hamiltonian, mass, momentum, save_field
+from .spectral import ComplexField, Grid, hamiltonian, mass, momentum, save_field, write_csv
 
 
 class StepError(RuntimeError):
@@ -38,10 +37,10 @@ class EvolveConfig:
     nl_max: int = 50
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.nl_tol <= 0.0:
-            raise ValueError("nl_tol must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.nl_tol < np.inf:
+            raise ValueError(f"nl_tol must be positive and finite, got {self.nl_tol}")
         if self.nl_max < 1:
             raise ValueError("nl_max must be >= 1")
         if self.snapshot_stride < 0:
@@ -184,16 +183,10 @@ def save_evolution(report: EvolutionReport, directory, stem: str):
     """Write <stem>.csv (t, I1, I2, H, amplitude, peak_x) plus snapshots."""
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
-    with open(csv_path, "w", newline="") as fh:
-        for k, v in report.meta.items():
-            fh.write(f"# {k} = {v}\n")
-        if report.aborted:
-            fh.write(f"# aborted = {report.aborted}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "I1", "I2", "H", "amplitude", "peak_x"])
-        for row in zip(report.times, report.mass, report.momentum,
-                       report.hamiltonian, report.amplitude, report.peak_x):
-            writer.writerow(["%.17e" % val for val in row])
+    meta = {**report.meta, "aborted": report.aborted} if report.aborted else report.meta
+    rows = zip(report.times, report.mass, report.momentum,
+               report.hamiltonian, report.amplitude, report.peak_x)
+    write_csv(csv_path, meta, ["t", "I1", "I2", "H", "amplitude", "peak_x"], rows)
     paths = [csv_path]
     for t, fld in report.snapshots:
         snap_path = os.path.join(directory, f"{stem}_t{t:.6f}.dat")

@@ -85,7 +85,9 @@ class ProblemParams:
 
     def violations(self) -> list[str]:
         """All violated parameter bounds, each with the bound's value."""
-        out = []
+        out = [f"{name}={v} must be a finite number" for name, v in
+               (("sigma", self.sigma), ("lambda1", self.lambda1), ("lambda2", self.lambda2))
+               if not math.isfinite(v)]
         if not 0.5 < self.s <= 1.0:
             out.append(f"s={self.s} outside the open-closed window (0.5, 1]")
         if self.sigma <= 0.0:

@@ -23,15 +23,14 @@ eigenvalue maps to zero.
 
 from __future__ import annotations
 
-import csv
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import accel
 from .params import ValidatedParams, linear_phase_params, metadata, validate
-from .spectral import ComplexField, Grid, RealField, profile_operator, save_field
+from .spectral import ComplexField, Grid, RealField, profile_operator, save_field, write_csv
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,8 @@ class SolverConfig:
     mw: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.mw < 1:
@@ -152,6 +151,19 @@ class ProfileIteration:
     def _operator(self, u: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self.symbol * np.fft.fft(u))
 
+    def _evaluate(self, z: np.ndarray):
+        """G(u), the residual |L u - G(u)| and the pairings <L u, u> and
+        <G(u), u> at iterate z, from two transforms.  step and diagnostics
+        each call this, never each other, so a per-call count of transforms
+        reads 4 per step and 2 per diagnostics."""
+        u = self.unpack(z)
+        lu = self._operator(u)
+        g = np.abs(u) ** (2.0 * self.sigma) * u
+        res = float(np.linalg.norm(lu - g))
+        num = float(np.sum((lu * np.conj(u)).real))
+        den = float(np.sum((g * np.conj(u)).real))
+        return g, res, num, den
+
     def step(self, z: np.ndarray):
         """Next iterate, plus the residual and stabilizing factor of ``z``.
 
@@ -159,27 +171,19 @@ class ProfileIteration:
         by the same expressions as ``diagnostics``, so they are bit-identical
         to ``diagnostics(z)`` at no extra transform.
         """
-        u = self.unpack(z)
-        lu = self._operator(u)
-        g = np.abs(u) ** (2.0 * self.sigma) * u
-        res = float(np.linalg.norm(lu - g))
-        den = float(np.sum((g * np.conj(u)).real))
+        g, res, num, den = self._evaluate(z)
         if den == 0.0:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
-        m = float(np.sum((lu * np.conj(u)).real)) / den
+        m = num / den
         nxt = np.fft.ifft((m ** self.alpha) * np.fft.fft(g) / self.symbol)
         return self.pack(nxt), res, m
 
     def diagnostics(self, z: np.ndarray):
         """Euclidean residual of the profile equation and the stabilizing
-        factor, both evaluated at the given iterate."""
-        u = self.unpack(z)
-        lu = self._operator(u)
-        g = np.abs(u) ** (2.0 * self.sigma) * u
-        res = float(np.linalg.norm(lu - g))
-        den = float(np.sum((g * np.conj(u)).real))
-        m = float(np.sum((lu * np.conj(u)).real)) / den if den != 0.0 else np.nan
-        return res, m
+        factor, both evaluated at the given iterate; m is NaN where
+        <G(z), z> = 0."""
+        _, res, num, den = self._evaluate(z)
+        return res, num / den if den != 0.0 else np.nan
 
 
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -263,10 +267,13 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
     """
     if isinstance(profile, SolveReport):
         profile = profile.envelope
-    if isinstance(profile, RealField):
-        profile = ComplexField(grid, profile.samples.astype(complex))
-    iteration = ProfileIteration(validate(params), grid, alpha, profile)
-    u0 = profile.samples
+    vp = validate(params)
+    u0 = profile.samples.astype(complex)
+    if vp.flipped:
+        # the iteration runs in the speed-flipped frame; u -> i * conj(u)
+        # is its own inverse, so it maps the caller's envelope back there
+        u0 = 1j * np.conj(u0)
+    iteration = ProfileIteration(vp, grid, alpha, ComplexField(grid, u0))
 
     # symmetry directions: translation du/dx and phase rotation i*u
     du = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(u0))
@@ -304,23 +311,10 @@ def save_report(report: SolveReport, directory, stem: str):
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     prof_path = os.path.join(directory, f"{stem}_profile.dat")
-    meta = dict(report.meta)
-    meta.update(
-        {
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "mpe_fallbacks": report.mpe_fallbacks,
-            "profile_file": os.path.basename(prof_path),
-        }
-    )
-    iters = _history_iteration_counts(report)
-    with open(csv_path, "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k} = {v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual", "m_nu"])
-        for it, r, m in zip(iters, report.residual_history, report.m_history):
-            writer.writerow([it, "%.17e" % r, "%.17e" % m])
+    meta = {**report.meta, "iterations": report.iterations, "converged": report.converged,
+            "mpe_fallbacks": report.mpe_fallbacks, "profile_file": os.path.basename(prof_path)}
+    rows = zip(_history_iteration_counts(report), report.residual_history, report.m_history)
+    write_csv(csv_path, meta, ["iter", "residual", "m_nu"], rows)
     save_field(prof_path, report.envelope, metadata=report.meta)
     return csv_path, prof_path
 
@@ -328,14 +322,9 @@ def save_report(report: SolveReport, directory, stem: str):
 def _history_iteration_counts(report: SolveReport) -> list:
     """Base-iteration count attached to each history row."""
     ends = set(report.cycle_ends)
-    counts = []
-    it = 0
+    counts, it = [], 0
     for idx in range(len(report.residual_history)):
-        if idx == 0:
-            counts.append(0)
-        elif idx in ends:
-            counts.append(it)
-        else:
+        if idx > 0 and idx not in ends:
             it += 1
-            counts.append(it)
+        counts.append(it)
     return counts

@@ -18,11 +18,13 @@ real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import __version__
 from .params import LinearPhaseParams, ProblemParams
 
 
@@ -36,8 +38,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
-        if self.l <= 0.0:
-            raise ValueError(f"l must be positive, got {self.l}")
+        if not 0.0 < self.l < np.inf:
+            raise ValueError(f"l must be positive and finite, got {self.l}")
 
     @property
     def h(self) -> float:
@@ -222,7 +224,11 @@ def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Field snapshot files.  Layout (documented in the README, stable):
+# Output files.  Layouts (documented in the README, stable):
+# CSV tables: "# fnlswaves <version>", "# key = value" header lines, then
+#   csv-module rows ("\r\n" ends): the column names, then the records with
+#   floats as "%.17e".
+# Field snapshots:
 #   line 1          : "# fnlswaves-field <version>"
 #   header lines    : "# key = value"  (must include field_type, l, n; the
 #                     caller's metadata dict is echoed verbatim)
@@ -232,6 +238,18 @@ def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
 # --------------------------------------------------------------------------
 
 SNAPSHOT_VERSION = 1
+
+
+def write_csv(path, meta: dict, columns, rows) -> None:
+    """Write one table in the CSV layout above."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# fnlswaves {__version__}\n")
+        for k, v in meta.items():
+            fh.write(f"# {k} = {v}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["%.17e" % v if isinstance(v, float) else v for v in row])
 
 
 def save_field(path, f: Field, metadata: dict | None = None) -> None:

@@ -1,10 +1,14 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
+from fnlswaves import __version__
 from fnlswaves.cli import main, parse_config
-from fnlswaves.spectral import load_field
+from fnlswaves.evolve import EvolveConfig
+from fnlswaves.petviashvili import SolverConfig
+from fnlswaves.spectral import Grid, load_field
 
 SOLVE_CONFIG = """
 [run]
@@ -35,6 +39,14 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def read_table(path):
+    """(header lines, column row) of a CSV in the output layout."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    return header, lines[len(header)]
+
+
 class TestConfigParsing:
     def test_valid_config(self, tmp_path):
         cfg = parse_config(write(tmp_path, "run.ini", SOLVE_CONFIG))
@@ -63,6 +75,37 @@ class TestConfigParsing:
         code = main(["--config", write(tmp_path, "bad.ini", SOLVE_CONFIG + "\n[mystery]\nx = 1\n")])
         assert code == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_required_keys_only_give_dataclass_defaults(self, tmp_path):
+        text = ("[run]\ncommand = evolve\n[problem]\ns = 0.75\nsigma = 1.0\n"
+                "lambda1 = 1.0\nlambda2 = 1.0\n[grid]\n[evolve]\n")
+        cfg = parse_config(write(tmp_path, "bare.ini", text))
+        assert cfg.grid == Grid()
+        assert cfg.solver_cfg == SolverConfig()
+        assert cfg.evolve_cfg == EvolveConfig()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("solve", "grid", "l", "nan"),
+        ("solve", "grid", "l", "inf"),
+        ("solve", "problem", "lambda1", "nan"),
+        ("solve", "problem", "lambda2", "nan"),
+        ("solve", "problem", "sigma", "nan"),
+        ("solve", "solver", "tol", "nan"),
+        ("scan", "scan", "speeds", "nan"),
+        ("scan", "scan", "speeds", ""),
+        ("probe", "probe", "alpha", "nan"),
+    ], ids=["l-nan", "l-inf", "lambda1-nan", "lambda2-nan", "sigma-nan", "tol-nan",
+            "speeds-nan", "speeds-empty", "probe-alpha-nan"])
+    def test_non_finite_or_empty_value_exits_2(self, tmp_path, capsys,
+                                               command, section, key, value):
+        extra = {"scan": "\n[scan]\nspeeds = 0.5\n", "probe": "\n[probe]\nalpha = 1.5\n"}
+        text = SOLVE_CONFIG.replace("command = solve", f"command = {command}")
+        text += extra.get(command, "")
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        code = main(["--config", write(tmp_path, "run.ini", text), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"[{section}] {key}" in err and "Traceback" not in err
 
     def test_missing_problem_fields(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("s = 0.75\n", "").replace("sigma = 1.0\n", "")
@@ -114,6 +157,9 @@ class TestOtherCommands:
         assert code == 0
         text = open(os.path.join(out, "evolve.csv")).read()
         assert "t,I1,I2,H,amplitude,peak_x" in text
+        for name in ("solve.csv", "evolve.csv"):
+            with open(os.path.join(out, name)) as fh:
+                assert fh.readline() == f"# fnlswaves {__version__}\n"
 
     @pytest.mark.parametrize("header, body", [
         ({"field_type": "complex", "n": "1024"}, None),
@@ -166,17 +212,46 @@ class TestOtherCommands:
         assert "dominant multiplier=3.0" in capsys.readouterr().out.replace("multiplier=3.00", "multiplier=3.0")
 
 
+# Every file each recipe writes: its column row and its header keys.
+_BASE = ["s", "sigma", "lambda1"]
+RECIPE_FILES = {
+    "fig1": {"fig1a.csv": ("x,rho_c0.5,rho_c1.0,rho_c1.5", _BASE + ["speeds"]),
+             "fig1b.csv": ("mw,iter,residual", _BASE + ["lambda2"])},
+    "fig2": {"fig2.csv": ("t,amplitude_error,hamiltonian_error",
+                          _BASE + ["lambda2", "kind", "limiting_speed", "phase_slope_A",
+                                   "spectral_shift_a", "speed_sign_flipped", "grid_l",
+                                   "grid_n", "dt", "t_end", "nl_tol"])},
+    "fig3": {"fig3a.csv": ("x,rho_s0.55,rho_s0.6,rho_s0.75",
+                           ["sigma", "lambda1", "lambda2", "s_values"]),
+             "fig3b.csv": ("x,rho_sigma1.0,rho_sigma2.0,rho_sigma3.0",
+                           ["s", "lambda1", "lambda2", "sigma_values"])},
+    "fig4": {"fig4.csv": ("x,rho_theta_x2,rho_theta_Ax",
+                          _BASE + ["lambda2", "evenness_defect_quadratic",
+                                   "evenness_defect_linear"])},
+    "fig5": {"fig5.csv": ("lambda2,log_x,log_rho", _BASE + ["reference_slope"])},
+    "fig6": {"fig6.csv": ("lambda2,rho,rho_x", _BASE + ["tail_oscillations"])},
+    "fig7": {"fig7a.csv": ("speed_gap,amplitude,lambda2,iterations,converged", _BASE + ["kind"]),
+             "fig7b.csv": ("speed_gap,amplitude,lambda2,iterations,converged", _BASE + ["kind"])},
+}
+
+
 class TestRecipes:
     def test_unknown_recipe(self, capsys):
         assert main(["--recipe", "fig9"]) == 2
         assert "unknown recipe" in capsys.readouterr().err
 
-    def test_fig6_recipe(self, tmp_path):
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FILES))
+    def test_recipe_files(self, tmp_path, capsys, recipe):
         out = str(tmp_path / "figs")
-        assert main(["--recipe", "fig6", "--out", out]) == 0
-        text = open(os.path.join(out, "fig6.csv")).read()
-        assert "lambda2,rho,rho_x" in text
-        assert "tail_oscillations" in text
+        assert main(["--recipe", recipe, "--out", out]) == 0
+        files = RECIPE_FILES[recipe]
+        assert capsys.readouterr().out == f"{recipe}: wrote {', '.join(files)}\n"
+        assert sorted(os.listdir(out)) == sorted(files)
+        for name, (columns, keys) in files.items():
+            header, column_row = read_table(os.path.join(out, name))
+            assert header[0] == f"# fnlswaves {__version__}"
+            assert [line[2:].split(" = ")[0] for line in header[1:]] == keys
+            assert column_row == columns
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -40,7 +40,8 @@ t_end = 0.02
 
 
 class TestEvolveConfig:
-    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("nl_max", -3), ("snapshot_stride", -1)])
+    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("nl_max", -3), ("snapshot_stride", -1),
+                                            ("dt", float("nan")), ("nl_tol", float("inf"))])
     def test_bad_inner_settings_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             EvolveConfig(**{key: value})

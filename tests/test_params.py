@@ -113,6 +113,15 @@ class TestValidate:
         msg = str(err.value)
         assert "s=" in msg and "sigma=" in msg and "lambda1=" in msg
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", float("nan")), ("sigma", float("inf")), ("lambda1", float("nan")),
+        ("lambda2", float("nan")), ("lambda2", float("-inf")),
+    ])
+    def test_non_finite_rejected(self, key, value):
+        p = ProblemParams(**{"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 0.5, key: value})
+        with pytest.raises(ParameterError, match=f"{key}={value} must be a finite number"):
+            validate(p)
+
     def test_negative_speed_canonicalized(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=-1.0)
         vp = validate(p)

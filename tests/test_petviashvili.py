@@ -195,6 +195,15 @@ class TestSpectrumProbe:
         est = fixed_point_spectrum_probe(fig1_params(1.0), grid, rep, alpha=1.5)
         assert abs(est) < 1.0
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_speed_sign_gives_same_estimate(self, alpha):
+        # c = -1 is solved in the flipped frame and reported in the caller's;
+        # the probe must linearize at the same wave as for c = +1
+        grid = Grid(l=32.0, n=1024)
+        est = [fixed_point_spectrum_probe(p, grid, solve_scalar(p, grid), alpha)
+               for p in (fig1_params(1.0), fig1_params(-1.0))]
+        assert est[0] == est[1]
+
     def test_matches_residual_contraction(self, grid64):
         rep = solve_scalar(fig1_params(1.0), grid64)
         tail = rep.residual_history[-6:]
@@ -240,6 +249,15 @@ class TestFusedResidual:
             assert (res, m) == it.diagnostics(z)
             assert fft_calls[0] - before == 2
             z = nxt
+
+    def test_vanishing_pairing(self):
+        # <G(z), z> = 0: step cannot form m and raises, diagnostics reports NaN
+        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
+        z = np.zeros_like(it.initial())
+        with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
+            it.step(z)
+        res, m = it.diagnostics(z)
+        assert res == 0.0 and np.isnan(m)
 
     @pytest.mark.parametrize("mw, iterations, ffts",
                              [(1, 42, 172), (3, 30, 140), (4, 22, 102), (6, 18, 82)])
@@ -289,6 +307,8 @@ class TestSolverConfig:
     def test_basic_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(tol=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):

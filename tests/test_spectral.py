@@ -89,6 +89,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(l=1.0, n=n)
 
+    @pytest.mark.parametrize("l", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_l(self, l):
+        with pytest.raises(ValueError, match="l must be positive and finite"):
+            Grid(l=l, n=64)
+
 
 class TestFields:
     def test_round_trip(self):
