@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .params import (
     Kind,
-    LinearPhaseParams,
     ParameterError,
     ProblemParams,
     limiting_speed,

@@ -11,10 +11,11 @@ iterations feed one extrapolation; mw = 1 disables acceleration.
 
 The driver below uses restarted cycles: run mw base iterations, extrapolate
 from the cycle's mw + 1 iterates and restart from the extrapolant; with
-mw = 1 it is the plain iteration.  Iterates are flat real vectors (complex
-fields enter with real and imaginary parts stacked).  A step reports the
-residual of the iterate it starts from, so the driver records residuals
-without evaluating the operator a second time.
+mw = 1 it is the plain iteration.  Iterates are flat float64 or complex128
+vectors; MPE pairs them as real vectors, a complex entry counting as its
+real and imaginary parts, so the least-squares problem stays real.  A step
+reports the residual of the iterate it starts from, so the driver records
+residuals without evaluating the operator a second time.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def mpe_extrapolate(iterates):
     if len(iterates) < 2:
         raise ValueError(f"MPE needs at least two iterates, got {len(iterates)}")
     zs = np.asarray(iterates)
-    gamma = mpe_coefficients(np.diff(zs.T, axis=1))
+    # a float64 view, no copy: complex entries read as their (re, im) pairs
+    gamma = mpe_coefficients(np.diff(zs.view(np.float64).T, axis=1))
     if gamma is None:
         return None
     return gamma @ zs[:-1]

@@ -121,8 +121,9 @@ def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
 def decay_slope(profile, window=None, periodic: bool = False) -> DecayFit:
     """Fitted decay exponent of log|rho| against log|x| over the tail window.
 
-    The profile must be centered; the window defaults to
-    [0.15 l, 0.8 l] and must stay within the positive tail, x_max <= 0.9 l.
+    The profile must be centered; the window, or either end of it left
+    None, defaults to [0.15 l, 0.8 l], and it must stay within the positive
+    tail, x_max <= 0.9 l.
     That bound keeps the window off the wrap point itself, not free of the
     periodic images: the samples approximate sum_k rho(x + 2lk), so an
     algebraic tail picks up the tails of every image.
@@ -139,11 +140,11 @@ def decay_slope(profile, window=None, periodic: bool = False) -> DecayFit:
     than SLOPE_SPREAD_LIMIT (the signature of non-algebraic decay).
     """
     grid = profile.grid
-    if window is None:
-        window = (0.15 * grid.l, 0.8 * grid.l)
-    x_min, x_max = window
+    x_min, x_max = (None, None) if window is None else window
+    x_min = 0.15 * grid.l if x_min is None else x_min
+    x_max = 0.8 * grid.l if x_max is None else x_max
     if not 0.0 < x_min < x_max:
-        raise ValueError(f"window {window} must satisfy 0 < x_min < x_max")
+        raise ValueError(f"window {(x_min, x_max)} must satisfy 0 < x_min < x_max")
     if x_max > 0.9 * grid.l:
         raise ValueError(f"window reaches {x_max}, beyond 0.9*l = {0.9 * grid.l}")
     x = grid.x

@@ -159,17 +159,18 @@ def parse_config(path) -> RunConfig:
     grid = Grid(**values["grid"])
     solver = dict(values.get("solver", {}))
     theta = solver.pop("theta", "linear")
+    params = ProblemParams(**values["problem"])
+    if theta == "none" and params.kind is not Kind.COUPLED:
+        raise ConfigError("[solver] theta = none applies to kind = coupled only")
     analyze = values.get("analyze")
-    window = (analyze.get("window_min", 0.15 * grid.l),
-              analyze.get("window_max", 0.8 * grid.l)) if analyze else None
     return RunConfig(
         command=command,
-        params=ProblemParams(**values["problem"]),
+        params=params,
         grid=grid,
         solver_cfg=SolverConfig(**solver),
         evolve_cfg=EvolveConfig(**values.get("evolve", {})),
         speeds=values.get("scan", {}).get("speeds"),
-        window=window,
+        window=(analyze.get("window_min"), analyze.get("window_max")) if analyze else None,
         probe_alpha=values.get("probe", {}).get("alpha"),
         theta=theta,
         out=run.get("out", "results"),

@@ -111,21 +111,16 @@ class ValidatedParams(ProblemParams):
     Negative speeds map onto the positive-speed problem through the
     (lambda2, v, w) -> (-lambda2, w, v) symmetry, so solvers only ever see
     lambda2 >= 0; ``flipped`` records when that swap applies to outputs.
+    A and a are the linear-phase slope and spectral shift at that speed.
     """
 
     flipped: bool
-
-
-@dataclass(frozen=True, kw_only=True)
-class LinearPhaseParams(ValidatedParams):
-    """Validated params plus the linear-phase slope A and spectral shift a."""
-
     A: float
     a: float
 
 
 def validate(params: ProblemParams) -> ValidatedParams:
-    """Check the admissibility window and canonicalize the speed sign.
+    """Check the admissibility window, canonicalize the speed sign, derive (A, a).
 
     Raises ParameterError listing every violated bound.  lambda2 = 0 is
     accepted (standing wave); the existence theory needs |lambda2| > 0 but
@@ -138,39 +133,36 @@ def validate(params: ProblemParams) -> ValidatedParams:
     if bad:
         raise ParameterError("; ".join(bad))
     flipped = params.lambda2 < 0.0
+    lambda2 = -params.lambda2 if flipped else params.lambda2
+    A = phase_slope(params.s, lambda2)
     return ValidatedParams(
         s=params.s,
         sigma=params.sigma,
         lambda1=params.lambda1,
-        lambda2=-params.lambda2 if flipped else params.lambda2,
+        lambda2=lambda2,
         kind=params.kind,
         flipped=flipped,
+        A=A,
+        a=spectral_shift(params.s, params.lambda1, A),
     )
 
 
-def linear_phase_params(params: ProblemParams) -> LinearPhaseParams:
-    """Derive (A, a) for the linear-phase subfamily."""
-    vp = validate(params)
-    A = phase_slope(vp.s, vp.lambda2)
-    a = spectral_shift(vp.s, vp.lambda1, A)
-    return LinearPhaseParams(
-        s=vp.s, sigma=vp.sigma, lambda1=vp.lambda1, lambda2=vp.lambda2,
-        kind=vp.kind, flipped=vp.flipped, A=A, a=a,
-    )
+# A second name for callers that want the linear-phase (A, a).
+linear_phase_params = validate
 
 
 def metadata(params: ProblemParams) -> dict:
     """Flat key/value view of the parameters plus derived quantities,
     echoed into every output file header."""
-    lp = linear_phase_params(params)
+    vp = validate(params)
     return {
-        "s": lp.s,
-        "sigma": lp.sigma,
-        "lambda1": lp.lambda1,
-        "lambda2": lp.lambda2,
-        "kind": lp.kind.value,
-        "limiting_speed": lp.limiting_speed(),
-        "phase_slope_A": lp.A,
-        "spectral_shift_a": lp.a,
-        "speed_sign_flipped": lp.flipped,
+        "s": vp.s,
+        "sigma": vp.sigma,
+        "lambda1": vp.lambda1,
+        "lambda2": vp.lambda2,
+        "kind": vp.kind.value,
+        "limiting_speed": vp.limiting_speed(),
+        "phase_slope_A": vp.A,
+        "spectral_shift_a": vp.a,
+        "speed_sign_flipped": vp.flipped,
     }

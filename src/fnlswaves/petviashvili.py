@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .params import ValidatedParams, linear_phase_params, metadata, validate
-from .spectral import ComplexField, Grid, RealField, profile_operator, save_field, write_csv
+from .params import ValidatedParams, metadata, validate
+from .spectral import (ComplexField, Grid, RealField, derivative_samples, profile_operator,
+                       save_field, write_csv)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ class SolveReport:
     cycle_ends: list
     mpe_fallbacks: int
     meta: dict
-    grid: Grid
 
     @property
     def final_residual(self) -> float:
@@ -116,48 +116,31 @@ def initial_iterate(grid: Grid, theta=None):
 
 
 class ProfileIteration:
-    """One Petviashvili iteration in the complex envelope frame."""
+    """One Petviashvili iteration on the complex envelope samples u = v + i w."""
 
     def __init__(self, params: ValidatedParams, grid: Grid, alpha: float, seed: ComplexField):
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
-        sym = profile_operator(params, grid).values
-        if np.any(sym <= 0.0):
+        self.symbol = profile_operator(params, grid).values
+        if np.any(self.symbol <= 0.0):
             raise ValueError(
                 "profile operator loses positivity on the grid modes; "
                 "the speed is outside the admissible window"
             )
-        self.symbol = sym
-        self.n = grid.n
-        seed_vec = self.pack(seed.samples)
-        if self._nonlinearity_pairing(seed.samples) == 0.0:
+        if np.sum(np.abs(seed.samples) ** (2.0 * self.sigma + 2.0)) == 0.0:
             raise ValueError("degenerate seed: <G(z), z> vanishes")
-        self._seed = seed_vec
-
-    # flat real vectors <-> complex samples
-    def pack(self, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([u.real, u.imag])
-
-    def unpack(self, z: np.ndarray) -> np.ndarray:
-        return z[: self.n] + 1j * z[self.n:]
+        self._seed = seed.samples
 
     def initial(self) -> np.ndarray:
         return self._seed.copy()
 
-    def _nonlinearity_pairing(self, u: np.ndarray) -> float:
-        return float(np.sum(np.abs(u) ** (2.0 * self.sigma + 2.0)))
-
-    def _operator(self, u: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.symbol * np.fft.fft(u))
-
-    def _evaluate(self, z: np.ndarray):
+    def _evaluate(self, u: np.ndarray):
         """G(u), the residual |L u - G(u)| and the pairings <L u, u> and
-        <G(u), u> at iterate z, from two transforms.  step and diagnostics
+        <G(u), u> at iterate u, from two transforms.  step and diagnostics
         each call this, never each other, so a per-call count of transforms
         reads 4 per step and 2 per diagnostics."""
-        u = self.unpack(z)
-        lu = self._operator(u)
+        lu = np.fft.ifft(self.symbol * np.fft.fft(u))
         g = np.abs(u) ** (2.0 * self.sigma) * u
         res = float(np.linalg.norm(lu - g))
         num = float(np.sum((lu * np.conj(u)).real))
@@ -176,7 +159,7 @@ class ProfileIteration:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
         m = num / den
         nxt = np.fft.ifft((m ** self.alpha) * np.fft.fft(g) / self.symbol)
-        return self.pack(nxt), res, m
+        return nxt, res, m
 
     def diagnostics(self, z: np.ndarray):
         """Euclidean residual of the profile equation and the stabilizing
@@ -184,6 +167,13 @@ class ProfileIteration:
         <G(z), z> = 0."""
         _, res, num, den = self._evaluate(z)
         return res, num / den if den != 0.0 else np.nan
+
+
+def mirror_speed(u: np.ndarray, params: ValidatedParams) -> np.ndarray:
+    """The (lambda2, v, w) -> (-lambda2, w, v) symmetry, u -> i * conj(u),
+    applied when ``params.flipped``.  The map is its own inverse, so it
+    carries envelopes both into and out of the solver's lambda2 >= 0 frame."""
+    return 1j * np.conj(u) if params.flipped else u
 
 
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -201,6 +191,10 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None, seed=None)
     profile that time evolution should be seeded with.  ``seed`` may be a
     RealField (read in the rho frame and modulated by e^{iAx}), a
     ComplexField used as-is, or None for the sech e^{iAx} seed.
+
+    Seeds are read in the solver's lambda2 >= 0 frame, not the caller's: a
+    negative speed is solved at |lambda2| and only the result is mapped back
+    by u -> i * conj(u), so at lambda2 < 0 pass the seed built for |lambda2|.
     """
     return _solve(params, grid, cfg, seed, scalar=True)
 
@@ -210,7 +204,8 @@ def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None
 
     ``seed`` is a ComplexField v + i w (build one with initial_iterate);
     a RealField seed is taken as a zero-phase pair (v, 0), and None gives
-    the sech e^{iAx} seed.
+    the sech e^{iAx} seed.  As for solve_scalar, the seed is read in the
+    solver's lambda2 >= 0 frame.
     """
     return _solve(params, grid, cfg, seed, scalar=False)
 
@@ -218,26 +213,20 @@ def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None
 def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> SolveReport:
     """The one solve path: seed, iterate, then center and project the result."""
     cfg = cfg or SolverConfig()
-    lp = linear_phase_params(params)
-    alpha = cfg.resolved_alpha(lp.sigma)
+    vp = validate(params)
+    alpha = cfg.resolved_alpha(vp.sigma)
     if seed is None:
-        seed = initial_iterate(grid, lp.A)
+        seed = initial_iterate(grid, vp.A)
     if isinstance(seed, RealField):
-        if scalar and lp.A != 0.0:
-            seed = ComplexField(grid, seed.samples * np.exp(1j * lp.A * grid.x))
-        else:
-            seed = ComplexField(grid, seed.samples.astype(complex))
+        phase = vp.A * grid.x if scalar else 0.0
+        seed = ComplexField(grid, seed.samples * np.exp(1j * phase))
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
-    iteration = ProfileIteration(lp, grid, alpha, seed)
+    iteration = ProfileIteration(vp, grid, alpha, seed)
     raw = accel.accelerated_iterate(iteration, cfg)
 
-    u = center_samples(iteration.unpack(raw.z), grid)
-    if lp.flipped:
-        # (lambda2, v, w) -> (-lambda2, w, v): u maps to i * conj(u)
-        u = 1j * np.conj(u)
-    envelope = ComplexField(grid, u)
-    meta = metadata(lp)
+    envelope = ComplexField(grid, mirror_speed(center_samples(raw.z, grid), vp))
+    meta = metadata(vp)
     meta.update({"solver": "scalar" if scalar else "coupled", "alpha": alpha,
                  "mw": cfg.mw, "tol": cfg.tol})
     return SolveReport(
@@ -250,7 +239,6 @@ def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> 
         cycle_ends=raw.cycle_ends,
         mpe_fallbacks=raw.fallbacks,
         meta=meta,
-        grid=grid,
     )
 
 
@@ -268,32 +256,28 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
     if isinstance(profile, SolveReport):
         profile = profile.envelope
     vp = validate(params)
-    u0 = profile.samples.astype(complex)
-    if vp.flipped:
-        # the iteration runs in the speed-flipped frame; u -> i * conj(u)
-        # is its own inverse, so it maps the caller's envelope back there
-        u0 = 1j * np.conj(u0)
+    # the iteration runs in the solver's frame, the envelope is the caller's
+    u0 = mirror_speed(profile.samples.astype(complex), vp)
     iteration = ProfileIteration(vp, grid, alpha, ComplexField(grid, u0))
 
     # symmetry directions: translation du/dx and phase rotation i*u
-    du = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(u0))
-    d0 = iteration.pack(du)
+    d0 = derivative_samples(grid, u0)
     d0 /= np.linalg.norm(d0)
-    d1 = iteration.pack(1j * u0)
-    d1 -= np.dot(d1, d0) * d0
+    d1 = 1j * u0
+    d1 -= np.vdot(d1, d0).real * d0
     d1 /= np.linalg.norm(d1)
 
     z0 = iteration.initial()
     eps = 1e-7 * np.linalg.norm(z0)
     rng = np.random.default_rng(0)
-    h = rng.standard_normal(2 * grid.n)
+    h = rng.standard_normal(2 * grid.n).view(np.complex128)
     estimate = 0.0
     for k in range(max_iter):
-        h -= np.dot(h, d0) * d0
-        h -= np.dot(h, d1) * d1
+        h -= np.vdot(h, d0).real * d0
+        h -= np.vdot(h, d1).real * d1
         h /= np.linalg.norm(h)
         jv = (iteration.step(z0 + eps * h)[0] - iteration.step(z0 - eps * h)[0]) / (2.0 * eps)
-        new = float(np.dot(jv, h))
+        new = float(np.vdot(jv, h).real)
         done = k > 10 and abs(new - estimate) < tol
         estimate = new
         h = jv

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .params import LinearPhaseParams, ProblemParams
+from .params import ProblemParams, ValidatedParams
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
     return MultiplierOp(grid, _freeze(values))
 
 
-def m_symbol(params: LinearPhaseParams, grid: Grid) -> MultiplierOp:
+def m_symbol(params: ValidatedParams, grid: Grid) -> MultiplierOp:
     """Profile operator symbol m(xi) = |xi+A|^{2s} - lambda2*xi - |A|^{2s}.
 
     m(0) = 0 and, with A from the phase-slope relation, m'(0) = 0 and the

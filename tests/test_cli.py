@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fnlswaves import __version__
+from fnlswaves.analysis import decay_slope
 from fnlswaves.cli import main, parse_config
 from fnlswaves.evolve import EvolveConfig
-from fnlswaves.petviashvili import SolverConfig
+from fnlswaves.params import ProblemParams
+from fnlswaves.petviashvili import SolverConfig, solve_scalar
 from fnlswaves.spectral import Grid, load_field
 
 SOLVE_CONFIG = """
@@ -107,6 +109,17 @@ class TestConfigParsing:
         assert code == 2
         assert f"[{section}] {key}" in err and "Traceback" not in err
 
+    def test_theta_none_needs_coupled_kind(self, tmp_path, capsys):
+        # a linear-phase solve modulates the real sech by e^{iAx}, which is
+        # the theta = linear seed, so none would be a silent duplicate
+        text = SOLVE_CONFIG.replace("mw = 3", "mw = 3\ntheta = none")
+        code = main(["--config", write(tmp_path, "run.ini", text), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "[solver] theta" in err and "Traceback" not in err
+        coupled = text.replace("kind = linear_phase", "kind = coupled")
+        assert parse_config(write(tmp_path, "coupled.ini", coupled)).theta == "none"
+
     def test_missing_problem_fields(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("s = 0.75\n", "").replace("sigma = 1.0\n", "")
         code = main(["--config", write(tmp_path, "bad.ini", text)])
@@ -201,6 +214,17 @@ class TestOtherCommands:
         assert main(["--config", write(tmp_path, "a.ini", text), "--out", out]) == 0
         assert "slope=" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "analyze.csv"))
+
+    def test_half_given_window_takes_the_decay_slope_default(self, tmp_path):
+        text = SOLVE_CONFIG.replace("command = solve", "command = analyze").replace(
+            "l = 32.0", "l = 64.0") + "\n[analyze]\nwindow_max = 40\n"
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "a.ini", text), "--out", out]) == 0
+        header, _ = read_table(os.path.join(out, "analyze.csv"))
+        reported = float(next(h for h in header if h.startswith("# decay_slope = ")).split("=")[1])
+        report = solve_scalar(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0),
+                              Grid(l=64.0, n=1024), SolverConfig(tol=1e-10, max_iter=500, mw=3))
+        assert reported == decay_slope(report.profile, (0.15 * 64.0, 40.0)).slope
 
     def test_probe_command(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("command = solve", "command = probe") + (

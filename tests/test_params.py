@@ -132,6 +132,16 @@ class TestValidate:
         assert validate(p).lambda2 == 0.0
 
 
+def test_validate_derives_slope_and_shift():
+    # one validated type: the linear-phase (A, a) of the canonical speed
+    assert linear_phase_params is validate
+    for lambda2 in (0.5, -0.5):
+        vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
+        assert vp.flipped == (lambda2 < 0.0) and vp.lambda2 == 0.5
+        assert vp.A == phase_slope(0.75, 0.5)
+        assert vp.a == spectral_shift(0.75, 1.0, vp.A)
+
+
 def test_linear_phase_params_and_metadata():
     p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
     lp = linear_phase_params(p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fnlswaves import accel
-from fnlswaves.params import Kind, ProblemParams, linear_phase_params
+from fnlswaves.params import Kind, ProblemParams, linear_phase_params, phase_slope
 from fnlswaves.petviashvili import (
     ProfileIteration,
     SolverConfig,
@@ -179,6 +179,21 @@ class TestSolveCoupled:
         mod = np.abs(rep.envelope.samples)
         mod = np.roll(mod, grid64.n // 2 - int(np.argmax(mod)))
         assert np.max(np.abs(mod - report_c1.profile.samples)) < 1e-6
+
+
+class TestSeedFrame:
+    @pytest.mark.parametrize("solve, kind", [(solve_scalar, Kind.LINEAR_PHASE),
+                                             (solve_coupled, Kind.COUPLED)],
+                             ids=["scalar", "coupled"])
+    def test_seed_is_read_in_the_solver_frame(self, grid64, solve, kind):
+        # c = -1 is solved at c = +1, so the seed built for +1 reproduces
+        # that solve; the seed built for -1 would take 43 iterations
+        params = [ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=c, kind=kind)
+                  for c in (1.0, -1.0)]
+        plus = solve(params[0], grid64)
+        minus = solve(params[1], grid64, seed=initial_iterate(grid64, phase_slope(0.75, 1.0)))
+        assert minus.iterations == plus.iterations == 42
+        assert minus.residual_history == plus.residual_history
 
 
 class TestSpectrumProbe:
