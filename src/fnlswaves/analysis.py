@@ -230,7 +230,7 @@ def phase_plane(profile, tail_halfwidths: float = 5.0) -> PhasePlane:
 @dataclass(frozen=True)
 class ScanRow:
     lambda2: float
-    speed_gap: float  # c(lambda1) - lambda2
+    speed_gap: float  # c(lambda1) - |lambda2|
     amplitude: float
     iterations: int
     residual: float
@@ -273,7 +273,7 @@ def speed_amplitude_scan(base: ProblemParams, speeds, grid: Grid,
             rep = solve_scalar(p, grid, cfg)
         return ScanRow(
             lambda2=c,
-            speed_gap=p.limiting_speed() - c,
+            speed_gap=p.limiting_speed() - abs(c),
             amplitude=rep.amplitude,
             iterations=rep.iterations,
             residual=rep.final_residual,

@@ -69,11 +69,6 @@ class EvolutionReport:
         unwrapped = np.unwrap(self.peak_x, period=2.0 * l)
         return float(np.polyfit(self.times, unwrapped, 1)[0])
 
-    def amplitude_drift_rate(self) -> float:
-        """Linear-fit slope of |amplitude - amplitude(0)| per unit time."""
-        err = np.abs(self.amplitude - self.amplitude[0])
-        return float(np.polyfit(self.times, err, 1)[0])
-
 
 def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None = None) -> ComplexField:
     """One implicit-midpoint step of size dt (negative dt steps backward)."""

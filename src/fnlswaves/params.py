@@ -106,42 +106,33 @@ class ProblemParams:
 
 @dataclass(frozen=True, kw_only=True)
 class ValidatedParams(ProblemParams):
-    """Parameters after admissibility checks and speed canonicalization.
+    """Parameters after admissibility checks, with the linear-phase slope A
+    and spectral shift a derived from the (signed) speed."""
 
-    Negative speeds map onto the positive-speed problem through the
-    (lambda2, v, w) -> (-lambda2, w, v) symmetry, so solvers only ever see
-    lambda2 >= 0; ``flipped`` records when that swap applies to outputs.
-    A and a are the linear-phase slope and spectral shift at that speed.
-    """
-
-    flipped: bool
     A: float
     a: float
 
 
 def validate(params: ProblemParams) -> ValidatedParams:
-    """Check the admissibility window, canonicalize the speed sign, derive (A, a).
+    """Check the admissibility window and derive (A, a).
 
     Raises ParameterError listing every violated bound.  lambda2 = 0 is
     accepted (standing wave); the existence theory needs |lambda2| > 0 but
     the zero-speed profile equation is perfectly well posed.  Validated
-    params come back unchanged, so ``flipped`` survives a second call.
+    params come back unchanged.
     """
     if isinstance(params, ValidatedParams):
         return params
     bad = params.violations()
     if bad:
         raise ParameterError("; ".join(bad))
-    flipped = params.lambda2 < 0.0
-    lambda2 = -params.lambda2 if flipped else params.lambda2
-    A = phase_slope(params.s, lambda2)
+    A = phase_slope(params.s, params.lambda2)
     return ValidatedParams(
         s=params.s,
         sigma=params.sigma,
         lambda1=params.lambda1,
-        lambda2=lambda2,
+        lambda2=params.lambda2,
         kind=params.kind,
-        flipped=flipped,
         A=A,
         a=spectral_shift(params.s, params.lambda1, A),
     )
@@ -164,5 +155,4 @@ def metadata(params: ProblemParams) -> dict:
         "limiting_speed": vp.limiting_speed(),
         "phase_slope_A": vp.A,
         "spectral_shift_a": vp.a,
-        "speed_sign_flipped": vp.flipped,
     }

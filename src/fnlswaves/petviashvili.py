@@ -169,13 +169,6 @@ class ProfileIteration:
         return res, num / den if den != 0.0 else np.nan
 
 
-def mirror_speed(u: np.ndarray, params: ValidatedParams) -> np.ndarray:
-    """The (lambda2, v, w) -> (-lambda2, w, v) symmetry, u -> i * conj(u),
-    applied when ``params.flipped``.  The map is its own inverse, so it
-    carries envelopes both into and out of the solver's lambda2 >= 0 frame."""
-    return 1j * np.conj(u) if params.flipped else u
-
-
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Circularly shift so the modulus peak sits at the grid point x = 0."""
     j = int(np.argmax(np.abs(u)))
@@ -191,10 +184,6 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None, seed=None)
     profile that time evolution should be seeded with.  ``seed`` may be a
     RealField (read in the rho frame and modulated by e^{iAx}), a
     ComplexField used as-is, or None for the sech e^{iAx} seed.
-
-    Seeds are read in the solver's lambda2 >= 0 frame, not the caller's: a
-    negative speed is solved at |lambda2| and only the result is mapped back
-    by u -> i * conj(u), so at lambda2 < 0 pass the seed built for |lambda2|.
     """
     return _solve(params, grid, cfg, seed, scalar=True)
 
@@ -204,8 +193,7 @@ def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None
 
     ``seed`` is a ComplexField v + i w (build one with initial_iterate);
     a RealField seed is taken as a zero-phase pair (v, 0), and None gives
-    the sech e^{iAx} seed.  As for solve_scalar, the seed is read in the
-    solver's lambda2 >= 0 frame.
+    the sech e^{iAx} seed.
     """
     return _solve(params, grid, cfg, seed, scalar=False)
 
@@ -225,7 +213,7 @@ def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> 
     iteration = ProfileIteration(vp, grid, alpha, seed)
     raw = accel.accelerated_iterate(iteration, cfg)
 
-    envelope = ComplexField(grid, mirror_speed(center_samples(raw.z, grid), vp))
+    envelope = ComplexField(grid, center_samples(raw.z, grid))
     meta = metadata(vp)
     meta.update({"solver": "scalar" if scalar else "coupled", "alpha": alpha,
                  "mw": cfg.mw, "tol": cfg.tol})
@@ -256,8 +244,7 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
     if isinstance(profile, SolveReport):
         profile = profile.envelope
     vp = validate(params)
-    # the iteration runs in the solver's frame, the envelope is the caller's
-    u0 = mirror_speed(profile.samples.astype(complex), vp)
+    u0 = profile.samples.astype(complex)
     iteration = ProfileIteration(vp, grid, alpha, ComplexField(grid, u0))
 
     # symmetry directions: translation du/dx and phase rotation i*u

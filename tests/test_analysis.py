@@ -166,6 +166,15 @@ class TestScan:
         result = speed_amplitude_scan(params34(1.0), [1.0], grid64)
         assert result.rows[0].amplitude == pytest.approx(rep.amplitude, rel=1e-12)
 
+    def test_speed_gap_is_symmetric_in_the_speed_sign(self):
+        # the window bounds |lambda2|, so c and -c are the same distance
+        # from the limiting speed and carry the same amplitude
+        result = speed_amplitude_scan(params34(1.0), [-1.0, 1.0], Grid(l=32.0, n=1024))
+        minus, plus = result.rows
+        assert minus.lambda2 == -1.0 and plus.lambda2 == 1.0
+        assert minus.speed_gap == plus.speed_gap == pytest.approx(0.8899, abs=5e-4)
+        assert minus.amplitude == pytest.approx(plus.amplitude, rel=1e-12)
+
     def test_coupled_kind_same_trend(self):
         grid = Grid(l=64.0, n=2048)
         base = params34(0.5, kind=Kind.COUPLED)

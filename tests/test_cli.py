@@ -243,7 +243,7 @@ RECIPE_FILES = {
              "fig1b.csv": ("mw,iter,residual", _BASE + ["lambda2"])},
     "fig2": {"fig2.csv": ("t,amplitude_error,hamiltonian_error",
                           _BASE + ["lambda2", "kind", "limiting_speed", "phase_slope_A",
-                                   "spectral_shift_a", "speed_sign_flipped", "grid_l",
+                                   "spectral_shift_a", "grid_l",
                                    "grid_n", "dt", "t_end", "nl_tol"])},
     "fig3": {"fig3a.csv": ("x,rho_s0.55,rho_s0.6,rho_s0.75",
                            ["sigma", "lambda1", "lambda2", "s_values"]),

@@ -94,7 +94,7 @@ class TestValidate:
     def test_fig1_parameters_accepted(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
         vp = validate(p)
-        assert not vp.flipped and vp.lambda2 == 1.0
+        assert vp.lambda2 == 1.0 and vp.A == phase_slope(0.75, 1.0) > 0.0
 
     def test_speed_beyond_limit_rejected_with_bound(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.9)
@@ -122,10 +122,10 @@ class TestValidate:
         with pytest.raises(ParameterError, match=f"{key}={value} must be a finite number"):
             validate(p)
 
-    def test_negative_speed_canonicalized(self):
+    def test_negative_speed_kept_signed(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=-1.0)
         vp = validate(p)
-        assert vp.flipped and vp.lambda2 == 1.0
+        assert vp.lambda2 == -1.0 and vp.A == -phase_slope(0.75, 1.0)
 
     def test_zero_speed_accepted(self):
         p = ProblemParams(s=1.0, sigma=1.0, lambda1=1.0, lambda2=0.0)
@@ -133,13 +133,12 @@ class TestValidate:
 
 
 def test_validate_derives_slope_and_shift():
-    # one validated type: the linear-phase (A, a) of the canonical speed
+    # one validated type: the linear-phase (A, a) of the signed speed
     assert linear_phase_params is validate
     for lambda2 in (0.5, -0.5):
         vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
-        assert vp.flipped == (lambda2 < 0.0) and vp.lambda2 == 0.5
-        assert vp.A == phase_slope(0.75, 0.5)
-        assert vp.a == spectral_shift(0.75, 1.0, vp.A)
+        assert vp.lambda2 == lambda2 and vp.A == phase_slope(0.75, lambda2)
+        assert vp.a == spectral_shift(0.75, 1.0, phase_slope(0.75, 0.5))
 
 
 def test_linear_phase_params_and_metadata():
@@ -152,15 +151,16 @@ def test_linear_phase_params_and_metadata():
     assert meta["limiting_speed"] == pytest.approx(1.8899, abs=5e-4)
     assert meta["phase_slope_A"] == pytest.approx(4.0 / 9.0)
     assert meta["kind"] == "linear_phase"
-    assert not lp.flipped and meta["speed_sign_flipped"] is False
+    assert set(meta) == {"s", "sigma", "lambda1", "lambda2", "kind", "limiting_speed",
+                         "phase_slope_A", "spectral_shift_a"}
     # validated params are ProblemParams too; deriving from them must keep
-    # the speed-sign flip rather than re-validate it away
+    # the signed speed and come back unchanged
     for lambda2 in (-0.5, -1.0, -1.5):
         vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
         assert validate(vp) is vp
         lp = linear_phase_params(vp)
-        assert lp.flipped and lp.lambda2 == -lambda2
-        assert lp.A == pytest.approx(phase_slope(0.75, -lambda2), rel=1e-14)
-        assert metadata(vp)["speed_sign_flipped"] is True
-        assert metadata(lp)["speed_sign_flipped"] is True
+        assert lp.lambda2 == lambda2
+        assert lp.A == pytest.approx(phase_slope(0.75, lambda2), rel=1e-14) and lp.A < 0.0
+        assert metadata(vp)["lambda2"] == metadata(lp)["lambda2"] == lambda2
+        assert set(metadata(vp)) == set(meta)
 
