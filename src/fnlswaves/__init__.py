@@ -12,7 +12,6 @@ from .params import (
     linear_phase_params,
     phase_slope,
     spectral_shift,
-    validate,
 )
 from .spectral import (
     ComplexField,

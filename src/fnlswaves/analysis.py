@@ -17,7 +17,7 @@ oscillations; those register as sign changes of the tail derivative.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -259,21 +259,20 @@ def speed_amplitude_scan(base: ProblemParams, speeds, grid: Grid,
     The profile equation follows base.kind: the linear-phase scalar solve,
     or the coupled solve seeded with the quadratic phase.  Rows come back
     ordered by speed; non-converged rows are flagged rather than fatal.
+    Every speed is checked against the window before the first solve.
     """
     cfg = cfg or SolverConfig()
-    speeds = sorted(float(c) for c in speeds)
+    problems = [replace(base, lambda2=c) for c in sorted(float(c) for c in speeds)]
 
-    def solve_one(c: float) -> ScanRow:
-        p = ProblemParams(s=base.s, sigma=base.sigma, lambda1=base.lambda1,
-                          lambda2=c, kind=base.kind)
+    def solve_one(p: ProblemParams) -> ScanRow:
         if base.kind is Kind.COUPLED:
             seed = initial_iterate(grid, "quadratic")
             rep = solve_coupled(p, grid, cfg, seed=seed)
         else:
             rep = solve_scalar(p, grid, cfg)
         return ScanRow(
-            lambda2=c,
-            speed_gap=p.limiting_speed() - abs(c),
+            lambda2=p.lambda2,
+            speed_gap=p.limiting_speed() - abs(p.lambda2),
             amplitude=rep.amplitude,
             iterations=rep.iterations,
             residual=rep.final_residual,
@@ -282,7 +281,7 @@ def speed_amplitude_scan(base: ProblemParams, speeds, grid: Grid,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, speeds))
+            rows = list(pool.map(solve_one, problems))
     else:
-        rows = [solve_one(c) for c in speeds]
+        rows = [solve_one(p) for p in problems]
     return ScanResult(rows=tuple(rows))

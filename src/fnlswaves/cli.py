@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import decay_slope, evenness_defect, phase_plane, speed_amplitude_scan
 from .evolve import EvolveConfig, run as evolve_run, save_evolution
-from .params import Kind, ParameterError, ProblemParams, metadata, validate
+from .params import Kind, ParameterError, ProblemParams, metadata
 from .petviashvili import (
     SolverConfig,
     _history_iteration_counts,
@@ -159,16 +159,22 @@ def parse_config(path) -> RunConfig:
     grid = Grid(**values["grid"])
     solver = dict(values.get("solver", {}))
     theta = solver.pop("theta", "linear")
-    params = ProblemParams(**values["problem"])
+    try:
+        params = ProblemParams(**values["problem"])
+    except ParameterError as err:
+        raise ConfigError(f"invalid parameters: {err}")
     if theta == "none" and params.kind is not Kind.COUPLED:
         raise ConfigError("[solver] theta = none applies to kind = coupled only")
+    evolve = EvolveConfig(**values.get("evolve", {}))
+    if round(evolve.t_end / evolve.dt) < 1:  # the step count evolve.run takes
+        raise ConfigError(f"[evolve] t_end = {evolve.t_end} gives no step of dt = {evolve.dt}")
     analyze = values.get("analyze")
     return RunConfig(
         command=command,
         params=params,
         grid=grid,
         solver_cfg=SolverConfig(**solver),
-        evolve_cfg=EvolveConfig(**values.get("evolve", {})),
+        evolve_cfg=evolve,
         speeds=values.get("scan", {}).get("speeds"),
         window=(analyze.get("window_min"), analyze.get("window_max")) if analyze else None,
         probe_alpha=values.get("probe", {}).get("alpha"),
@@ -195,7 +201,6 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
     out = out_dir or cfg.out
     try:
         os.makedirs(out, exist_ok=True)
-        validate(cfg.params)
         if cfg.command == "solve":
             report = _solve(cfg)
             save_report(report, out, "solve")
@@ -448,6 +453,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
     except (ConfigError, ParameterError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    if args.seed_profile and cfg.command != "evolve":
+        print("error: --seed-profile applies to the evolve command only", file=sys.stderr)
         return 2
     return run_command(cfg, out_dir=args.out, seed_profile=args.seed_profile)
 

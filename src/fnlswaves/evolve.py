@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import metadata, validate
+from .params import metadata
 from .spectral import ComplexField, Grid, hamiltonian, mass, momentum, save_field, write_csv
 
 
@@ -45,6 +45,8 @@ class EvolveConfig:
             raise ValueError("nl_max must be >= 1")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
 
 
 @dataclass
@@ -72,11 +74,10 @@ class EvolutionReport:
 
 def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None = None) -> ComplexField:
     """One implicit-midpoint step of size dt (negative dt steps backward)."""
-    cfg = cfg or EvolveConfig(dt=abs(dt) or 1.0)
-    vparams = validate(params)
+    cfg = cfg or EvolveConfig()
     grid = u.grid
-    frac = np.abs(grid.xi) ** (2.0 * vparams.s)
-    out, _ = _step_raw(u.samples, np.fft.fft(u.samples), dt, frac, vparams.sigma, cfg)
+    frac = np.abs(grid.xi) ** (2.0 * params.s)
+    out, _ = _step_raw(u.samples, np.fft.fft(u.samples), dt, frac, params.sigma, cfg)
     return ComplexField(grid, out)
 
 
@@ -116,9 +117,8 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     A step failure terminates the run and returns the partial report with
     ``aborted`` set to the failure message.
     """
-    vparams = validate(params)
     grid = u0.grid
-    s, sigma = vparams.s, vparams.sigma
+    s, sigma = params.s, params.sigma
     frac = np.abs(grid.xi) ** (2.0 * s)
     steps = int(round(cfg.t_end / cfg.dt))
     u = u0.samples.copy()
@@ -151,7 +151,7 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
         if cfg.snapshot_stride and (k + 1) % cfg.snapshot_stride == 0:
             snaps.append((t, fld))
 
-    meta = metadata(vparams)
+    meta = metadata(params)
     meta.update(
         {
             "grid_l": grid.l,

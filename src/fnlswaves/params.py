@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class Kind(enum.Enum):
@@ -72,6 +72,12 @@ class ProblemParams:
     lambda1  : first multiplier, > 0
     lambda2  : second multiplier = wave speed c_s, |lambda2| < c(lambda1)
     kind     : which profile equation is solved
+
+    Building parameters outside this window raises ParameterError listing
+    every violated bound.  lambda2 = 0 is accepted (standing wave): the
+    existence theory needs |lambda2| > 0, but the zero-speed profile
+    equation is well posed.  A and a, the linear-phase slope and spectral
+    shift, are derived from the signed speed.
     """
 
     s: float
@@ -79,12 +85,10 @@ class ProblemParams:
     lambda1: float
     lambda2: float
     kind: Kind = Kind.LINEAR_PHASE
+    A: float = field(init=False)
+    a: float = field(init=False)
 
-    def limiting_speed(self) -> float:
-        return limiting_speed(self.s, self.lambda1)
-
-    def violations(self) -> list[str]:
-        """All violated parameter bounds, each with the bound's value."""
+    def __post_init__(self):
         out = [f"{name}={v} must be a finite number" for name, v in
                (("sigma", self.sigma), ("lambda1", self.lambda1), ("lambda2", self.lambda2))
                if not math.isfinite(v)]
@@ -101,58 +105,30 @@ class ProblemParams:
                     f"|lambda2|={abs(self.lambda2)} must stay below the "
                     f"limiting speed {c_lim:.4f}"
                 )
-        return out
+        if out:
+            raise ParameterError("; ".join(out))
+        object.__setattr__(self, "A", phase_slope(self.s, self.lambda2))
+        object.__setattr__(self, "a", spectral_shift(self.s, self.lambda1, self.A))
+
+    def limiting_speed(self) -> float:
+        return limiting_speed(self.s, self.lambda1)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ValidatedParams(ProblemParams):
-    """Parameters after admissibility checks, with the linear-phase slope A
-    and spectral shift a derived from the (signed) speed."""
-
-    A: float
-    a: float
-
-
-def validate(params: ProblemParams) -> ValidatedParams:
-    """Check the admissibility window and derive (A, a).
-
-    Raises ParameterError listing every violated bound.  lambda2 = 0 is
-    accepted (standing wave); the existence theory needs |lambda2| > 0 but
-    the zero-speed profile equation is perfectly well posed.  Validated
-    params come back unchanged.
-    """
-    if isinstance(params, ValidatedParams):
-        return params
-    bad = params.violations()
-    if bad:
-        raise ParameterError("; ".join(bad))
-    A = phase_slope(params.s, params.lambda2)
-    return ValidatedParams(
-        s=params.s,
-        sigma=params.sigma,
-        lambda1=params.lambda1,
-        lambda2=params.lambda2,
-        kind=params.kind,
-        A=A,
-        a=spectral_shift(params.s, params.lambda1, A),
-    )
-
-
-# A second name for callers that want the linear-phase (A, a).
-linear_phase_params = validate
+def linear_phase_params(params: ProblemParams) -> ProblemParams:
+    """The parameters themselves, which carry the linear-phase (A, a)."""
+    return params
 
 
 def metadata(params: ProblemParams) -> dict:
     """Flat key/value view of the parameters plus derived quantities,
     echoed into every output file header."""
-    vp = validate(params)
     return {
-        "s": vp.s,
-        "sigma": vp.sigma,
-        "lambda1": vp.lambda1,
-        "lambda2": vp.lambda2,
-        "kind": vp.kind.value,
-        "limiting_speed": vp.limiting_speed(),
-        "phase_slope_A": vp.A,
-        "spectral_shift_a": vp.a,
+        "s": params.s,
+        "sigma": params.sigma,
+        "lambda1": params.lambda1,
+        "lambda2": params.lambda2,
+        "kind": params.kind.value,
+        "limiting_speed": params.limiting_speed(),
+        "phase_slope_A": params.A,
+        "spectral_shift_a": params.a,
     }

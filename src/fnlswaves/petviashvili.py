@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .params import ValidatedParams, metadata, validate
+from .params import ProblemParams, metadata
 from .spectral import (ComplexField, Grid, RealField, derivative_samples, profile_operator,
                        save_field, write_csv)
 
@@ -118,7 +118,7 @@ def initial_iterate(grid: Grid, theta=None):
 class ProfileIteration:
     """One Petviashvili iteration on the complex envelope samples u = v + i w."""
 
-    def __init__(self, params: ValidatedParams, grid: Grid, alpha: float, seed: ComplexField):
+    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, seed: ComplexField):
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
@@ -201,20 +201,19 @@ def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None
 def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> SolveReport:
     """The one solve path: seed, iterate, then center and project the result."""
     cfg = cfg or SolverConfig()
-    vp = validate(params)
-    alpha = cfg.resolved_alpha(vp.sigma)
+    alpha = cfg.resolved_alpha(params.sigma)
     if seed is None:
-        seed = initial_iterate(grid, vp.A)
+        seed = initial_iterate(grid, params.A)
     if isinstance(seed, RealField):
-        phase = vp.A * grid.x if scalar else 0.0
+        phase = params.A * grid.x if scalar else 0.0
         seed = ComplexField(grid, seed.samples * np.exp(1j * phase))
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
-    iteration = ProfileIteration(vp, grid, alpha, seed)
+    iteration = ProfileIteration(params, grid, alpha, seed)
     raw = accel.accelerated_iterate(iteration, cfg)
 
     envelope = ComplexField(grid, center_samples(raw.z, grid))
-    meta = metadata(vp)
+    meta = metadata(params)
     meta.update({"solver": "scalar" if scalar else "coupled", "alpha": alpha,
                  "mw": cfg.mw, "tol": cfg.tol})
     return SolveReport(
@@ -243,9 +242,8 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
     """
     if isinstance(profile, SolveReport):
         profile = profile.envelope
-    vp = validate(params)
     u0 = profile.samples.astype(complex)
-    iteration = ProfileIteration(vp, grid, alpha, ComplexField(grid, u0))
+    iteration = ProfileIteration(params, grid, alpha, ComplexField(grid, u0))
 
     # symmetry directions: translation du/dx and phase rotation i*u
     d0 = derivative_samples(grid, u0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fnlswaves import analysis
 from fnlswaves.analysis import (
     DecayFit,
     decay_slope,
@@ -9,7 +10,7 @@ from fnlswaves.analysis import (
     reflect_samples,
     speed_amplitude_scan,
 )
-from fnlswaves.params import Kind, ProblemParams
+from fnlswaves.params import Kind, ParameterError, ProblemParams
 from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_coupled, solve_scalar
 from fnlswaves.spectral import ComplexField, Grid, RealField
 
@@ -181,6 +182,17 @@ class TestScan:
         result = speed_amplitude_scan(base, [0.5, 1.0, 1.5], grid)
         assert result.all_converged
         assert result.amplitudes_increase_with_gap()
+
+    def test_inadmissible_speed_fails_before_any_solve(self, monkeypatch):
+        calls = []
+
+        def counted(p, *args, **kwargs):
+            calls.append(p.lambda2)
+            return solve_scalar(p, *args, **kwargs)
+        monkeypatch.setattr(analysis, "solve_scalar", counted)
+        with pytest.raises(ParameterError, match="1.8899"):
+            speed_amplitude_scan(params34(0.5), [0.5, 1.0, 1.5, 1.95], Grid(l=32.0, n=512))
+        assert calls == []
 
     def test_parallel_matches_serial(self, grid64):
         base = params34(0.5)

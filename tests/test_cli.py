@@ -143,7 +143,9 @@ class TestSolveCommand:
         code = main(["--config", write(tmp_path, "run.ini", text),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "1.8899" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid parameters: ") and "1.8899" in err
+        assert not (tmp_path / "o").exists()
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write(tmp_path, "run.ini", SOLVE_CONFIG)
@@ -151,9 +153,9 @@ class TestSolveCommand:
         assert main(["--config", cfg, "--out", out1]) == 0
         assert main(["--config", cfg, "--out", out2]) == 0
         for name in ("solve.csv", "solve_profile.dat"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
-            assert b1 == b2
+            with open(os.path.join(out1, name), "rb") as f1, \
+                    open(os.path.join(out2, name), "rb") as f2:
+                assert f1.read() == f2.read()
 
 
 class TestOtherCommands:
@@ -168,7 +170,8 @@ class TestOtherCommands:
         code = main(["--config", cfg2, "--out", out,
                      "--seed-profile", os.path.join(out, "solve_profile.dat")])
         assert code == 0
-        text = open(os.path.join(out, "evolve.csv")).read()
+        with open(os.path.join(out, "evolve.csv")) as fh:
+            text = fh.read()
         assert "t,I1,I2,H,amplitude,peak_x" in text
         for name in ("solve.csv", "evolve.csv"):
             with open(os.path.join(out, name)) as fh:
@@ -197,13 +200,46 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "bad.dat" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_seed_profile_outside_evolve_exits_2(self, tmp_path, capsys, command):
+        text = SOLVE_CONFIG.replace("command = solve", f"command = {command}")
+        out = str(tmp_path / "out")
+        code = main(["--config", write(tmp_path, "run.ini", text), "--out", out,
+                     "--seed-profile", str(tmp_path / "missing.dat")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed-profile" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "solve.csv"))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, extra, files", [
+        ("solve", "", ["solve.csv", "solve_profile.dat"]),
+        ("evolve", "\n[evolve]\ndt = 0.02\nt_end = 0.2\n", ["solve.csv", "solve_profile.dat"]),
+        ("analyze", "", []),
+        ("probe", "\n[probe]\nalpha = 1.5\n", []),
+        ("scan", "\n[scan]\nspeeds = 0.5, 1.0\n", ["scan.csv"]),
+    ])
+    def test_non_convergence_exits_3(self, tmp_path, capsys, command, extra, files):
+        text = SOLVE_CONFIG.replace("command = solve", f"command = {command}").replace(
+            "n = 1024", "n = 512").replace("max_iter = 500", "max_iter = 2") + extra
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "run.ini", text), "--out", out]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == files
+        if command == "scan":
+            with open(os.path.join(out, "scan.csv")) as fh:
+                lines = fh.read().splitlines()
+            assert lines[-3].endswith(",converged")
+            assert [row.split(",")[-1] for row in lines[-2:]] == ["False", "False"]
+
     def test_scan_command(self, tmp_path):
         text = SOLVE_CONFIG.replace("command = solve", "command = scan") + (
             "\n[scan]\nspeeds = 0.5, 1.0\n"
         )
         out = str(tmp_path / "out")
         assert main(["--config", write(tmp_path, "scan.ini", text), "--out", out]) == 0
-        rows = open(os.path.join(out, "scan.csv")).read().strip().splitlines()
+        with open(os.path.join(out, "scan.csv")) as fh:
+            rows = fh.read().strip().splitlines()
         assert rows[-1].split(",")[-1] == "True"
 
     def test_analyze_command(self, tmp_path, capsys):

@@ -33,15 +33,14 @@ lambda2 = 1.0
 l = 16.0
 n = 256
 [evolve]
-dt = 0.01
-t_end = 0.02
-{key} = {value}
+{evolve}
 """
 
 
 class TestEvolveConfig:
     @pytest.mark.parametrize("key, value", [("nl_max", 0), ("nl_max", -3), ("snapshot_stride", -1),
-                                            ("dt", float("nan")), ("nl_tol", float("inf"))])
+                                            ("dt", float("nan")), ("nl_tol", float("inf")),
+                                            ("t_end", -1.0), ("t_end", float("nan"))])
     def test_bad_inner_settings_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             EvolveConfig(**{key: value})
@@ -50,13 +49,17 @@ class TestEvolveConfig:
         cfg = EvolveConfig(nl_max=1, snapshot_stride=0)
         assert cfg.nl_max == 1 and cfg.snapshot_stride == 0
 
-    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("snapshot_stride", -1)])
+    @pytest.mark.parametrize("key, value", [("nl_max", 0), ("snapshot_stride", -1),
+                                            ("t_end", 0.001), ("t_end", -1.0)])
     def test_cli_exits_2(self, tmp_path, capsys, key, value):
+        settings = {"dt": 0.01, "t_end": 0.02, key: value}
         path = tmp_path / "evolve.ini"
-        path.write_text(EVOLVE_CONFIG.format(key=key, value=value))
+        path.write_text(EVOLVE_CONFIG.format(
+            evolve="\n".join(f"{k} = {v}" for k, v in settings.items())))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStepMidpoint:

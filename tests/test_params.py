@@ -12,7 +12,6 @@ from fnlswaves.params import (
     metadata,
     phase_slope,
     spectral_shift,
-    validate,
 )
 
 
@@ -93,23 +92,19 @@ class TestSpectralShift:
 class TestValidate:
     def test_fig1_parameters_accepted(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-        vp = validate(p)
-        assert vp.lambda2 == 1.0 and vp.A == phase_slope(0.75, 1.0) > 0.0
+        assert p.lambda2 == 1.0 and p.A == phase_slope(0.75, 1.0) > 0.0
 
     def test_speed_beyond_limit_rejected_with_bound(self):
-        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.9)
         with pytest.raises(ParameterError, match="1.8899"):
-            validate(p)
+            ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.9)
 
     def test_boundary_s_rejected(self):
-        p = ProblemParams(s=0.5, sigma=1.0, lambda1=1.0, lambda2=0.5)
         with pytest.raises(ParameterError, match="s="):
-            validate(p)
+            ProblemParams(s=0.5, sigma=1.0, lambda1=1.0, lambda2=0.5)
 
     def test_all_violations_reported(self):
-        p = ProblemParams(s=0.4, sigma=-1.0, lambda1=0.0, lambda2=0.5)
         with pytest.raises(ParameterError) as err:
-            validate(p)
+            ProblemParams(s=0.4, sigma=-1.0, lambda1=0.0, lambda2=0.5)
         msg = str(err.value)
         assert "s=" in msg and "sigma=" in msg and "lambda1=" in msg
 
@@ -118,27 +113,25 @@ class TestValidate:
         ("lambda2", float("nan")), ("lambda2", float("-inf")),
     ])
     def test_non_finite_rejected(self, key, value):
-        p = ProblemParams(**{"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 0.5, key: value})
         with pytest.raises(ParameterError, match=f"{key}={value} must be a finite number"):
-            validate(p)
+            ProblemParams(**{"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 0.5, key: value})
 
     def test_negative_speed_kept_signed(self):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=-1.0)
-        vp = validate(p)
-        assert vp.lambda2 == -1.0 and vp.A == -phase_slope(0.75, 1.0)
+        assert p.lambda2 == -1.0 and p.A == -phase_slope(0.75, 1.0)
 
     def test_zero_speed_accepted(self):
         p = ProblemParams(s=1.0, sigma=1.0, lambda1=1.0, lambda2=0.0)
-        assert validate(p).lambda2 == 0.0
+        assert p.lambda2 == 0.0
 
 
 def test_validate_derives_slope_and_shift():
-    # one validated type: the linear-phase (A, a) of the signed speed
-    assert linear_phase_params is validate
+    # the parameters carry the linear-phase (A, a) of the signed speed
     for lambda2 in (0.5, -0.5):
-        vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
-        assert vp.lambda2 == lambda2 and vp.A == phase_slope(0.75, lambda2)
-        assert vp.a == spectral_shift(0.75, 1.0, phase_slope(0.75, 0.5))
+        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2)
+        assert linear_phase_params(p) is p
+        assert p.lambda2 == lambda2 and p.A == phase_slope(0.75, lambda2)
+        assert p.a == spectral_shift(0.75, 1.0, phase_slope(0.75, 0.5))
 
 
 def test_linear_phase_params_and_metadata():
@@ -153,14 +146,12 @@ def test_linear_phase_params_and_metadata():
     assert meta["kind"] == "linear_phase"
     assert set(meta) == {"s", "sigma", "lambda1", "lambda2", "kind", "limiting_speed",
                          "phase_slope_A", "spectral_shift_a"}
-    # validated params are ProblemParams too; deriving from them must keep
-    # the signed speed and come back unchanged
+    # linear_phase_params hands the parameters back: the signed speed is kept
     for lambda2 in (-0.5, -1.0, -1.5):
-        vp = validate(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2))
-        assert validate(vp) is vp
-        lp = linear_phase_params(vp)
+        p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2)
+        lp = linear_phase_params(p)
+        assert lp is p
         assert lp.lambda2 == lambda2
         assert lp.A == pytest.approx(phase_slope(0.75, lambda2), rel=1e-14) and lp.A < 0.0
-        assert metadata(vp)["lambda2"] == metadata(lp)["lambda2"] == lambda2
-        assert set(metadata(vp)) == set(meta)
-
+        assert metadata(p)["lambda2"] == metadata(lp)["lambda2"] == lambda2
+        assert set(metadata(p)) == set(meta)

@@ -355,7 +355,8 @@ class TestSolverConfig:
 class TestReportSerialization:
     def test_round_trip(self, tmp_path, report_c1):
         csv_path, prof_path = save_report(report_c1, tmp_path, "run")
-        text = open(csv_path).read()
+        with open(csv_path) as fh:
+            text = fh.read()
         assert "iter,residual,m_nu" in text
         assert "# lambda2 = 1.0" in text
         back, meta = load_field(prof_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fnlswaves.params import ProblemParams, linear_phase_params, validate
+from fnlswaves.params import ProblemParams, linear_phase_params
 from fnlswaves.spectral import (
     ComplexField,
     Grid,
