@@ -1,24 +1,23 @@
 """Post-processing of computed profiles: decay fits, symmetry and tail
 diagnostics, and speed-amplitude scans.
 
-The waves decay algebraically like |x|^{-(2s+1)}, so log|rho| against
-log|x| is asymptotically a line of slope -(2s+1); an exponentially decaying
-profile (the s=1 soliton) steepens without bound across sub-windows, which
-is what the plausibility flag looks for.  On the periodic grid the samples
-approximate the periodized profile sum_k rho(x + 2lk), and every image adds
-an algebraic tail of its own: keeping the window inside 0.9 l does not keep
-it clear of them.  The straight line is then biased flat (an exact
-|x|^{-2.5} periodized on l=64 fits -2.29 over [10, 50]); the periodic-image
-model of decay_slope fits the image sum instead.  Near the limiting speed
-the decay stops being monotone and the tails develop small symmetric
-oscillations; those register as sign changes of the tail derivative.
+The waves decay algebraically like |x|^{-(2s+1)}.  On the periodic grid the
+samples approximate the periodized profile sum_k rho(x + 2lk), and every
+image adds an algebraic tail of its own: keeping the window inside 0.9 l
+does not keep it clear of them, and a straight log-log line through the
+tail is biased flat (an exact |x|^{-2.5} periodized on l=64 fits -2.29 over
+[10, 50]).  decay_slope therefore fits the image sum itself; an
+exponentially decaying profile (the s=1 soliton) steepens without bound
+across sub-windows, which is what the plausibility flag looks for.  Near
+the limiting speed the decay stops being monotone and the tails develop
+small symmetric oscillations; those register as sign changes of the tail
+derivative.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -28,12 +27,13 @@ from .spectral import ComplexField, Grid, RealField, derivative_samples
 
 # decay-fit plausibility thresholds
 SLOPE_SPREAD_LIMIT = 0.3  # max sub-window slope spread for algebraic decay
-FIT_RMS_LIMIT = 0.25  # max rms residual of the log-log fit
+FIT_RMS_LIMIT = 0.25  # max rms residual of the decay fit, in log|rho|
+TAIL_HALFWIDTHS = 5.0  # phase_plane counts oscillations beyond this many half-widths
 
 # periodic-image decay model
 PERIODIC_IMAGES = 8  # images |k| <= K summed exactly, the rest as an integral
 EXPONENT_BRACKET = (1.0 + 1e-9, 64.0)  # the image sum diverges for p <= 1
-EXPONENT_TOL = 1e-8  # width of the final golden-section bracket on p
+EXPONENT_TOL = 1e-8  # Gauss-Newton stops at a shorter step in p
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,14 @@ def _tail_values(profile) -> np.ndarray:
     return np.asarray(profile.samples)
 
 
-def _line_fit(x: np.ndarray, vals: np.ndarray):
-    """Slope, intercept and rms residual of the line log vals = a log x + b."""
-    lx = np.log(x)
-    ly = np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), float(intercept), rms
+def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
+    """-p, log C and rms residual of log vals = log C + log sum_k |x + 2lk|^{-p}.
 
-
-def _log_image_sum(x: np.ndarray, l: float):
-    """p -> log sum_k |x + 2lk|^{-p} for samples 0 < x < l.
+    For a given p the best log C is the mean residual, so the fit is over p
+    alone (variable projection): Gauss-Newton on the centred residual and
+    the centred d/dp of the log image sum, from p = 2.  Each step is
+    clipped to EXPONENT_BRACKET and halved until the sum of squares does
+    not rise; the fit stops once a step is shorter than EXPONENT_TOL.
 
     Images with |k| <= PERIODIC_IMAGES are summed term by term, relative to
     the k=0 term so nothing underflows at large p; the rest is the midpoint
@@ -72,70 +69,52 @@ def _log_image_sum(x: np.ndarray, l: float):
     """
     k = np.arange(1, PERIODIC_IMAGES + 1)
     lx = np.log(x)
+    ly = np.log(vals)
     log_ratio = lx[:, None] - np.log(np.abs(x[:, None] + 2.0 * l * np.concatenate([k, -k])))
     reach = 2.0 * l * (PERIODIC_IMAGES + 0.5)
     log_far = np.stack([np.log(reach + x), np.log(reach - x)])
 
-    def log_sum(p: float) -> np.ndarray:
-        near = np.exp(p * log_ratio).sum(axis=1)
-        far = np.exp(p * lx + (1.0 - p) * log_far).sum(axis=0) / (2.0 * l * (p - 1.0))
-        return -p * lx + np.log1p(near + far)
+    def residual(p: float):
+        """Residual ly - log sum at p, its mean, and the centred d/dp of the sum."""
+        near = np.exp(p * log_ratio)
+        far = np.exp(p * lx + (1.0 - p) * log_far) / (2.0 * l * (p - 1.0))
+        rel = near.sum(axis=1) + far.sum(axis=0)
+        d_far = (lx - log_far - 1.0 / (p - 1.0)) * far
+        d_rel = (log_ratio * near).sum(axis=1) + d_far.sum(axis=0)
+        r = ly + p * lx - np.log1p(rel)
+        d_sum = d_rel / (1.0 + rel) - lx
+        return r - r.mean(), float(r.mean()), d_sum - d_sum.mean()
 
-    return log_sum
-
-
-def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
-    """-p, log C and rms residual of log vals = log C + log sum_k |x + 2lk|^{-p}.
-
-    For a given p the best log C is the mean residual, so the search is over
-    p alone: a coarse scan of EXPONENT_BRACKET picks the basin and golden
-    sections refine it to EXPONENT_TOL.
-    """
-    ly = np.log(vals)
-    log_sum = _log_image_sum(x, l)
-
-    def sse(p: float) -> float:
-        r = ly - log_sum(p)
-        return float(np.sum((r - r.mean()) ** 2))
-
-    scan = np.linspace(*EXPONENT_BRACKET, 64)
-    i = int(np.argmin([sse(p) for p in scan]))
-    a, b = scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = sse(c), sse(d)
-    while b - a > EXPONENT_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = sse(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = sse(d)
-    p = 0.5 * (a + b)
-    r = ly - log_sum(p)
-    return -p, float(r.mean()), float(np.sqrt(np.mean((r - r.mean()) ** 2)))
+    p = 2.0
+    r, log_c, d_sum = residual(p)
+    step = np.inf
+    while abs(step) >= EXPONENT_TOL:
+        step = min(max(p + float(d_sum @ r / (d_sum @ d_sum)), EXPONENT_BRACKET[0]),
+                   EXPONENT_BRACKET[1]) - p
+        while abs(step) >= EXPONENT_TOL:
+            trial = residual(p + step)
+            if trial[0] @ trial[0] <= r @ r:
+                p, (r, log_c, d_sum) = p + step, trial
+                break
+            step *= 0.5
+    return -p, log_c, float(np.sqrt(np.mean(r ** 2)))
 
 
-def decay_slope(profile, window=None, periodic: bool = False) -> DecayFit:
-    """Fitted decay exponent of log|rho| against log|x| over the tail window.
+def decay_slope(profile, window=None) -> DecayFit:
+    """Fitted decay exponent of |rho| over the tail window.
 
     The profile must be centered; the window, or either end of it left
     None, defaults to [0.15 l, 0.8 l], and it must stay within the positive
     tail, x_max <= 0.9 l.
     That bound keeps the window off the wrap point itself, not free of the
     periodic images: the samples approximate sum_k rho(x + 2lk), so an
-    algebraic tail picks up the tails of every image.
-
-    periodic=False fits the straight line log|rho| = slope log x + intercept,
-    which the images bias flat unless the window is short against l.
-    periodic=True fits log|rho| = intercept + log sum_k |x + 2lk|^{-p}
-    instead and reports slope = -p; it assumes the wave is the only source
-    of the tail and p > 1, where the periodized sum converges.
+    algebraic tail picks up the tails of every image.  The fit is therefore
+    log|rho| = intercept + log sum_k |x + 2lk|^{-p}, and slope = -p; it
+    assumes the wave is the only source of the tail and p > 1, where the
+    periodized sum converges.
 
     fit_rms and the slopes of three log-spaced sub-windows are measured
-    against the chosen model.  model_ok goes false when the windowed fit
+    against the same model.  model_ok goes false when the windowed fit
     scatters beyond FIT_RMS_LIMIT or the sub-window slopes drift by more
     than SLOPE_SPREAD_LIMIT (the signature of non-algebraic decay).
     """
@@ -152,15 +131,14 @@ def decay_slope(profile, window=None, periodic: bool = False) -> DecayFit:
     mask = (x >= x_min) & (x <= x_max) & (vals > 0.0)
     if int(mask.sum()) < 16:
         raise ValueError(f"window holds {int(mask.sum())} usable points, need >= 16")
-    fit = partial(_image_fit, l=grid.l) if periodic else _line_fit
-    slope, intercept, rms = fit(x[mask], vals[mask])
+    slope, intercept, rms = _image_fit(x[mask], vals[mask], grid.l)
 
     edges = np.exp(np.linspace(np.log(x_min), np.log(x_max), 4))
     subs = []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (x >= a) & (x <= b) & (vals > 0.0)
         if int(m.sum()) >= 4:
-            subs.append(fit(x[m], vals[m])[0])
+            subs.append(_image_fit(x[m], vals[m], grid.l)[0])
     spread = max(subs) - min(subs) if len(subs) >= 2 else np.inf
     ok = rms <= FIT_RMS_LIMIT and spread <= SLOPE_SPREAD_LIMIT
     return DecayFit(
@@ -198,12 +176,12 @@ class PhasePlane:
     tail_window: tuple
 
 
-def phase_plane(profile, tail_halfwidths: float = 5.0) -> PhasePlane:
+def phase_plane(profile) -> PhasePlane:
     """Pair the profile with its spectral derivative and count tail
     oscillations.
 
     Oscillations are strict sign changes of d|rho|/dx in the region from
-    ``tail_halfwidths`` half-maximum widths out to 0.9 l: zero for a
+    TAIL_HALFWIDTHS half-maximum widths out to 0.9 l: zero for a
     monotone decay, positive once the tail wiggles (speeds close to the
     limiting value).  Samples below 1e-12 of the peak are roundoff noise
     of the spectral derivative and are excluded from the count.
@@ -218,7 +196,7 @@ def phase_plane(profile, tail_halfwidths: float = 5.0) -> PhasePlane:
     if amp > 0.0:
         above = (vals >= 0.5 * amp) & (x >= 0.0)
         half_width = float(x[above].max()) if above.any() else 0.0
-        lo, hi = tail_halfwidths * half_width, 0.9 * grid.l
+        lo, hi = TAIL_HALFWIDTHS * half_width, 0.9 * grid.l
         region = (x > lo) & (x <= hi) & (vals > 1e-12 * amp)
         signs = np.sign(deriv[region])
         signs = signs[signs != 0.0]

@@ -16,7 +16,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,23 +159,25 @@ def parse_config(path) -> RunConfig:
     grid = Grid(**values["grid"])
     solver = dict(values.get("solver", {}))
     theta = solver.pop("theta", "linear")
+    speeds = values.get("scan", {}).get("speeds")
     try:
         params = ProblemParams(**values["problem"])
+        for c in speeds or ():  # each scan row is built the same way
+            replace(params, lambda2=c)
     except ParameterError as err:
         raise ConfigError(f"invalid parameters: {err}")
     if theta == "none" and params.kind is not Kind.COUPLED:
         raise ConfigError("[solver] theta = none applies to kind = coupled only")
-    evolve = EvolveConfig(**values.get("evolve", {}))
-    if round(evolve.t_end / evolve.dt) < 1:  # the step count evolve.run takes
-        raise ConfigError(f"[evolve] t_end = {evolve.t_end} gives no step of dt = {evolve.dt}")
+    solver_cfg = SolverConfig(**solver)
+    solver_cfg.resolved_alpha(params.sigma)  # its window depends on sigma
     analyze = values.get("analyze")
     return RunConfig(
         command=command,
         params=params,
         grid=grid,
-        solver_cfg=SolverConfig(**solver),
-        evolve_cfg=evolve,
-        speeds=values.get("scan", {}).get("speeds"),
+        solver_cfg=solver_cfg,
+        evolve_cfg=EvolveConfig(**values.get("evolve", {})),
+        speeds=speeds,
         window=(analyze.get("window_min"), analyze.get("window_max")) if analyze else None,
         probe_alpha=values.get("probe", {}).get("alpha"),
         theta=theta,

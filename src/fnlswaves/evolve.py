@@ -47,6 +47,8 @@ class EvolveConfig:
             raise ValueError("snapshot_stride must be >= 0")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if round(self.t_end / self.dt) < 1:  # the step count run takes
+            raise ValueError(f"t_end = {self.t_end} gives no step of dt = {self.dt}")
 
 
 @dataclass

@@ -33,6 +33,11 @@ from .params import ProblemParams, metadata
 from .spectral import (ComplexField, Grid, RealField, derivative_samples, profile_operator,
                        save_field, write_csv)
 
+# fixed_point_spectrum_probe: power-iteration cap, and the change of the
+# estimate below which it stops
+PROBE_MAX_ITER = 200
+PROBE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -95,8 +100,7 @@ def initial_iterate(grid: Grid, theta=None):
     """Seed fields sech(x) e^{i theta(x)}.
 
     theta=None gives the plain real sech seed; a float is the linear slope
-    A (theta = A*x); the string "quadratic" gives theta = x^2; an array is
-    used as phase samples directly.
+    A (theta = A*x); the string "quadratic" gives theta = x^2.
     """
     x = grid.x
     sech = 1.0 / np.cosh(x)
@@ -106,12 +110,8 @@ def initial_iterate(grid: Grid, theta=None):
         if theta != "quadratic":
             raise ValueError(f"unknown phase descriptor {theta!r}")
         phase = x ** 2
-    elif np.ndim(theta) == 0:
-        phase = float(theta) * x
     else:
-        phase = np.asarray(theta, dtype=float)
-        if phase.shape != x.shape:
-            raise ValueError("phase samples must match the grid")
+        phase = float(theta) * x
     return ComplexField(grid, sech * np.exp(1j * phase))
 
 
@@ -229,8 +229,7 @@ def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> 
     )
 
 
-def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
-                               max_iter: int = 200, tol: float = 1e-8) -> float:
+def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> float:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
     Finite-difference Jacobian-vector products of ``ProfileIteration.step``
@@ -257,13 +256,13 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float,
     rng = np.random.default_rng(0)
     h = rng.standard_normal(2 * grid.n).view(np.complex128)
     estimate = 0.0
-    for k in range(max_iter):
+    for k in range(PROBE_MAX_ITER):
         h -= np.vdot(h, d0).real * d0
         h -= np.vdot(h, d1).real * d1
         h /= np.linalg.norm(h)
         jv = (iteration.step(z0 + eps * h)[0] - iteration.step(z0 - eps * h)[0]) / (2.0 * eps)
         new = float(np.vdot(jv, h).real)
-        done = k > 10 and abs(new - estimate) < tol
+        done = k > 10 and abs(new - estimate) < PROBE_TOL
         estimate = new
         h = jv
         if done:

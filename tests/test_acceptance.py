@@ -111,7 +111,7 @@ def test_criterion_05_decay_exponent(fig1_reports):
     details = []
     ok = True
     for c, rep in sorted(fig1_reports.items()):
-        fit = decay_slope(rep.profile, window=(10.0, 50.0), periodic=True)
+        fit = decay_slope(rep.profile, window=(10.0, 50.0))
         good = abs(fit.slope - (-2.5)) <= 0.15
         ok = ok and good
         details.append(f"c={c}: slope {fit.slope:.3f}")

@@ -31,46 +31,38 @@ def profile_c05(grid64):
     return rep.profile
 
 
-def synthetic_power_law(grid, p, scale=1.0):
-    x = grid.x
-    vals = np.empty(grid.n)
-    nz = x != 0.0
-    vals[nz] = scale * np.abs(x[nz]) ** (-p)
-    vals[~nz] = scale * 10.0 ** p
-    return RealField(grid, vals)
-
-
-def periodized_power_law(grid, p, images):
-    """Sum over |k| <= images of |x + 2lk|^{-p}; the pole at x = 0 is set to 10^p."""
+def periodized_power_law(grid, p, images, scale=1.0):
+    """scale times the sum over |k| <= images of |x + 2lk|^{-p}; the pole at
+    x = 0 is set to 10^p."""
     x = grid.x
     with np.errstate(divide="ignore"):
         vals = sum(np.abs(x + 2.0 * grid.l * k) ** (-p) for k in range(-images, images + 1))
     vals[x == 0.0] = 10.0 ** p
-    return RealField(grid, vals)
+    return RealField(grid, scale * vals)
 
 
 class TestDecaySlope:
-    def test_exact_power_law(self, grid64):
-        fit = decay_slope(synthetic_power_law(grid64, 2.5), window=(10.0, 50.0))
-        assert fit.slope == pytest.approx(-2.5, abs=1e-10)
-        assert fit.model_ok
-
-    @pytest.mark.parametrize("scale", [0.1, 1.0, 42.0])
-    def test_scale_independent(self, grid64, scale):
-        fit = decay_slope(synthetic_power_law(grid64, 1.75, scale), window=(10.0, 50.0))
-        assert fit.slope == pytest.approx(-1.75, abs=1e-10)
-
-    @pytest.mark.parametrize("p", [2.5, 3.5])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.5, 6.0])
     def test_periodic_fit_recovers_periodized_power_law(self, grid64, p):
         # images summed far beyond the model's exact range and integral tail
-        field = periodized_power_law(grid64, p, images=2000)
-        assert decay_slope(field, window=(10.0, 50.0)).slope > -p + 0.1  # the images bias the line
-        fit = decay_slope(field, window=(10.0, 50.0), periodic=True)
-        assert fit.slope == pytest.approx(-p, abs=1e-3)
+        slopes = []
+        for scale in (0.1, 1.0, 42.0):
+            fit = decay_slope(periodized_power_law(grid64, p, 2000, scale), window=(10.0, 50.0))
+            assert fit.slope == pytest.approx(-p, abs=1e-3)
+            assert fit.model_ok
+            slopes.append(fit.slope)
+        assert max(slopes) - min(slopes) <= 1e-12  # log C absorbs the scale
+
+    @pytest.mark.parametrize("lambda2, slope", [(0.5, -2.56951276), (1.0, -2.51790975),
+                                                (1.5, -2.45529976)])
+    def test_matches_the_golden_section_exponents(self, grid64, lambda2, slope):
+        # the exponents the earlier scan-and-golden-section search found
+        fit = decay_slope(solve_scalar(params34(lambda2), grid64).profile)
+        assert fit.slope == pytest.approx(slope, abs=1e-7)
         assert fit.model_ok
 
     def test_converged_profile_matches_theorem_decay(self, profile_c05):
-        fit = decay_slope(profile_c05, window=(10.0, 50.0), periodic=True)
+        fit = decay_slope(profile_c05, window=(10.0, 50.0))
         assert fit.slope == pytest.approx(-2.5, abs=0.15)
 
     def test_large_domain_confirms_exponent_for_all_speeds(self):
@@ -78,17 +70,15 @@ class TestDecaySlope:
         grid = Grid(l=256.0, n=16384)
         for lambda2 in (0.5, 1.0, 1.5):
             rep = solve_scalar(params34(lambda2), grid)
-            for periodic in (False, True):
-                fit = decay_slope(rep.profile, window=(20.0, 100.0), periodic=periodic)
-                assert fit.slope == pytest.approx(-2.5, abs=0.05), f"{lambda2=} {periodic=}"
-                assert fit.model_ok
+            fit = decay_slope(rep.profile, window=(20.0, 100.0))
+            assert fit.slope == pytest.approx(-2.5, abs=0.05), f"{lambda2=}"
+            assert fit.model_ok
 
     def test_exponential_decay_flagged(self):
         grid = Grid(l=64.0, n=4096)
         rep = solve_scalar(ProblemParams(s=1.0, sigma=1.0, lambda1=1.0, lambda2=0.0), grid)
-        for periodic in (False, True):
-            fit = decay_slope(rep.profile, window=(10.0, 50.0), periodic=periodic)
-            assert not fit.model_ok  # fitted exponent steepens across sub-windows
+        fit = decay_slope(rep.profile, window=(10.0, 50.0))
+        assert not fit.model_ok  # fitted exponent steepens across sub-windows
 
     def test_window_validation(self, grid64, profile_c05):
         with pytest.raises(ValueError, match="0.9"):

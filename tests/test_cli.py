@@ -139,13 +139,22 @@ class TestSolveCommand:
         assert float(meta["limiting_speed"]) == pytest.approx(1.8899, abs=5e-4)
 
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
-        text = SOLVE_CONFIG.replace("lambda2 = 1.0", "lambda2 = 1.9")
-        code = main(["--config", write(tmp_path, "run.ini", text),
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid parameters: ") and "1.8899" in err
-        assert not (tmp_path / "o").exists()
+        # a speed, a scan speed or an alpha outside its window is rejected
+        # before the output directory is made
+        scan = SOLVE_CONFIG.replace("command = solve", "command = scan")
+        for text, message, detail in [
+            (SOLVE_CONFIG.replace("lambda2 = 1.0", "lambda2 = 1.9"),
+             "error: invalid parameters: ", "1.8899"),
+            (scan + "\n[scan]\nspeeds = 0.5, 1.95\n", "error: invalid parameters: ", "1.8899"),
+            (SOLVE_CONFIG.replace("mw = 3", "mw = 3\nalpha = 5.0"),
+             "error: alpha=5.0 outside the stabilizing window", "(1, 2.0)"),
+        ]:
+            code = main(["--config", write(tmp_path, "run.ini", text),
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message) and detail in err
+            assert not (tmp_path / "o").exists()
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write(tmp_path, "run.ini", SOLVE_CONFIG)
@@ -261,6 +270,18 @@ class TestOtherCommands:
         report = solve_scalar(ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0),
                               Grid(l=64.0, n=1024), SolverConfig(tol=1e-10, max_iter=500, mw=3))
         assert reported == decay_slope(report.profile, (0.15 * 64.0, 40.0)).slope
+
+    def test_analyze_accepts_the_decay_model_at_c1(self, tmp_path):
+        # the default window on l = 64 reaches far enough for the periodic
+        # images to matter; a straight log-log line read -2.307, rejected
+        text = SOLVE_CONFIG.replace("command = solve", "command = analyze").replace(
+            "l = 32.0", "l = 64.0")
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "a.ini", text), "--out", out]) == 0
+        header, _ = read_table(os.path.join(out, "analyze.csv"))
+        assert "# decay_model_ok = True" in header
+        slope = float(next(h for h in header if h.startswith("# decay_slope = ")).split("=")[1])
+        assert slope == pytest.approx(-2.5, abs=0.05)
 
     def test_probe_command(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("command = solve", "command = probe") + (

@@ -56,18 +56,10 @@ class TestInitialIterate:
         f = initial_iterate(g, "quadratic")
         assert np.allclose(f.w, np.sin(g.x ** 2) / np.cosh(g.x))
 
-    def test_custom_samples(self):
-        g = Grid(l=8.0, n=64)
-        theta = np.linspace(0, 1, g.n)
-        f = initial_iterate(g, theta)
-        assert np.allclose(np.angle(f.samples[1:]), theta[1:] % (2 * np.pi), atol=1e-12)
-
     def test_bad_descriptor(self):
         g = Grid(l=8.0, n=64)
         with pytest.raises(ValueError):
             initial_iterate(g, "cubic")
-        with pytest.raises(ValueError):
-            initial_iterate(g, np.ones(12))
 
 
 class TestSolveScalar:
