@@ -61,6 +61,7 @@ class EvolutionReport:
     hamiltonian: np.ndarray
     amplitude: np.ndarray
     peak_x: np.ndarray
+    sweeps: np.ndarray  # inner midpoint sweeps, one per completed step
     snapshots: list
     meta: dict
     aborted: str | None = None
@@ -77,24 +78,31 @@ class EvolutionReport:
 def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None = None) -> ComplexField:
     """One implicit-midpoint step of size dt (negative dt steps backward)."""
     cfg = cfg or EvolveConfig()
-    grid = u.grid
-    frac = np.abs(grid.xi) ** (2.0 * params.s)
-    out, _ = _step_raw(u.samples, np.fft.fft(u.samples), dt, frac, params.sigma, cfg)
-    return ComplexField(grid, out)
+    return _step(u, dt, _step_symbol(u.grid, dt, params.s), params.sigma, cfg)[0]
 
 
-def _step_raw(u: np.ndarray, u_hat: np.ndarray, dt: float, frac: np.ndarray,
-              sigma: float, cfg: EvolveConfig):
-    """Advance raw samples; returns (u_next, inner iterations used)."""
-    denom = 1.0 + 0.5j * dt * frac
-    w = u.copy()
+def _step_symbol(grid: Grid, dt: float, s: float) -> np.ndarray:
+    """The implicit half of the step, 1 + (i dt/2) |xi|^{2s}, per mode."""
+    return 1.0 + 0.5j * dt * np.abs(grid.xi) ** (2.0 * s)
+
+
+def _step(u: ComplexField, dt: float, denom: np.ndarray, sigma: float,
+          cfg: EvolveConfig):
+    """Advance u by dt; returns (u_next, inner sweeps used).
+
+    The step's forward transform of u is ``u.spectrum()``, which the field
+    caches, so a state whose invariants were just recorded is not
+    transformed again.
+    """
+    u0, u_hat = u.samples, u.spectrum()
+    w = u0
     for j in range(cfg.nl_max):
         nl = np.abs(w) ** (2.0 * sigma) * w
         w_new = np.fft.ifft((u_hat + 0.5j * dt * np.fft.fft(nl)) / denom)
         delta = np.linalg.norm(w_new - w)
         w = w_new
         if delta <= cfg.nl_tol:
-            return 2.0 * w - u, j + 1
+            return ComplexField(u.grid, 2.0 * w - u0), j + 1
     raise StepError(
         f"midpoint inner iteration stalled at delta={delta:.2e} after "
         f"{cfg.nl_max} sweeps; try a smaller dt"
@@ -121,35 +129,36 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     """
     grid = u0.grid
     s, sigma = params.s, params.sigma
-    frac = np.abs(grid.xi) ** (2.0 * s)
+    denom = _step_symbol(grid, cfg.dt, s)
     steps = int(round(cfg.t_end / cfg.dt))
-    u = u0.samples.copy()
 
     times = [0.0]
     masses = [mass(u0)]
     momenta = [momentum(u0)]
     hams = [hamiltonian(u0, s, sigma)]
-    x_pk, amp = _peak(grid, u)
+    x_pk, amp = _peak(grid, u0.samples)
     peaks = [x_pk]
     amps = [amp]
+    sweeps = []
     snaps = [(0.0, u0)] if cfg.snapshot_stride else []
     aborted = None
 
+    fld = u0
     for k in range(steps):
         try:
-            u, _ = _step_raw(u, np.fft.fft(u), cfg.dt, frac, sigma, cfg)
+            fld, used = _step(fld, cfg.dt, denom, sigma, cfg)
         except StepError as err:
             aborted = str(err)
             break
         t = (k + 1) * cfg.dt
-        fld = ComplexField(grid, u)
         times.append(t)
         masses.append(mass(fld))
         momenta.append(momentum(fld))
         hams.append(hamiltonian(fld, s, sigma))
-        x_pk, amp = _peak(grid, u)
+        x_pk, amp = _peak(grid, fld.samples)
         peaks.append(x_pk)
         amps.append(amp)
+        sweeps.append(used)
         if cfg.snapshot_stride and (k + 1) % cfg.snapshot_stride == 0:
             snaps.append((t, fld))
 
@@ -170,6 +179,7 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
         hamiltonian=np.asarray(hams),
         amplitude=np.asarray(amps),
         peak_x=np.asarray(peaks),
+        sweeps=np.asarray(sweeps, dtype=int),
         snapshots=snaps,
         meta=meta,
         aborted=aborted,

@@ -14,6 +14,12 @@ real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
   Hermitian (even-symbol) projection of the operator;
 * symbols built from odd terms (the -lambda2*xi drift, first derivatives)
   zero the unpaired Nyquist mode k = -n/2.
+
+A ComplexField transforms itself at most once: ``spectrum()`` is cached
+on the (immutable) field.  The momentum and the dispersive part of the
+Hamiltonian are sums over that spectrum by Parseval, so an evolution step
+that records the invariants of a state and then steps from it transforms
+that state once.
 """
 
 from __future__ import annotations
@@ -109,7 +115,16 @@ class ComplexField:
         object.__setattr__(self, "samples", _freeze(arr))
 
     def spectrum(self) -> np.ndarray:
-        return np.fft.fft(self.samples)
+        """DFT of the samples, computed once per field and shared read-only."""
+        return self._spectrum
+
+    # Like Grid.x: the field is immutable, so the cached transform cannot go
+    # stale, and equality still sees only (grid, samples).
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        spec = np.fft.fft(self.samples)
+        spec.flags.writeable = False
+        return spec
 
     @property
     def v(self) -> np.ndarray:
@@ -193,7 +208,10 @@ def invariants(u: ComplexField, s: float, sigma: float):
     """Discrete mass, momentum and Hamiltonian of u = v + i w.
 
     Equal-weight quadrature (trapezoidal on the periodic grid, which is
-    spectrally accurate); derivatives and |D|^s evaluated in Fourier space.
+    spectrally accurate).  The quadratic terms are summed by Parseval,
+    h * sum |f|^2 = (h/n) * sum |f_hat|^2, over the field's cached spectrum,
+    so the invariants cost no transform beyond ``u.spectrum()``; only the
+    mass and the potential sum |u|^{2 sigma + 2} stay in physical space.
     The momentum sign follows the real-pair form (v w_x - w v_x)/2, so
     u = sech(x) e^{iAx} carries momentum +A.
     """
@@ -205,22 +223,25 @@ def mass(u: ComplexField) -> float:
     return 0.5 * g.h * float(np.sum(u.v ** 2 + u.w ** 2))
 
 
+def _power(u: ComplexField) -> np.ndarray:
+    """|u_hat|^2 per mode."""
+    spec = u.spectrum()
+    return spec.real ** 2 + spec.imag ** 2
+
+
 def momentum(u: ComplexField) -> float:
+    """(h/2) sum (v w_x - w v_x) = (h/2n) sum xi |u_hat|^2, Nyquist dropped
+    as in the spectral derivative."""
     g = u.grid
-    vx = derivative_samples(g, u.v)
-    wx = derivative_samples(g, u.w)
-    return 0.5 * g.h * float(np.sum(u.v * wx - u.w * vx))
+    return 0.5 * g.h / g.n * float(np.sum(g.xi_odd * _power(u)))
 
 
 def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
+    """(h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum."""
     g = u.grid
-    sym = np.abs(g.xi) ** s
-    dv = np.fft.ifft(sym * np.fft.fft(u.v)).real
-    dw = np.fft.ifft(sym * np.fft.fft(u.w)).real
-    dens = 0.5 * (dv ** 2 + dw ** 2) - (u.v ** 2 + u.w ** 2) ** (sigma + 1.0) / (
-        2.0 * sigma + 2.0
-    )
-    return g.h * float(np.sum(dens))
+    kinetic = 0.5 / g.n * float(np.sum(np.abs(g.xi) ** (2.0 * s) * _power(u)))
+    potential = float(np.sum((u.v ** 2 + u.w ** 2) ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
+    return g.h * (kinetic - potential)
 
 
 # --------------------------------------------------------------------------

@@ -143,3 +143,35 @@ class TestRun:
         report = run(wave2048, params34(), cfg)
         assert len(report.snapshots) == 3  # t = 0, 0.1, 0.2
         assert report.snapshots[1][0] == pytest.approx(0.1)
+
+
+class TestOneSpectrumPerStep:
+    """run() transforms each state once: the invariants read the cached
+    spectrum by Parseval, and the next step reuses it."""
+
+    def test_fft_budget_per_step(self, wave2048, fft_calls):
+        u0 = ComplexField(wave2048.grid, wave2048.samples)  # nothing cached yet
+        cfg = EvolveConfig(dt=0.01, t_end=0.2, nl_tol=1e-13)
+        fft_calls[0] = 0
+        report = run(u0, params34(), cfg)
+        steps = len(report.times) - 1
+        assert steps == 20 and len(report.sweeps) == steps
+        assert np.all((report.sweeps >= 1) & (report.sweeps <= cfg.nl_max))
+        # a forward and an inverse transform per sweep, one spectrum per state
+        assert fft_calls[0] == 2 * int(report.sweeps.sum()) + steps + 1
+
+    def test_run_equals_chained_steps(self):
+        g = Grid(l=16.0, n=256)
+        u0 = ComplexField(g, 1.2 / np.cosh(g.x) * np.exp(0.5j * g.x))
+        cfg = EvolveConfig(dt=0.01, t_end=0.2, snapshot_stride=20, nl_tol=1e-12)
+        report = run(u0, params34(), cfg)
+        u = ComplexField(g, u0.samples)
+        for _ in range(20):
+            u = step_midpoint(u, cfg.dt, params34(), cfg)
+        assert report.snapshots[-1][0] == pytest.approx(0.2)
+        assert np.array_equal(report.snapshots[-1][1].samples, u.samples)
+
+    def test_no_sweeps_recorded_on_abort(self, wave2048):
+        cfg = EvolveConfig(dt=80.0, t_end=160.0, nl_tol=1e-14, nl_max=3)
+        report = run(wave2048, params34(), cfg)
+        assert report.aborted is not None and len(report.sweeps) == 0

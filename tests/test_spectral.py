@@ -124,6 +124,15 @@ class TestFields:
             np.linalg.norm(f.spectrum()) / np.sqrt(g.n), rel=1e-12
         )
 
+    def test_complex_spectrum_cached_read_only(self):
+        g = Grid(l=4.0, n=128)
+        rng = np.random.default_rng(3)
+        f = ComplexField(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        spec = f.spectrum()
+        assert spec is f.spectrum()
+        assert not spec.flags.writeable
+        assert np.array_equal(spec, np.fft.fft(f.samples))
+
 
 class TestApplyMultiplier:
     def test_constant_field_annihilated(self):
@@ -297,7 +306,48 @@ class TestQSymbol:
         assert np.allclose(out.samples, qv + 1j * qw, atol=1e-12)
 
 
+def physical_momentum(u):
+    """(h/2) sum (v w_x - w v_x) with spectral derivatives in x, the
+    physical-space form the Parseval sum replaces."""
+    g = u.grid
+
+    def dx(a):
+        return np.fft.ifft(1j * g.xi_odd * np.fft.fft(a)).real
+
+    return 0.5 * g.h * float(np.sum(u.v * dx(u.w) - u.w * dx(u.v)))
+
+
+def physical_hamiltonian(u, s, sigma):
+    """h sum (|D|^s v)^2/2 + (|D|^s w)^2/2 - |u|^{2 sigma + 2}/(2 sigma + 2)."""
+    g = u.grid
+    sym = np.abs(g.xi) ** s
+    dv = np.fft.ifft(sym * np.fft.fft(u.v)).real
+    dw = np.fft.ifft(sym * np.fft.fft(u.w)).real
+    dens = 0.5 * (dv ** 2 + dw ** 2) - (u.v ** 2 + u.w ** 2) ** (sigma + 1.0) / (2.0 * sigma + 2.0)
+    return g.h * float(np.sum(dens))
+
+
 class TestInvariants:
+    @pytest.mark.parametrize("s", [0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parseval_matches_physical_random(self, seed, s):
+        # random complex samples plus a strong Nyquist mode (-1)^j
+        g = Grid(l=16.0, n=256)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        u = ComplexField(g, z + (0.8 - 0.3j) * (-1.0) ** np.arange(g.n))
+        _, i2, h = invariants(u, s=s, sigma=1.0)
+        assert i2 == pytest.approx(physical_momentum(u), rel=1e-13)
+        assert h == pytest.approx(physical_hamiltonian(u, s, 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0.6, 0.75, 1.0])
+    def test_parseval_matches_physical_modulated_sech(self, s):
+        g = Grid(l=16.0, n=256)
+        u = ComplexField(g, (1.0 / np.cosh(g.x)) * np.exp(0.7j * g.x))
+        _, i2, h = invariants(u, s=s, sigma=1.0)
+        assert i2 == pytest.approx(physical_momentum(u), rel=1e-13)
+        assert h == pytest.approx(physical_hamiltonian(u, s, 1.0), rel=1e-13)
+
     def test_real_field_has_zero_momentum(self):
         g = Grid(l=16.0, n=256)
         u = ComplexField(g, (1.0 / np.cosh(g.x)).astype(complex))
