@@ -30,7 +30,6 @@ from .petviashvili import (
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
-    solve_coupled,
     solve_scalar,
 )
 from .accel import mpe_extrapolate

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import Kind, ProblemParams
-from .petviashvili import SolveReport, SolverConfig, initial_iterate, solve_coupled, solve_scalar
-from .spectral import ComplexField, Grid, RealField, derivative_samples
+from .params import ProblemParams
+from .petviashvili import SolverConfig, solve_scalar
+from .spectral import ComplexField, Grid, derivative_samples
 
 # decay-fit plausibility thresholds
 SLOPE_SPREAD_LIMIT = 0.3  # max sub-window slope spread for algebraic decay
@@ -45,12 +45,6 @@ class DecayFit:
     subwindow_slopes: tuple
     model_ok: bool
     points: int
-
-
-def _tail_values(profile) -> np.ndarray:
-    if isinstance(profile, ComplexField):
-        return np.abs(profile.samples)
-    return np.asarray(profile.samples)
 
 
 def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
@@ -100,15 +94,31 @@ def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
     return -p, log_c, float(np.sqrt(np.mean(r ** 2)))
 
 
+def decay_window(grid: Grid, window=None) -> tuple:
+    """The decay-fit window (x_min, x_max) on ``grid``.
+
+    The window, or either end of it left None, defaults to [0.15 l, 0.8 l];
+    it must satisfy 0 < x_min < x_max and stay within the positive tail,
+    x_max <= 0.9 l.  That bound keeps the window off the wrap point itself,
+    not free of the periodic images (see decay_slope).
+    """
+    x_min, x_max = (None, None) if window is None else window
+    x_min = 0.15 * grid.l if x_min is None else x_min
+    x_max = 0.8 * grid.l if x_max is None else x_max
+    if not 0.0 < x_min < x_max:
+        raise ValueError(f"window {(x_min, x_max)} must satisfy 0 < x_min < x_max")
+    if x_max > 0.9 * grid.l:
+        raise ValueError(f"window reaches {x_max}, beyond 0.9*l = {0.9 * grid.l}")
+    return float(x_min), float(x_max)
+
+
 def decay_slope(profile, window=None) -> DecayFit:
     """Fitted decay exponent of |rho| over the tail window.
 
-    The profile must be centered; the window, or either end of it left
-    None, defaults to [0.15 l, 0.8 l], and it must stay within the positive
-    tail, x_max <= 0.9 l.
-    That bound keeps the window off the wrap point itself, not free of the
-    periodic images: the samples approximate sum_k rho(x + 2lk), so an
-    algebraic tail picks up the tails of every image.  The fit is therefore
+    The profile is the real, centered rho of a SolveReport; ``window`` is
+    read by decay_window.
+    The samples approximate sum_k rho(x + 2lk), so an algebraic tail picks
+    up the tails of every periodic image.  The fit is therefore
     log|rho| = intercept + log sum_k |x + 2lk|^{-p}, and slope = -p; it
     assumes the wave is the only source of the tail and p > 1, where the
     periodized sum converges.
@@ -119,15 +129,9 @@ def decay_slope(profile, window=None) -> DecayFit:
     than SLOPE_SPREAD_LIMIT (the signature of non-algebraic decay).
     """
     grid = profile.grid
-    x_min, x_max = (None, None) if window is None else window
-    x_min = 0.15 * grid.l if x_min is None else x_min
-    x_max = 0.8 * grid.l if x_max is None else x_max
-    if not 0.0 < x_min < x_max:
-        raise ValueError(f"window {(x_min, x_max)} must satisfy 0 < x_min < x_max")
-    if x_max > 0.9 * grid.l:
-        raise ValueError(f"window reaches {x_max}, beyond 0.9*l = {0.9 * grid.l}")
+    x_min, x_max = decay_window(grid, window)
     x = grid.x
-    vals = _tail_values(profile)
+    vals = profile.samples
     mask = (x >= x_min) & (x <= x_max) & (vals > 0.0)
     if int(mask.sum()) < 16:
         raise ValueError(f"window holds {int(mask.sum())} usable points, need >= 16")
@@ -142,7 +146,7 @@ def decay_slope(profile, window=None) -> DecayFit:
     spread = max(subs) - min(subs) if len(subs) >= 2 else np.inf
     ok = rms <= FIT_RMS_LIMIT and spread <= SLOPE_SPREAD_LIMIT
     return DecayFit(
-        window=(float(x_min), float(x_max)),
+        window=(x_min, x_max),
         slope=slope,
         intercept=intercept,
         fit_rms=rms,
@@ -159,7 +163,7 @@ def reflect_samples(samples: np.ndarray) -> np.ndarray:
 
 def evenness_defect(profile) -> float:
     """Relative norm of rho minus its reflection; zero for even profiles."""
-    vals = _tail_values(profile)
+    vals = profile.samples
     norm = np.linalg.norm(vals)
     if norm == 0.0:
         return 0.0
@@ -187,7 +191,7 @@ def phase_plane(profile) -> PhasePlane:
     of the spectral derivative and are excluded from the count.
     """
     grid = profile.grid
-    vals = _tail_values(profile)
+    vals = profile.samples
     deriv = derivative_samples(grid, vals)
     x = grid.x
     amp = vals.max()
@@ -231,23 +235,20 @@ class ScanResult:
 
 
 def speed_amplitude_scan(base: ProblemParams, speeds, grid: Grid,
-                         cfg: SolverConfig | None = None, workers: int = 1) -> ScanResult:
+                         cfg: SolverConfig | None = None, workers: int = 1,
+                         seed: ComplexField | None = None) -> ScanResult:
     """Solve one profile per speed and tabulate max-modulus amplitudes.
 
-    The profile equation follows base.kind: the linear-phase scalar solve,
-    or the coupled solve seeded with the quadratic phase.  Rows come back
-    ordered by speed; non-converged rows are flagged rather than fatal.
-    Every speed is checked against the window before the first solve.
+    Every speed starts from ``seed``, or from the sech e^{iAx} seed of its
+    own speed when None.  Rows come back ordered by speed; non-converged
+    rows are flagged rather than fatal.  Every speed is checked against the
+    window before the first solve.
     """
     cfg = cfg or SolverConfig()
     problems = [replace(base, lambda2=c) for c in sorted(float(c) for c in speeds)]
 
     def solve_one(p: ProblemParams) -> ScanRow:
-        if base.kind is Kind.COUPLED:
-            seed = initial_iterate(grid, "quadratic")
-            rep = solve_coupled(p, grid, cfg, seed=seed)
-        else:
-            rep = solve_scalar(p, grid, cfg)
+        rep = solve_scalar(p, grid, cfg, seed=seed)
         return ScanRow(
             lambda2=p.lambda2,
             speed_gap=p.limiting_speed() - abs(p.lambda2),

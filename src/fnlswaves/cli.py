@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import decay_slope, evenness_defect, phase_plane, speed_amplitude_scan
+from .analysis import (decay_slope, decay_window, evenness_defect, phase_plane,
+                       speed_amplitude_scan)
 from .evolve import EvolveConfig, run as evolve_run, save_evolution
 from .params import Kind, ParameterError, ProblemParams, metadata
 from .petviashvili import (
@@ -29,7 +30,6 @@ from .petviashvili import (
     fixed_point_spectrum_probe,
     initial_iterate,
     save_report,
-    solve_coupled,
     solve_scalar,
 )
 from .spectral import ComplexField, Grid, load_field, write_csv
@@ -110,7 +110,7 @@ class RunConfig:
     solver_cfg: SolverConfig
     evolve_cfg: EvolveConfig
     speeds: list | None
-    window: tuple | None
+    window: tuple
     probe_alpha: float | None
     theta: str
     out: str
@@ -166,11 +166,13 @@ def parse_config(path) -> RunConfig:
             replace(params, lambda2=c)
     except ParameterError as err:
         raise ConfigError(f"invalid parameters: {err}")
-    if theta == "none" and params.kind is not Kind.COUPLED:
-        raise ConfigError("[solver] theta = none applies to kind = coupled only")
     solver_cfg = SolverConfig(**solver)
     solver_cfg.resolved_alpha(params.sigma)  # its window depends on sigma
-    analyze = values.get("analyze")
+    analyze = values.get("analyze", {})
+    try:
+        window = decay_window(grid, (analyze.get("window_min"), analyze.get("window_max")))
+    except ValueError as err:
+        raise ConfigError(f"[analyze] {err}")
     return RunConfig(
         command=command,
         params=params,
@@ -178,7 +180,7 @@ def parse_config(path) -> RunConfig:
         solver_cfg=solver_cfg,
         evolve_cfg=EvolveConfig(**values.get("evolve", {})),
         speeds=speeds,
-        window=(analyze.get("window_min"), analyze.get("window_max")) if analyze else None,
+        window=window,
         probe_alpha=values.get("probe", {}).get("alpha"),
         theta=theta,
         out=run.get("out", "results"),
@@ -187,15 +189,14 @@ def parse_config(path) -> RunConfig:
 
 def _seed_for(cfg: RunConfig):
     if cfg.theta == "none":
-        return initial_iterate(cfg.grid, None)
+        return initial_iterate(cfg.grid)
     if cfg.theta == "quadratic":
         return initial_iterate(cfg.grid, "quadratic")
     return None  # linear phase is the solver default
 
 
 def _solve(cfg: RunConfig):
-    solve = solve_coupled if cfg.params.kind is Kind.COUPLED else solve_scalar
-    return solve(cfg.params, cfg.grid, cfg.solver_cfg, seed=_seed_for(cfg))
+    return solve_scalar(cfg.params, cfg.grid, cfg.solver_cfg, seed=_seed_for(cfg))
 
 
 def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
@@ -230,7 +231,8 @@ def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
             return 0
 
         if cfg.command == "scan":
-            result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg)
+            result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg,
+                                          seed=_seed_for(cfg))
             rows = [
                 (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
                 for r in result.rows
@@ -299,8 +301,8 @@ _FIG6_SPEEDS = (0.5, 1.0, 1.5, 1.75)
 _FIG7_SPEEDS = tuple(0.25 * k for k in range(1, 8))
 
 
-def _params(lambda2: float, kind: Kind = Kind.LINEAR_PHASE, **change) -> ProblemParams:
-    return ProblemParams(**{**_RECIPE, **change}, lambda2=lambda2, kind=kind)
+def _params(lambda2: float, **change) -> ProblemParams:
+    return ProblemParams(**{**_RECIPE, **change}, lambda2=lambda2)
 
 
 def _header(*drop, **extra) -> dict:
@@ -360,12 +362,9 @@ def _fig3(out):
 
 def _fig4(out):
     grid = Grid()
-    rep_q = solve_coupled(_params(1.0, Kind.COUPLED), grid,
-                          seed=initial_iterate(grid, "quadratic"))
+    rep_q = solve_scalar(_params(1.0), grid, seed=initial_iterate(grid, "quadratic"))
     rep_l = solve_scalar(_params(1.0), grid)
-    rows = zip(grid.x.tolist(),
-               np.abs(rep_q.envelope.samples).tolist(),
-               rep_l.profile.samples.tolist())
+    rows = zip(grid.x.tolist(), rep_q.profile.samples.tolist(), rep_l.profile.samples.tolist())
     meta = _header(lambda2=1.0,
                    evenness_defect_quadratic=evenness_defect(rep_q.profile),
                    evenness_defect_linear=evenness_defect(rep_l.profile))
@@ -403,8 +402,10 @@ def _fig6(out):
 
 def _fig7(out):
     files, solved = [], []
-    for tag, kind in (("a", Kind.LINEAR_PHASE), ("b", Kind.COUPLED)):
-        result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0], kind), _FIG7_SPEEDS, Grid())
+    grid = Grid()
+    for tag, kind, seed in (("a", Kind.LINEAR_PHASE, None),
+                            ("b", Kind.COUPLED, initial_iterate(grid, "quadratic"))):
+        result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0]), _FIG7_SPEEDS, grid, seed=seed)
         rows = [(r.speed_gap, r.amplitude, r.lambda2, r.iterations, r.converged)
                 for r in result.rows]
         files.append(_write(out, f"fig7{tag}.csv", _header(kind=kind.value),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 
 class Kind(enum.Enum):
-    """Which profile equation a run solves."""
+    """Header label of the profile problem; the seed, not the kind, picks the wave."""
 
     LINEAR_PHASE = "linear_phase"
     COUPLED = "coupled"
@@ -71,7 +71,7 @@ class ProblemParams:
     sigma    : nonlinearity exponent, sigma > 0 (cubic when sigma = 1)
     lambda1  : first multiplier, > 0
     lambda2  : second multiplier = wave speed c_s, |lambda2| < c(lambda1)
-    kind     : which profile equation is solved
+    kind     : label of the profile problem (see Kind)
 
     Building parameters outside this window raises ParameterError listing
     every violated bound.  lambda2 = 0 is accepted (standing wave): the

@@ -1,17 +1,17 @@
-"""Petviashvili fixed-point solvers for the solitary-wave profile equations.
+"""Petviashvili fixed-point solver for the solitary-wave profile equations.
 
 The coupled profile system Q(v, w)^T = (v^2+w^2)^sigma (v, w)^T diagonalizes
 in the complex variable u = v + i w: both rows combine into
 
     L u = |u|^{2 sigma} u,   L with real symbol  |xi|^{2s} + lambda1 - lambda2*xi.
 
-The solver iterates this complex form.  The linear-phase subfamily
-u = rho(x) e^{iAx} turns the same equation into (M + a) rho = rho^{2 sigma + 1},
-so the scalar solve is the identical iteration in the modulated frame: its
+The linear-phase subfamily u = rho(x) e^{iAx} turns the same equation into
+(M + a) rho = rho^{2 sigma + 1}, so one iteration on u solves both profile
+problems, and the seed alone picks the wave it converges to: sech e^{iAx}
+gives the linear-phase wave, other phases enter the basin elsewhere.  The
 reported residual is the discrete Euclidean residual of the profile
-equation, and the real profile rho is recovered as the (exactly even)
-modulus of the converged envelope.  Each step evaluates the stabilizing
-factor
+equation, and the real profile rho is the modulus of the converged
+envelope.  Each step evaluates the stabilizing factor
 
     m = <L z, z> / <G(z), z>,
 
@@ -77,7 +77,7 @@ class SolverConfig:
 class SolveReport:
     """Converged profile plus the iteration record."""
 
-    profile: RealField | ComplexField
+    profile: RealField
     envelope: ComplexField
     residual_history: list
     m_history: list
@@ -96,16 +96,14 @@ class SolveReport:
         return float(np.abs(self.envelope.samples).max())
 
 
-def initial_iterate(grid: Grid, theta=None):
-    """Seed fields sech(x) e^{i theta(x)}.
+def initial_iterate(grid: Grid, theta=0.0) -> ComplexField:
+    """Seed field sech(x) e^{i theta(x)}.
 
-    theta=None gives the plain real sech seed; a float is the linear slope
-    A (theta = A*x); the string "quadratic" gives theta = x^2.
+    A float is the linear slope A (theta = A*x; the default 0 gives the
+    real sech); the string "quadratic" gives theta = x^2.
     """
     x = grid.x
     sech = 1.0 / np.cosh(x)
-    if theta is None:
-        return RealField(grid, sech)
     if isinstance(theta, str):
         if theta != "quadratic":
             raise ValueError(f"unknown phase descriptor {theta!r}")
@@ -175,38 +173,21 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.roll(u, grid.zero_index() - j)
 
 
-def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None, seed=None) -> SolveReport:
-    """Solve the linear-phase profile equation (M + a) rho = rho^{2 sigma + 1}.
+def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
+                 seed: ComplexField | None = None) -> SolveReport:
+    """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
 
-    The iteration runs on the complex envelope u = rho e^{iAx} (the operator
-    is diagonal in Fourier space there); the report's ``profile`` is the
-    real modulus, centered, and ``envelope`` retains the full complex
-    profile that time evolution should be seeded with.  ``seed`` may be a
-    RealField (read in the rho frame and modulated by e^{iAx}), a
-    ComplexField used as-is, or None for the sech e^{iAx} seed.
+    ``seed`` is a ComplexField v + i w (build one with initial_iterate), or
+    None for the sech e^{iAx} seed, which converges to the linear-phase
+    wave rho e^{iAx}.  The seed, not params.kind, picks the wave; kind is
+    only carried into the metadata.  The report's ``profile`` is the real
+    modulus rho = |u|, centered, and ``envelope`` is the centered complex
+    profile that time evolution should be seeded with.
     """
-    return _solve(params, grid, cfg, seed, scalar=True)
-
-
-def solve_coupled(params, grid: Grid, cfg: SolverConfig | None = None, seed=None) -> SolveReport:
-    """Solve the coupled profile system Q z = G(z) for z = (v, w).
-
-    ``seed`` is a ComplexField v + i w (build one with initial_iterate);
-    a RealField seed is taken as a zero-phase pair (v, 0), and None gives
-    the sech e^{iAx} seed.
-    """
-    return _solve(params, grid, cfg, seed, scalar=False)
-
-
-def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> SolveReport:
-    """The one solve path: seed, iterate, then center and project the result."""
     cfg = cfg or SolverConfig()
     alpha = cfg.resolved_alpha(params.sigma)
     if seed is None:
         seed = initial_iterate(grid, params.A)
-    if isinstance(seed, RealField):
-        phase = params.A * grid.x if scalar else 0.0
-        seed = ComplexField(grid, seed.samples * np.exp(1j * phase))
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     iteration = ProfileIteration(params, grid, alpha, seed)
@@ -214,10 +195,9 @@ def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> 
 
     envelope = ComplexField(grid, center_samples(raw.z, grid))
     meta = metadata(params)
-    meta.update({"solver": "scalar" if scalar else "coupled", "alpha": alpha,
-                 "mw": cfg.mw, "tol": cfg.tol})
+    meta.update({"alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
     return SolveReport(
-        profile=envelope.modulus() if scalar else envelope,
+        profile=envelope.modulus(),
         envelope=envelope,
         residual_history=raw.residual_history,
         m_history=raw.m_history,
@@ -227,6 +207,11 @@ def _solve(params, grid: Grid, cfg: SolverConfig | None, seed, scalar: bool) -> 
         mpe_fallbacks=raw.fallbacks,
         meta=meta,
     )
+
+
+# The coupled system needs no solve of its own; the name stays for callers
+# that still use it (the benchmark harness calls and traces it by name).
+solve_coupled = solve_scalar
 
 
 def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from fnlswaves.analysis import decay_slope, evenness_defect, phase_plane, speed_amplitude_scan
 from fnlswaves.evolve import EvolveConfig, run as evolve_run
 from fnlswaves.params import ProblemParams, limiting_speed, linear_phase_params, phase_slope
-from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_coupled, solve_scalar
+from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
 from fnlswaves.spectral import ComplexField, Grid, RealField, apply_multiplier, m_symbol
 
 
@@ -128,7 +128,7 @@ def test_criterion_06_subfamily_consistency(grid64, fig1_reports):
     ok = True
     for c, rep in sorted(fig1_reports.items()):
         seed = initial_iterate(grid64, phase_slope(0.75, c))
-        coupled = solve_coupled(params34(c), grid64, seed=seed)
+        coupled = solve_scalar(params34(c), grid64, seed=seed)
         diff = float(np.max(np.abs(np.abs(coupled.envelope.samples) - rep.profile.samples)))
         good = coupled.converged and diff <= 1e-6
         ok = ok and good
@@ -138,7 +138,7 @@ def test_criterion_06_subfamily_consistency(grid64, fig1_reports):
 
 def test_criterion_07_evenness_dichotomy(grid64, fig1_reports):
     defects = {c: evenness_defect(rep.profile) for c, rep in fig1_reports.items()}
-    quad = solve_coupled(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
+    quad = solve_scalar(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
     quad_defect = evenness_defect(quad.profile)
     ok = all(d < 1e-6 for d in defects.values()) and quad_defect > 1e-2
     assert report_line(

@@ -11,7 +11,7 @@ from fnlswaves.analysis import (
     speed_amplitude_scan,
 )
 from fnlswaves.params import Kind, ParameterError, ProblemParams
-from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_coupled, solve_scalar
+from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
 from fnlswaves.spectral import ComplexField, Grid, RealField
 
 
@@ -113,7 +113,7 @@ class TestEvenness:
         assert evenness_defect(profile_c05) < 1e-6
 
     def test_quadratic_coupled_profile_uneven(self, grid64):
-        rep = solve_coupled(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
+        rep = solve_scalar(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
         assert rep.converged
         assert evenness_defect(rep.profile) > 1e-2
 
@@ -169,7 +169,8 @@ class TestScan:
     def test_coupled_kind_same_trend(self):
         grid = Grid(l=64.0, n=2048)
         base = params34(0.5, kind=Kind.COUPLED)
-        result = speed_amplitude_scan(base, [0.5, 1.0, 1.5], grid)
+        result = speed_amplitude_scan(base, [0.5, 1.0, 1.5], grid,
+                                      seed=initial_iterate(grid, "quadratic"))
         assert result.all_converged
         assert result.amplitudes_increase_with_gap()
 

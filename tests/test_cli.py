@@ -109,16 +109,12 @@ class TestConfigParsing:
         assert code == 2
         assert f"[{section}] {key}" in err and "Traceback" not in err
 
-    def test_theta_none_needs_coupled_kind(self, tmp_path, capsys):
-        # a linear-phase solve modulates the real sech by e^{iAx}, which is
-        # the theta = linear seed, so none would be a silent duplicate
+    def test_theta_none_parses_for_both_kinds(self, tmp_path):
+        # the seed phase and the kind label are independent keys
         text = SOLVE_CONFIG.replace("mw = 3", "mw = 3\ntheta = none")
-        code = main(["--config", write(tmp_path, "run.ini", text), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "[solver] theta" in err and "Traceback" not in err
         coupled = text.replace("kind = linear_phase", "kind = coupled")
-        assert parse_config(write(tmp_path, "coupled.ini", coupled)).theta == "none"
+        for name, body in (("linear.ini", text), ("coupled.ini", coupled)):
+            assert parse_config(write(tmp_path, name, body)).theta == "none"
 
     def test_missing_problem_fields(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("s = 0.75\n", "").replace("sigma = 1.0\n", "")
@@ -139,15 +135,20 @@ class TestSolveCommand:
         assert float(meta["limiting_speed"]) == pytest.approx(1.8899, abs=5e-4)
 
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
-        # a speed, a scan speed or an alpha outside its window is rejected
-        # before the output directory is made
+        # a speed, a scan speed, an alpha or a decay window outside its
+        # bounds is rejected before the output directory is made
         scan = SOLVE_CONFIG.replace("command = solve", "command = scan")
+        analyze = SOLVE_CONFIG.replace("command = solve", "command = analyze")
         for text, message, detail in [
             (SOLVE_CONFIG.replace("lambda2 = 1.0", "lambda2 = 1.9"),
              "error: invalid parameters: ", "1.8899"),
             (scan + "\n[scan]\nspeeds = 0.5, 1.95\n", "error: invalid parameters: ", "1.8899"),
             (SOLVE_CONFIG.replace("mw = 3", "mw = 3\nalpha = 5.0"),
              "error: alpha=5.0 outside the stabilizing window", "(1, 2.0)"),
+            (analyze + "\n[analyze]\nwindow_max = 40.0\n",
+             "error: [analyze] window reaches 40.0", "0.9*l = 28.8"),
+            (analyze + "\n[analyze]\nwindow_min = 30.0\nwindow_max = 20.0\n",
+             "error: [analyze] window (30.0, 20.0)", "0 < x_min < x_max"),
         ]:
             code = main(["--config", write(tmp_path, "run.ini", text),
                          "--out", str(tmp_path / "o")])
@@ -250,6 +251,22 @@ class TestOtherCommands:
         with open(os.path.join(out, "scan.csv")) as fh:
             rows = fh.read().strip().splitlines()
         assert rows[-1].split(",")[-1] == "True"
+
+    def test_scan_follows_theta_not_kind(self, tmp_path):
+        # every speed starts from the theta seed; kind only labels the header
+        text = SOLVE_CONFIG.replace("command = solve", "command = scan") + (
+            "\n[scan]\nspeeds = 0.5, 1.0\n")
+        tables = {}
+        for kind in ("linear_phase", "coupled"):
+            body = text.replace("kind = linear_phase", f"kind = {kind}")
+            out = str(tmp_path / kind)
+            assert main(["--config", write(tmp_path, f"{kind}.ini", body), "--out", out]) == 0
+            with open(os.path.join(out, "scan.csv")) as fh:
+                lines = fh.read().splitlines()
+            assert f"# kind = {kind}" in lines
+            tables[kind] = [line for line in lines if not line.startswith("#")]
+        assert tables["coupled"] == tables["linear_phase"]
+        assert len(tables["coupled"]) == 3
 
     def test_analyze_command(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("command = solve", "command = analyze") + (
