@@ -39,13 +39,20 @@ class TestInitialIterate:
         assert np.allclose(f.v, np.cos(A * g.x) / np.cosh(g.x))
         assert np.allclose(f.w, np.sin(A * g.x) / np.cosh(g.x))
 
-    def test_zero_phase_gives_real_pair(self):
+    def test_default_is_real_sech(self):
         # the default phase is zero: the real sech as a ComplexField
         g = Grid(l=8.0, n=64)
-        for f in (initial_iterate(g), initial_iterate(g, 0.0)):
-            assert isinstance(f, ComplexField)
-            assert np.allclose(f.v, 1.0 / np.cosh(g.x))
-            assert np.all(f.w == 0.0)
+        f = initial_iterate(g)
+        assert isinstance(f, ComplexField)
+        assert np.allclose(f.v, 1.0 / np.cosh(g.x))
+        assert np.all(f.w == 0.0)
+
+    def test_zero_phase_gives_real_pair(self):
+        g = Grid(l=8.0, n=64)
+        f = initial_iterate(g, 0.0)
+        assert isinstance(f, ComplexField)
+        assert np.allclose(f.v, 1.0 / np.cosh(g.x))
+        assert np.all(f.w == 0.0)
 
     def test_quadratic_phase(self):
         g = Grid(l=8.0, n=64)
@@ -131,6 +138,11 @@ class TestSolveScalar:
 
 
 class TestSolveCoupled:
+    def test_zero_seed_rejected(self, grid64):
+        seed = ComplexField(grid64, np.zeros(grid64.n, dtype=complex))
+        with pytest.raises(ValueError, match="degenerate seed"):
+            solve_coupled(fig1_params(1.0), grid64, seed=seed)
+
     @pytest.mark.parametrize("lambda2", [0.5, 1.0, 1.5])
     def test_subfamily_consistency(self, grid64, lambda2):
         # linear-phase seed reproduces the scalar modulus after centering
