@@ -16,6 +16,7 @@ derivative.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,7 @@ from .spectral import ComplexField, Grid, derivative_samples
 SLOPE_SPREAD_LIMIT = 0.3  # max sub-window slope spread for algebraic decay
 FIT_RMS_LIMIT = 0.25  # max rms residual of the decay fit, in log|rho|
 TAIL_HALFWIDTHS = 5.0  # phase_plane counts oscillations beyond this many half-widths
+MIN_FIT_POINTS = 16  # least number of samples a decay window must hold
 
 # periodic-image decay model
 PERIODIC_IMAGES = 8  # images |k| <= K summed exactly, the rest as an integral
@@ -94,13 +96,15 @@ def _image_fit(x: np.ndarray, vals: np.ndarray, l: float):
     return -p, log_c, float(np.sqrt(np.mean(r ** 2)))
 
 
-def decay_window(grid: Grid, window=None) -> tuple:
+def decay_window(grid: Grid, window=None, count: bool = False) -> tuple:
     """The decay-fit window (x_min, x_max) on ``grid``.
 
     The window, or either end of it left None, defaults to [0.15 l, 0.8 l];
     it must satisfy 0 < x_min < x_max and stay within the positive tail,
     x_max <= 0.9 l.  That bound keeps the window off the wrap point itself,
-    not free of the periodic images (see decay_slope).
+    not free of the periodic images (see decay_slope).  With ``count`` the
+    window must also hold MIN_FIT_POINTS grid points, counted from l and n
+    without building the grid.
     """
     x_min, x_max = (None, None) if window is None else window
     x_min = 0.15 * grid.l if x_min is None else x_min
@@ -109,6 +113,11 @@ def decay_window(grid: Grid, window=None) -> tuple:
         raise ValueError(f"window {(x_min, x_max)} must satisfy 0 < x_min < x_max")
     if x_max > 0.9 * grid.l:
         raise ValueError(f"window reaches {x_max}, beyond 0.9*l = {0.9 * grid.l}")
+    if count:
+        points = math.floor((x_max + grid.l) / grid.h) - math.ceil((x_min + grid.l) / grid.h) + 1
+        if points < MIN_FIT_POINTS:
+            raise ValueError(f"window {(x_min, x_max)} holds {max(points, 0)} grid points, "
+                             f"need >= {MIN_FIT_POINTS}")
     return float(x_min), float(x_max)
 
 
@@ -133,8 +142,8 @@ def decay_slope(profile, window=None) -> DecayFit:
     x = grid.x
     vals = profile.samples
     mask = (x >= x_min) & (x <= x_max) & (vals > 0.0)
-    if int(mask.sum()) < 16:
-        raise ValueError(f"window holds {int(mask.sum())} usable points, need >= 16")
+    if int(mask.sum()) < MIN_FIT_POINTS:
+        raise ValueError(f"window holds {int(mask.sum())} usable points, need >= {MIN_FIT_POINTS}")
     slope, intercept, rms = _image_fit(x[mask], vals[mask], grid.l)
 
     edges = np.exp(np.linspace(np.log(x_min), np.log(x_max), 4))

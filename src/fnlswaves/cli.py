@@ -7,7 +7,9 @@ limiting speed, phase slope and spectral shift) in full-precision
 scientific notation, and field snapshots in the documented text layout.
 
 Exit codes: 0 success, 2 config/validation error, 3 solver non-convergence
-(partial artifacts are kept), 4 I/O failure.
+or divergence (partial artifacts are kept), 4 I/O failure.  ``main`` is the
+one place that maps an exception to its code, and it reads every input
+(config, seed snapshot, recipe name) before the output directory exists.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import accel
 from .analysis import (decay_slope, decay_window, evenness_defect, phase_plane,
                        speed_amplitude_scan)
 from .evolve import EvolveConfig, run as evolve_run, save_evolution
@@ -117,7 +120,7 @@ class RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as err:
@@ -170,7 +173,8 @@ def parse_config(path) -> RunConfig:
     solver_cfg.resolved_alpha(params.sigma)  # its window depends on sigma
     analyze = values.get("analyze", {})
     try:
-        window = decay_window(grid, (analyze.get("window_min"), analyze.get("window_max")))
+        window = decay_window(grid, (analyze.get("window_min"), analyze.get("window_max")),
+                              count=command == "analyze")
     except ValueError as err:
         raise ConfigError(f"[analyze] {err}")
     return RunConfig(
@@ -199,91 +203,76 @@ def _solve(cfg: RunConfig):
     return solve_scalar(cfg.params, cfg.grid, cfg.solver_cfg, seed=_seed_for(cfg))
 
 
-def run_command(cfg: RunConfig, out_dir=None, seed_profile=None) -> int:
-    """Execute one command; outputs are deterministic given the config."""
+def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) -> int:
+    """Execute one command; outputs are deterministic given the config.
+
+    ``seed`` is the evolve start read from --seed-profile; None solves for it.
+    """
     out = out_dir or cfg.out
-    try:
-        os.makedirs(out, exist_ok=True)
-        if cfg.command == "solve":
-            report = _solve(cfg)
-            save_report(report, out, "solve")
-            print(f"solve: converged={report.converged} iterations={report.iterations} "
-                  f"residual={report.final_residual:.3e}")
-            return 0 if report.converged else 3
+    os.makedirs(out, exist_ok=True)
+    if cfg.command == "solve":
+        report = _solve(cfg)
+        save_report(report, out, "solve")
+        print(f"solve: converged={report.converged} iterations={report.iterations} "
+              f"residual={report.final_residual:.3e}")
+        return 0 if report.converged else 3
 
-        if cfg.command == "evolve":
-            if seed_profile:
-                fld, _ = load_field(seed_profile)
-                u0 = ComplexField(fld.grid, fld.samples.astype(complex))
-            else:
-                report = _solve(cfg)
-                if not report.converged:
-                    save_report(report, out, "solve")
-                    print("error: profile solve did not converge", file=sys.stderr)
-                    return 3
-                u0 = report.envelope
-            evo = evolve_run(u0, cfg.params, cfg.evolve_cfg)
-            save_evolution(evo, out, "evolve")
-            if evo.aborted:
-                print(f"error: evolution aborted: {evo.aborted}", file=sys.stderr)
-                return 3
-            print(f"evolve: steps={len(evo.times) - 1} peak_speed={evo.peak_speed():.6f}")
-            return 0
-
-        if cfg.command == "scan":
-            result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg,
-                                          seed=_seed_for(cfg))
-            rows = [
-                (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
-                for r in result.rows
-            ]
-            write_csv(os.path.join(out, "scan.csv"), metadata(cfg.params),
-                      ["lambda2", "speed_gap", "amplitude", "iterations",
-                       "residual", "converged"], rows)
-            print(f"scan: {len(rows)} rows, all_converged={result.all_converged}")
-            return 0 if result.all_converged else 3
-
-        if cfg.command == "analyze":
+    if cfg.command == "evolve":
+        if seed is None:
             report = _solve(cfg)
             if not report.converged:
+                save_report(report, out, "solve")
                 print("error: profile solve did not converge", file=sys.stderr)
                 return 3
-            fit = decay_slope(report.profile, cfg.window)
-            defect = evenness_defect(report.profile)
-            plane = phase_plane(report.profile)
-            meta = {**metadata(cfg.params),
-                    "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
-                    "evenness_defect": defect,
-                    "tail_oscillations": plane.tail_oscillations}
-            rows = zip(cfg.grid.x.tolist(), plane.rho.tolist(), plane.rho_x.tolist())
-            write_csv(os.path.join(out, "analyze.csv"), meta, ["x", "rho", "rho_x"], rows)
-            print(f"analyze: slope={fit.slope:.4f} model_ok={fit.model_ok} "
-                  f"evenness={defect:.3e} oscillations={plane.tail_oscillations}")
-            return 0
+            seed = report.envelope
+        evo = evolve_run(seed, cfg.params, cfg.evolve_cfg)
+        save_evolution(evo, out, "evolve")
+        if evo.aborted:
+            print(f"error: evolution aborted: {evo.aborted}", file=sys.stderr)
+            return 3
+        print(f"evolve: steps={len(evo.times) - 1} peak_speed={evo.peak_speed():.6f}")
+        return 0
 
-        if cfg.command == "probe":
-            report = _solve(cfg)
-            if not report.converged:
-                print("error: profile solve did not converge", file=sys.stderr)
-                return 3
-            alpha = cfg.probe_alpha
-            if alpha is None:
-                alpha = cfg.solver_cfg.resolved_alpha(cfg.params.sigma)
-            est = fixed_point_spectrum_probe(cfg.params, cfg.grid, report, alpha)
-            write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": alpha},
-                      ["alpha", "dominant_multiplier"], [(float(alpha), float(est))])
-            print(f"probe: alpha={alpha} dominant multiplier={est:.6f}")
-            return 0
-    except ParameterError as err:
-        print(f"error: invalid parameters: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: I/O failure: {err}", file=sys.stderr)
-        return 4
-    raise AssertionError(f"unhandled command {cfg.command}")
+    if cfg.command == "scan":
+        result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg,
+                                      seed=_seed_for(cfg))
+        rows = [
+            (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
+            for r in result.rows
+        ]
+        write_csv(os.path.join(out, "scan.csv"), metadata(cfg.params),
+                  ["lambda2", "speed_gap", "amplitude", "iterations",
+                   "residual", "converged"], rows)
+        print(f"scan: {len(rows)} rows, all_converged={result.all_converged}")
+        return 0 if result.all_converged else 3
+
+    # analyze and probe read the solved profile and write nothing without it
+    report = _solve(cfg)
+    if not report.converged:
+        print("error: profile solve did not converge", file=sys.stderr)
+        return 3
+    if cfg.command == "analyze":
+        fit = decay_slope(report.profile, cfg.window)
+        defect = evenness_defect(report.profile)
+        plane = phase_plane(report.profile)
+        meta = {**metadata(cfg.params),
+                "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
+                "evenness_defect": defect,
+                "tail_oscillations": plane.tail_oscillations}
+        rows = zip(cfg.grid.x.tolist(), plane.rho.tolist(), plane.rho_x.tolist())
+        write_csv(os.path.join(out, "analyze.csv"), meta, ["x", "rho", "rho_x"], rows)
+        print(f"analyze: slope={fit.slope:.4f} model_ok={fit.model_ok} "
+              f"evenness={defect:.3e} oscillations={plane.tail_oscillations}")
+        return 0
+
+    alpha = cfg.probe_alpha
+    if alpha is None:
+        alpha = cfg.solver_cfg.resolved_alpha(cfg.params.sigma)
+    est = fixed_point_spectrum_probe(cfg.params, cfg.grid, report, alpha)
+    write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": alpha},
+              ["alpha", "dominant_multiplier"], [(float(alpha), float(est))])
+    print(f"probe: alpha={alpha} dominant multiplier={est:.6f}")
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -421,14 +410,9 @@ _RECIPES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
 
 def reproduce_figures(recipe: str, out_dir) -> int:
     if recipe not in _RECIPES:
-        print(f"error: unknown recipe '{recipe}' (have {sorted(_RECIPES)})", file=sys.stderr)
-        return 2
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        files, solved = _RECIPES[recipe](out_dir)
-    except OSError as err:
-        print(f"error: I/O failure: {err}", file=sys.stderr)
-        return 4
+        raise ValueError(f"unknown recipe '{recipe}' (have {sorted(_RECIPES)})")
+    os.makedirs(out_dir, exist_ok=True)
+    files, solved = _RECIPES[recipe](out_dir)
     if files:
         print(f"{recipe}: wrote {', '.join(files)}")
     return 0 if all(solved) else 3
@@ -446,21 +430,30 @@ def main(argv=None) -> int:
                         help="profile snapshot to evolve instead of solving")
     args = parser.parse_args(argv)
 
-    if args.recipe:
-        return reproduce_figures(args.recipe, args.out or "results")
-    if not args.config:
+    if not (args.recipe or args.config):
         parser.print_usage(sys.stderr)
         print("error: --config or --recipe is required", file=sys.stderr)
         return 2
     try:
+        if args.recipe:
+            return reproduce_figures(args.recipe, args.out or "results")
         cfg = parse_config(args.config)
-    except (ConfigError, ParameterError, ValueError) as err:
+        seed = None
+        if args.seed_profile:
+            if cfg.command != "evolve":
+                raise ConfigError("--seed-profile applies to the evolve command only")
+            fld, _ = load_field(args.seed_profile)
+            seed = ComplexField(fld.grid, fld.samples.astype(complex))
+        return run_command(cfg, out_dir=args.out, seed=seed)
+    except ValueError as err:  # ConfigError and ParameterError included
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.seed_profile and cfg.command != "evolve":
-        print("error: --seed-profile applies to the evolve command only", file=sys.stderr)
-        return 2
-    return run_command(cfg, out_dir=args.out, seed_profile=args.seed_profile)
+    except accel.DivergenceError as err:
+        print(f"error: solve diverged: {err}", file=sys.stderr)
+        return 3
+    except OSError as err:
+        print(f"error: I/O failure: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

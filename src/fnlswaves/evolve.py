@@ -47,8 +47,16 @@ class EvolveConfig:
             raise ValueError("snapshot_stride must be >= 0")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if round(self.t_end / self.dt) < 1:  # the step count run takes
+        if self.steps < 1:
             raise ValueError(f"t_end = {self.t_end} gives no step of dt = {self.dt}")
+
+    @property
+    def steps(self) -> int:
+        """The number of steps run takes, round(t_end / dt)."""
+        ratio = self.t_end / self.dt
+        if not ratio < np.inf:
+            raise ValueError(f"t_end = {self.t_end} over dt = {self.dt} is not a finite step count")
+        return round(ratio)
 
 
 @dataclass
@@ -130,7 +138,6 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     grid = u0.grid
     s, sigma = params.s, params.sigma
     denom = _step_symbol(grid, cfg.dt, s)
-    steps = int(round(cfg.t_end / cfg.dt))
 
     times = [0.0]
     masses = [mass(u0)]
@@ -144,7 +151,7 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     aborted = None
 
     fld = u0
-    for k in range(steps):
+    for k in range(cfg.steps):
         try:
             fld, used = _step(fld, cfg.dt, denom, sigma, cfg)
         except StepError as err:

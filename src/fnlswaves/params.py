@@ -107,8 +107,16 @@ class ProblemParams:
                 )
         if out:
             raise ParameterError("; ".join(out))
-        object.__setattr__(self, "A", phase_slope(self.s, self.lambda2))
-        object.__setattr__(self, "a", spectral_shift(self.s, self.lambda1, self.A))
+        try:
+            slope = phase_slope(self.s, self.lambda2)
+            shift = spectral_shift(self.s, self.lambda1, slope)
+        except OverflowError:
+            slope = shift = math.inf
+        if not math.isfinite(slope) or not math.isfinite(shift):
+            raise ParameterError(f"lambda1={self.lambda1}, lambda2={self.lambda2} overflow "
+                                 "the phase slope A or the spectral shift a")
+        object.__setattr__(self, "A", slope)
+        object.__setattr__(self, "a", shift)
 
     def limiting_speed(self) -> float:
         return limiting_speed(self.s, self.lambda1)

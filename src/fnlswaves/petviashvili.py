@@ -156,7 +156,11 @@ class ProfileIteration:
         if den == 0.0:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
         m = num / den
-        nxt = np.fft.ifft((m ** self.alpha) * np.fft.fft(g) / self.symbol)
+        try:
+            scale = m ** self.alpha
+        except OverflowError:
+            raise accel.DivergenceError(f"m**alpha overflows at m={m}, alpha={self.alpha}") from None
+        nxt = np.fft.ifft(scale * np.fft.fft(g) / self.symbol)
         return nxt, res, m
 
     def diagnostics(self, z: np.ndarray):

@@ -44,8 +44,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
-        if not 0.0 < self.l < np.inf:
-            raise ValueError(f"l must be positive and finite, got {self.l}")
+        if not 0.0 < self.h < np.inf:  # l > 0 finite, and 2l/n neither overflows nor underflows
+            raise ValueError(f"l must be positive and finite, and so must 2l/n; got l={self.l}")
 
     @property
     def h(self) -> float:

@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnlswaves import __version__
 from fnlswaves.analysis import decay_slope
-from fnlswaves.cli import main, parse_config
+from fnlswaves.cli import _COMMANDS, _KEYS, main, parse_config
 from fnlswaves.evolve import EvolveConfig
 from fnlswaves.params import ProblemParams
 from fnlswaves.petviashvili import SolverConfig, solve_scalar
@@ -116,6 +117,64 @@ class TestConfigParsing:
         for name, body in (("linear.ini", text), ("coupled.ini", coupled)):
             assert parse_config(write(tmp_path, name, body)).theta == "none"
 
+    def test_window_point_count_is_for_analyze_only(self, tmp_path):
+        # (0.15 l, 0.8 l) holds 3 of the 8 points; analyze would need 16,
+        # solve fits no decay window
+        small = SOLVE_CONFIG.replace("n = 1024", "n = 8")
+        assert parse_config(write(tmp_path, "solve.ini", small)).grid.n == 8
+
+    # One admissible text per key; a generated config changes at most three
+    # of them and leaves out at most two.  A changed text is a magnitude that
+    # has overflowed a derived quantity, any float or integer (subnormals,
+    # nan and inf included), a choice word, or free text on one line.
+    _SANE = {
+        "run": {"format_version": "1", "out": "results"},
+        "problem": {"s": "0.75", "sigma": "1.0", "lambda1": "1.0", "lambda2": "1.0",
+                    "kind": "coupled"},
+        "grid": {"l": "32.0", "n": "512"},
+        "solver": {"alpha": "", "tol": "1e-10", "max_iter": "500", "mw": "3",
+                   "theta": "quadratic"},
+        "evolve": {"dt": "0.01", "t_end": "10.0", "snapshot_stride": "0", "nl_tol": "1e-12",
+                   "nl_max": "50"},
+        "scan": {"speeds": "0.5, 1.0"},
+        "analyze": {"window_min": "5.0", "window_max": "25.0"},
+        "probe": {"alpha": "1.5"},
+    }
+    _FIELDS = [(section, key) for section, readers in _KEYS.items() for key in readers
+               if key != "command"]
+    _WILD = st.one_of(
+        st.sampled_from(["5e-324", "1e-300", "1e-6", "1e4", "1e10", "1e308"]),
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.sampled_from(["linear_phase", "coupled", "linear", "quadratic", "none", *_COMMANDS]),
+        st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
+    )
+
+    @st.composite
+    def _ini_text(draw, fields=_FIELDS, sane=_SANE, wild=_WILD):
+        changed = draw(st.dictionaries(st.sampled_from(fields), wild, min_size=1, max_size=3))
+        dropped = draw(st.sets(st.sampled_from(fields), max_size=2))
+        sections = {"run": [f"command = {draw(st.sampled_from(sorted(_COMMANDS)))}"]}
+        for section, key in fields:
+            if (section, key) not in dropped:
+                value = changed.get((section, key), sane[section][key])
+                sections.setdefault(section, []).append(f"{key} = {value}")
+        return "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                       for name, lines in sections.items())
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_ini_text())
+    def test_generated_config_fails_only_with_value_error(self, tmp_path, text):
+        # anything parse_config rejects it rejects with exit 2, never a traceback
+        path = tmp_path / "gen.ini"
+        path.unlink(missing_ok=True)  # a new file: some filesystems flush one rewritten in place
+        path.write_text(text)
+        try:
+            parse_config(str(path))
+        except ValueError:
+            pass
+
     def test_missing_problem_fields(self, tmp_path, capsys):
         text = SOLVE_CONFIG.replace("s = 0.75\n", "").replace("sigma = 1.0\n", "")
         code = main(["--config", write(tmp_path, "bad.ini", text)])
@@ -135,8 +194,9 @@ class TestSolveCommand:
         assert float(meta["limiting_speed"]) == pytest.approx(1.8899, abs=5e-4)
 
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
-        # a speed, a scan speed, an alpha or a decay window outside its
-        # bounds is rejected before the output directory is made
+        # a speed, a scan speed, an alpha, a decay window, or a value that
+        # overflows a derived quantity is rejected before the output
+        # directory is made
         scan = SOLVE_CONFIG.replace("command = solve", "command = scan")
         analyze = SOLVE_CONFIG.replace("command = solve", "command = analyze")
         for text, message, detail in [
@@ -149,12 +209,24 @@ class TestSolveCommand:
              "error: [analyze] window reaches 40.0", "0.9*l = 28.8"),
             (analyze + "\n[analyze]\nwindow_min = 30.0\nwindow_max = 20.0\n",
              "error: [analyze] window (30.0, 20.0)", "0 < x_min < x_max"),
+            (analyze.replace("n = 1024", "n = 512")
+             + "\n[analyze]\nwindow_min = 28.0\nwindow_max = 28.5\n",
+             "error: [analyze] window (28.0, 28.5) holds 5 grid points", "need >= 16"),
+            (SOLVE_CONFIG + "\n[evolve]\ndt = 5e-324\n",
+             "error: t_end = 10.0 over dt = 5e-324", "not a finite step count"),
+            (SOLVE_CONFIG + "\n[evolve]\ndt = 1e-300\nt_end = 1e10\n",
+             "error: t_end = 10000000000.0 over dt = 1e-300", "not a finite step count"),
+            (SOLVE_CONFIG.replace("lambda1 = 1.0", "lambda1 = 1e308").replace(
+                "lambda2 = 1.0", "lambda2 = 1e308"),
+             "error: invalid parameters: ", "overflow the phase slope A"),
+            (SOLVE_CONFIG.replace("l = 32.0", "l = 1e308").replace("n = 1024", "n = 64"),
+             "error: l must be positive and finite", "2l/n"),
         ]:
             code = main(["--config", write(tmp_path, "run.ini", text),
                          "--out", str(tmp_path / "o")])
             assert code == 2
             err = capsys.readouterr().err
-            assert err.startswith(message) and detail in err
+            assert err.startswith(message) and detail in err and "Traceback" not in err
             assert not (tmp_path / "o").exists()
 
     def test_deterministic_reruns(self, tmp_path):
@@ -209,6 +281,18 @@ class TestOtherCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.dat" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_seed_profile_exits_4(self, tmp_path, capsys):
+        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve") + (
+            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
+        code = main(["--config", write(tmp_path, "evolve.ini", evolve_text),
+                     "--out", str(tmp_path / "out"),
+                     "--seed-profile", str(tmp_path / "missing.dat")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: I/O failure: ") and "missing.dat" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "analyze"])
     def test_seed_profile_outside_evolve_exits_2(self, tmp_path, capsys, command):
@@ -241,6 +325,20 @@ class TestOtherCommands:
                 lines = fh.read().splitlines()
             assert lines[-3].endswith(",converged")
             assert [row.split(",")[-1] for row in lines[-2:]] == ["False", "False"]
+
+    @pytest.mark.parametrize("problem", [
+        {"sigma": "1e-6", "lambda2": "0.5"},  # m ** alpha overflows, alpha ~ 5e5
+        {"sigma": "1e4"},  # the iterate turns non-finite at base iteration 2
+    ], ids=["sigma-1e-6", "sigma-1e4"])
+    def test_diverged_solve_exits_3(self, tmp_path, capsys, problem):
+        text = SOLVE_CONFIG.replace("n = 1024", "n = 512")
+        for key, value in problem.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "run.ini", text), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve diverged: ") and "Traceback" not in err
+        assert os.listdir(out) == []
 
     def test_scan_command(self, tmp_path):
         text = SOLVE_CONFIG.replace("command = solve", "command = scan") + (
