@@ -20,7 +20,7 @@ residuals without evaluating the operator a second time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,15 +76,29 @@ def mpe_extrapolate(iterates):
 
 @dataclass
 class AccelResult:
-    """Raw outcome of the accelerated fixed-point loop."""
+    """The record of one solve: a residual and an m row per iterate, the
+    rows of the extrapolants (``cycle_ends``), the base ``iterations``, the
+    degenerate extrapolations (``mpe_fallbacks``) and the last iterate ``z``."""
 
     z: np.ndarray
-    converged: bool
-    iterations: int
-    residual_history: list
-    m_history: list
-    cycle_ends: list
-    fallbacks: int
+    converged: bool = False
+    iterations: int = 0
+    residual_history: list = field(default_factory=list)
+    m_history: list = field(default_factory=list)
+    cycle_ends: list = field(default_factory=list)
+    mpe_fallbacks: int = 0
+
+    @property
+    def history_iterations(self) -> list:
+        """Base-iteration count of each history row; an extrapolant's row
+        repeats the count before it."""
+        ends = set(self.cycle_ends)
+        counts, it = [], 0
+        for idx in range(len(self.residual_history)):
+            if idx > 0 and idx not in ends:
+                it += 1
+            counts.append(it)
+        return counts
 
 
 def accelerated_iterate(iteration, cfg) -> AccelResult:
@@ -92,9 +106,9 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
 
     ``iteration`` provides initial() -> z, step(z) -> (z_next, residual, m)
     with the residual and m of its input z, and diagnostics(z) ->
-    (residual, m).  The residual of every iterate is recorded, including
-    each cycle's extrapolant (evaluated on the profile equation itself);
-    ``iterations`` counts base applications only.
+    (residual, m).  One AccelResult is filled as the loop runs: it records
+    the residual of every iterate, including each cycle's extrapolant
+    (evaluated on the profile equation itself).
 
     Each iterate's residual comes from the step taken from it, so one base
     iteration costs one step.  ``diagnostics`` is called only for iterates
@@ -106,40 +120,35 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
     """
     z = iteration.initial()
     nxt, res, m = iteration.step(z)
-    history_r = [res]
-    history_m = [m]
-    cycle_ends: list[int] = []
-    fallbacks = 0
-    it = 0
-
-    while not res <= cfg.tol:  # a NaN residual is not convergence
-        cycle = [z]
-        for k in range(1, cfg.mw + 1):
-            z = nxt
-            it += 1
-            _check_finite(z, it)
-            cycle.append(z)
-            if it >= cfg.max_iter or (cfg.mw > 1 and k == cfg.mw):
-                res, m = iteration.diagnostics(z)
+    rec = AccelResult(z, residual_history=[res], m_history=[m])
+    cycle = [z]
+    while not res <= cfg.tol and rec.iterations < cfg.max_iter:  # NaN is not convergence
+        z = nxt
+        rec.iterations += 1
+        _check_finite(z, rec.iterations)
+        cycle.append(z)
+        extrapolate = cfg.mw > 1 and len(cycle) > cfg.mw
+        if extrapolate or rec.iterations >= cfg.max_iter:
+            res, m = iteration.diagnostics(z)
+        else:
+            nxt, res, m = iteration.step(z)
+        rec.residual_history.append(res)
+        rec.m_history.append(m)
+        if extrapolate and not (res <= cfg.tol or rec.iterations >= cfg.max_iter):
+            y = mpe_extrapolate(cycle)
+            if y is None:
+                rec.mpe_fallbacks += 1
+                nxt = iteration.step(z)[0]
             else:
+                z = y
                 nxt, res, m = iteration.step(z)
-            history_r.append(res)
-            history_m.append(m)
-            if res <= cfg.tol or it >= cfg.max_iter:
-                return AccelResult(z, res <= cfg.tol, it, history_r, history_m, cycle_ends, fallbacks)
-        if cfg.mw == 1:
-            continue
-        y = mpe_extrapolate(cycle)
-        if y is None:
-            fallbacks += 1
-            nxt = iteration.step(z)[0]
-            continue
-        z = y
-        nxt, res, m = iteration.step(z)
-        history_r.append(res)
-        history_m.append(m)
-        cycle_ends.append(len(history_r) - 1)
-    return AccelResult(z, True, it, history_r, history_m, cycle_ends, fallbacks)
+                rec.residual_history.append(res)
+                rec.m_history.append(m)
+                rec.cycle_ends.append(len(rec.residual_history) - 1)
+        if len(cycle) > cfg.mw:
+            cycle = [z]
+    rec.z, rec.converged = z, res <= cfg.tol
+    return rec
 
 
 class DivergenceError(RuntimeError):

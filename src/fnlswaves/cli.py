@@ -29,7 +29,6 @@ from .evolve import EvolveConfig, run as evolve_run, save_evolution
 from .params import Kind, ParameterError, ProblemParams, metadata
 from .petviashvili import (
     SolverConfig,
-    _history_iteration_counts,
     fixed_point_spectrum_probe,
     initial_iterate,
     save_report,
@@ -319,7 +318,7 @@ def _fig1(out):
     for mw in (1, 3, 4, 6):
         rep = solve_scalar(_params(1.0), Grid(), SolverConfig(mw=mw))
         rows += [(mw, it, float(r))
-                 for it, r in zip(_history_iteration_counts(rep), rep.residual_history)]
+                 for it, r in zip(rep.history_iterations, rep.residual_history)]
         solved.append(rep.converged)
     fig1b = _write(out, "fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows)
     return [fig1a, fig1b], solved
@@ -443,6 +442,8 @@ def main(argv=None) -> int:
             if cfg.command != "evolve":
                 raise ConfigError("--seed-profile applies to the evolve command only")
             fld, _ = load_field(args.seed_profile)
+            if fld.grid != cfg.grid:
+                raise ConfigError(f"--seed-profile is on {fld.grid}, [grid] on {cfg.grid}")
             seed = ComplexField(fld.grid, fld.samples.astype(complex))
         return run_command(cfg, out_dir=args.out, seed=seed)
     except ValueError as err:  # ConfigError and ParameterError included

@@ -139,35 +139,27 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     s, sigma = params.s, params.sigma
     denom = _step_symbol(grid, cfg.dt, s)
 
-    times = [0.0]
-    masses = [mass(u0)]
-    momenta = [momentum(u0)]
-    hams = [hamiltonian(u0, s, sigma)]
-    x_pk, amp = _peak(grid, u0.samples)
-    peaks = [x_pk]
-    amps = [amp]
+    def record(fld: ComplexField):
+        """(mass, momentum, H, amplitude, peak_x) of one state."""
+        x_pk, amp = _peak(grid, fld.samples)
+        return mass(fld), momentum(fld), hamiltonian(fld, s, sigma), amp, x_pk
+
+    rows = [record(u0)]
     sweeps = []
     snaps = [(0.0, u0)] if cfg.snapshot_stride else []
     aborted = None
 
     fld = u0
-    for k in range(cfg.steps):
+    for k in range(1, cfg.steps + 1):
         try:
             fld, used = _step(fld, cfg.dt, denom, sigma, cfg)
         except StepError as err:
             aborted = str(err)
             break
-        t = (k + 1) * cfg.dt
-        times.append(t)
-        masses.append(mass(fld))
-        momenta.append(momentum(fld))
-        hams.append(hamiltonian(fld, s, sigma))
-        x_pk, amp = _peak(grid, fld.samples)
-        peaks.append(x_pk)
-        amps.append(amp)
+        rows.append(record(fld))
         sweeps.append(used)
-        if cfg.snapshot_stride and (k + 1) % cfg.snapshot_stride == 0:
-            snaps.append((t, fld))
+        if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
+            snaps.append((k * cfg.dt, fld))
 
     meta = metadata(params)
     meta.update(
@@ -179,13 +171,14 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
             "nl_tol": cfg.nl_tol,
         }
     )
+    masses, momenta, hams, amps, peaks = map(np.asarray, zip(*rows))
     return EvolutionReport(
-        times=np.asarray(times),
-        mass=np.asarray(masses),
-        momentum=np.asarray(momenta),
-        hamiltonian=np.asarray(hams),
-        amplitude=np.asarray(amps),
-        peak_x=np.asarray(peaks),
+        times=cfg.dt * np.arange(len(rows)),
+        mass=masses,
+        momentum=momenta,
+        hamiltonian=hams,
+        amplitude=amps,
+        peak_x=peaks,
         sweeps=np.asarray(sweeps, dtype=int),
         snapshots=snaps,
         meta=meta,

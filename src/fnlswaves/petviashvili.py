@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,19 +74,17 @@ class SolverConfig:
         return self.alpha
 
 
-@dataclass
-class SolveReport:
-    """Converged profile plus the iteration record."""
+@dataclass(kw_only=True)
+class SolveReport(accel.AccelResult):
+    """The driver's record, whose ``z`` stays the uncentred last iterate,
+    plus ``envelope``, that iterate centred, and its modulus ``profile``."""
 
-    profile: RealField
     envelope: ComplexField
-    residual_history: list
-    m_history: list
-    iterations: int
-    converged: bool
-    cycle_ends: list
-    mpe_fallbacks: int
     meta: dict
+
+    @cached_property
+    def profile(self) -> RealField:
+        return self.envelope.modulus()
 
     @property
     def final_residual(self) -> float:
@@ -186,7 +185,8 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     wave rho e^{iAx}.  The seed, not params.kind, picks the wave; kind is
     only carried into the metadata.  The report's ``profile`` is the real
     modulus rho = |u|, centered, and ``envelope`` is the centered complex
-    profile that time evolution should be seeded with.
+    profile that time evolution should be seeded with; ``z`` is the
+    uncentred last iterate.
     """
     cfg = cfg or SolverConfig()
     alpha = cfg.resolved_alpha(params.sigma)
@@ -195,22 +195,15 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     iteration = ProfileIteration(params, grid, alpha, seed)
-    raw = accel.accelerated_iterate(iteration, cfg)
+    # a non-finite iterate raises DivergenceError, so the overflow on the
+    # way to it needs no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = accel.accelerated_iterate(iteration, cfg)
 
-    envelope = ComplexField(grid, center_samples(raw.z, grid))
     meta = metadata(params)
     meta.update({"alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
-    return SolveReport(
-        profile=envelope.modulus(),
-        envelope=envelope,
-        residual_history=raw.residual_history,
-        m_history=raw.m_history,
-        iterations=raw.iterations,
-        converged=raw.converged,
-        cycle_ends=raw.cycle_ends,
-        mpe_fallbacks=raw.fallbacks,
-        meta=meta,
-    )
+    return SolveReport(**vars(raw), envelope=ComplexField(grid, center_samples(raw.z, grid)),
+                       meta=meta)
 
 
 # The coupled system needs no solve of its own; the name stays for callers
@@ -262,26 +255,17 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> flo
 def save_report(report: SolveReport, directory, stem: str):
     """Write <stem>.csv (iter, residual, m_nu) and <stem>_profile.dat.
 
-    History rows after an extrapolation repeat the base-iteration count;
-    the profile snapshot stores the complex envelope with full metadata.
+    The iter column is ``report.history_iterations``, so an extrapolant's
+    row repeats the base-iteration count before it; the profile snapshot
+    stores the complex envelope with full metadata.
     """
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     prof_path = os.path.join(directory, f"{stem}_profile.dat")
     meta = {**report.meta, "iterations": report.iterations, "converged": report.converged,
             "mpe_fallbacks": report.mpe_fallbacks, "profile_file": os.path.basename(prof_path)}
-    rows = zip(_history_iteration_counts(report), report.residual_history, report.m_history)
+    rows = zip(report.history_iterations, report.residual_history, report.m_history)
     write_csv(csv_path, meta, ["iter", "residual", "m_nu"], rows)
     save_field(prof_path, report.envelope, metadata=report.meta)
     return csv_path, prof_path
 
-
-def _history_iteration_counts(report: SolveReport) -> list:
-    """Base-iteration count attached to each history row."""
-    ends = set(report.cycle_ends)
-    counts, it = [], 0
-    for idx in range(len(report.residual_history)):
-        if idx > 0 and idx not in ends:
-            it += 1
-        counts.append(it)
-    return counts

@@ -138,7 +138,7 @@ class TestAcceleratedIterate:
         monkeypatch.setattr(accel, "mpe_extrapolate", refuse)
         it = LinearIteration(np.diag([0.5, 0.2]), np.ones(2), np.zeros(2))
         res = accelerated_iterate(it, SolverConfig(tol=1e-12, max_iter=100, mw=1))
-        assert res.converged and res.cycle_ends == [] and res.fallbacks == 0
+        assert res.converged and res.cycle_ends == [] and res.mpe_fallbacks == 0
 
     def test_fallback_keeps_base_iterate(self):
         # z -> z + d: every cycle is an arithmetic progression, so each
@@ -150,8 +150,10 @@ class TestAcceleratedIterate:
 
         res = accelerated_iterate(Drift(), SolverConfig(tol=1e-12, max_iter=12, mw=3))
         assert not res.converged and res.iterations == 12
-        assert res.fallbacks == 3 and res.cycle_ends == []
+        assert res.mpe_fallbacks == 3 and res.cycle_ends == []
         assert np.array_equal(res.z, np.full(2, 12.0))
+        # no extrapolant row, so every row is one base iteration on
+        assert res.history_iterations == list(range(13))
 
     def test_restart_reaches_linear_fixed_point_fast(self):
         rng = np.random.default_rng(5)
@@ -184,6 +186,15 @@ class TestOnProfileSolve:
         rep4 = solve_scalar(params, grid, SolverConfig(mw=4))
         diff = np.max(np.abs(rep1.profile.samples - rep4.profile.samples))
         assert diff < 1e-8
+
+    def test_history_iterations_repeat_at_extrapolants(self, fig1_setting):
+        params, grid = fig1_setting
+        rep = solve_scalar(params, grid, SolverConfig(mw=3))
+        counts = rep.history_iterations
+        assert rep.cycle_ends and len(counts) == len(rep.residual_history)
+        repeats = [i for i in range(1, len(counts)) if counts[i] == counts[i - 1]]
+        assert repeats == rep.cycle_ends
+        assert np.all(np.diff(counts) >= 0) and counts[-1] == rep.iterations
 
     def test_iteration_counts_saturate_at_residual_floor(self, fig1_setting):
         # at a tolerance near the discrete residual floor the accelerated

@@ -294,6 +294,21 @@ class TestOtherCommands:
         assert err.startswith("error: I/O failure: ") and "missing.dat" in err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_profile_on_another_grid_exits_2(self, tmp_path, capsys):
+        solved = str(tmp_path / "solved")
+        assert main(["--config", write(tmp_path, "solve.ini", SOLVE_CONFIG), "--out", solved]) == 0
+        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
+            "l = 32.0", "l = 64.0").replace("n = 1024", "n = 512") + (
+            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
+        out = tmp_path / "out"
+        code = main(["--config", write(tmp_path, "evolve.ini", evolve_text), "--out", str(out),
+                     "--seed-profile", os.path.join(solved, "solve_profile.dat")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed-profile ") and err.count("\n") == 1
+        assert "l=32.0, n=1024" in err and "l=64.0, n=512" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "analyze"])
     def test_seed_profile_outside_evolve_exits_2(self, tmp_path, capsys, command):
         text = SOLVE_CONFIG.replace("command = solve", f"command = {command}")
@@ -330,14 +345,15 @@ class TestOtherCommands:
         {"sigma": "1e-6", "lambda2": "0.5"},  # m ** alpha overflows, alpha ~ 5e5
         {"sigma": "1e4"},  # the iterate turns non-finite at base iteration 2
     ], ids=["sigma-1e-6", "sigma-1e4"])
-    def test_diverged_solve_exits_3(self, tmp_path, capsys, problem):
+    def test_diverged_solve_exits_3(self, tmp_path, capsys, recwarn, problem):
         text = SOLVE_CONFIG.replace("n = 1024", "n = 512")
         for key, value in problem.items():
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         out = str(tmp_path / "out")
         assert main(["--config", write(tmp_path, "run.ini", text), "--out", out]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: solve diverged: ") and "Traceback" not in err
+        assert err.startswith("error: solve diverged: ") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert os.listdir(out) == []
 
     def test_scan_command(self, tmp_path):

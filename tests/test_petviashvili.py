@@ -355,6 +355,8 @@ class TestReportSerialization:
         with open(csv_path) as fh:
             text = fh.read()
         assert "iter,residual,m_nu" in text
+        rows = text.splitlines()[text.splitlines().index("iter,residual,m_nu") + 1:]
+        assert [int(row.split(",")[0]) for row in rows] == report_c1.history_iterations
         assert "# lambda2 = 1.0" in text
         back, meta = load_field(prof_path)
         assert np.array_equal(back.samples, report_c1.envelope.samples)
