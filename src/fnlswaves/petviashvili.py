@@ -9,16 +9,23 @@ The linear-phase subfamily u = rho(x) e^{iAx} turns the same equation into
 (M + a) rho = rho^{2 sigma + 1}, so one iteration on u solves both profile
 problems, and the seed alone picks the wave it converges to: sech e^{iAx}
 gives the linear-phase wave, other phases enter the basin elsewhere.  The
-reported residual is the discrete Euclidean residual of the profile
-equation, and the real profile rho is the modulus of the converged
-envelope.  Each step evaluates the stabilizing factor
+iteration runs on the spectrum of u, where L is diagonal, and transforms
+only to form the nonlinearity: two transforms a step.  A seed with
+u(x) = conj(u(-x)), the default one among them, keeps that symmetry under
+the iteration, which then runs on a real spectrum with half-size
+transforms (see ProfileIteration).  The reported residual is the discrete
+Euclidean residual of the profile equation on the grid samples, taken
+from the spectrum by Parseval, and the real profile rho is the modulus of
+the converged envelope.  Each step evaluates the stabilizing factor
 
     m = <L z, z> / <G(z), z>,
 
 raises it to the power alpha in (1, (2 sigma + 2) / (2 sigma)), and inverts
 L mode by mode.  m tames the harmful eigenvalue 2 sigma + 1 of the naive
 fixed-point map; at the optimal alpha = (2 sigma + 1) / (2 sigma) that
-eigenvalue maps to zero.
+eigenvalue maps to zero.  The iteration is D. Pelinovsky and
+Yu. Stepanyants, SIAM J. Numer. Anal. 42 (2004); its Fourier form follows
+J. Alvarez and A. Duran, J. Comput. Appl. Math. 266 (2014).
 """
 
 from __future__ import annotations
@@ -31,13 +38,17 @@ import numpy as np
 
 from . import accel
 from .params import ProblemParams, metadata
-from .spectral import (ComplexField, Grid, RealField, derivative_samples, profile_operator,
-                       save_field, write_csv)
+from .spectral import ComplexField, Grid, RealField, profile_operator, save_field, write_csv
 
 # fixed_point_spectrum_probe: power-iteration cap, and the change of the
 # estimate below which it stops
 PROBE_MAX_ITER = 200
 PROBE_TOL = 1e-8
+
+# relative Euclidean distance from u(x) = conj(u(-x)) below which a seed is
+# solved in the half layout; the default seed sech e^{iAx} misses the class
+# by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
+CLASS_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -113,12 +124,38 @@ def initial_iterate(grid: Grid, theta=0.0) -> ComplexField:
 
 
 class ProfileIteration:
-    """One Petviashvili iteration on the complex envelope samples u = v + i w."""
+    """One Petviashvili iteration on the spectrum of the complex envelope
+    u = v + i w.
 
-    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, seed: ComplexField):
+    The iterate is the spectrum u_hat, never the samples: L is diagonal
+    there, and Parseval gives the residual and both pairings of m,
+
+        |L u - G(u)| = |L u_hat - G_hat| / sqrt(n),
+        <L u, u> = sum L |u_hat|^2 / n,   <G(u), u> = Re sum G_hat conj(u_hat) / n,
+
+    so a step or a diagnostics call transforms twice: u from u_hat, and
+    G_hat from G(u).  Two layouts share every line but that pair:
+
+    * full (default): u_hat = fft(u), a complex vector, with ifft/fft;
+    * half: for an envelope in the reflection-conjugate class
+      u(x) = conj(u(-x)), the spectrum of u rolled so that x = 0 sits at
+      index 0 is real, (-1)^k u_hat_k; that real vector is the iterate,
+      and ihfft/hfft move between it and the n/2 + 1 samples x >= 0 that
+      determine u.
+
+    L has a real symbol and G commutes with u(x) -> conj(u(-x)), so the
+    iteration keeps the class and the half layout never leaves it.  MPE
+    pairs either iterate as a real vector, which by Parseval is the
+    pairing of the samples scaled by n, so the extrapolants do not depend
+    on the layout.
+    """
+
+    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, seed: ComplexField,
+                 half: bool = False):
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
+        self.half = half
         self.symbol = profile_operator(params, grid).values
         if np.any(self.symbol <= 0.0):
             raise ValueError(
@@ -127,31 +164,42 @@ class ProfileIteration:
             )
         if np.sum(np.abs(seed.samples) ** (2.0 * self.sigma + 2.0)) == 0.0:
             raise ValueError("degenerate seed: <G(z), z> vanishes")
-        self._seed = seed.samples
+        self._seed = seed
+        # (-1)^k: the spectrum of u rolled by n/2 is (-1)^k u_hat_k
+        self._roll_sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
 
     def initial(self) -> np.ndarray:
-        return self._seed.copy()
+        """The seed's spectrum, projected onto the class in the half layout."""
+        spec = self._seed.spectrum()
+        return (self._roll_sign * spec).real if self.half else spec.copy()
 
-    def _evaluate(self, u: np.ndarray):
-        """G(u), the residual |L u - G(u)| and the pairings <L u, u> and
-        <G(u), u> at iterate u, from two transforms.  step and diagnostics
-        each call this, never each other, so a per-call count of transforms
-        reads 4 per step and 2 per diagnostics."""
-        lu = np.fft.ifft(self.symbol * np.fft.fft(u))
+    def samples(self, spec: np.ndarray) -> np.ndarray:
+        """The n envelope samples u on the grid of an iterate ``spec``."""
+        return np.fft.ifft(self._roll_sign * spec if self.half else spec)
+
+    def _evaluate(self, spec: np.ndarray):
+        """G_hat, the residual |L u - G(u)| and the pairings <L u, u> and
+        <G(u), u> (both times n, which cancels in m) at the iterate with
+        spectrum ``spec``, by Parseval from two transforms.  step and
+        diagnostics each call this, never each other, so a per-call count
+        of transforms reads 2 for each."""
+        u = np.fft.ihfft(spec) if self.half else np.fft.ifft(spec)
         g = np.abs(u) ** (2.0 * self.sigma) * u
-        res = float(np.linalg.norm(lu - g))
-        num = float(np.sum((lu * np.conj(u)).real))
-        den = float(np.sum((g * np.conj(u)).real))
-        return g, res, num, den
+        g_hat = np.fft.hfft(g, self.grid.n) if self.half else np.fft.fft(g)
+        lu_hat = self.symbol * spec
+        res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
+        num = float(np.vdot(spec, lu_hat).real)
+        den = float(np.vdot(spec, g_hat).real)
+        return g_hat, res, num, den
 
     def step(self, z: np.ndarray):
         """Next iterate, plus the residual and stabilizing factor of ``z``.
 
-        The residual and m come from the L u and G(u) the step forms anyway,
-        by the same expressions as ``diagnostics``, so they are bit-identical
+        The residual and m come from the G_hat the step forms anyway, by
+        the same expressions as ``diagnostics``, so they are bit-identical
         to ``diagnostics(z)`` at no extra transform.
         """
-        g, res, num, den = self._evaluate(z)
+        g_hat, res, num, den = self._evaluate(z)
         if den == 0.0:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
         m = num / den
@@ -159,15 +207,22 @@ class ProfileIteration:
             scale = m ** self.alpha
         except OverflowError:
             raise accel.DivergenceError(f"m**alpha overflows at m={m}, alpha={self.alpha}") from None
-        nxt = np.fft.ifft(scale * np.fft.fft(g) / self.symbol)
-        return nxt, res, m
+        return scale * g_hat / self.symbol, res, m
 
     def diagnostics(self, z: np.ndarray):
-        """Euclidean residual of the profile equation and the stabilizing
-        factor, both evaluated at the given iterate; m is NaN where
-        <G(z), z> = 0."""
+        """Euclidean residual of the profile equation on the grid samples
+        and the stabilizing factor, both evaluated at the given iterate; m
+        is NaN where <G(z), z> = 0."""
         _, res, num, den = self._evaluate(z)
         return res, num / den if den != 0.0 else np.nan
+
+
+def reflection_conjugate_defect(u: np.ndarray) -> float:
+    """Relative Euclidean distance of the samples u from conj(u(-x)), with
+    x = 0 the grid point at index n/2; 0 on the reflection-conjugate class,
+    which holds the zero field."""
+    norm = np.linalg.norm(u)
+    return float(np.linalg.norm(u - np.conj(np.roll(u[::-1], 1))) / norm) if norm else 0.0
 
 
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -186,7 +241,9 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     only carried into the metadata.  The report's ``profile`` is the real
     modulus rho = |u|, centered, and ``envelope`` is the centered complex
     profile that time evolution should be seeded with; ``z`` is the
-    uncentred last iterate.
+    uncentred last iterate, as grid samples.  A seed within CLASS_RTOL of
+    u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
+    any other in the full one; the report reads the same either way.
     """
     cfg = cfg or SolverConfig()
     alpha = cfg.resolved_alpha(params.sigma)
@@ -194,11 +251,13 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
         seed = initial_iterate(grid, params.A)
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
-    iteration = ProfileIteration(params, grid, alpha, seed)
+    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
+    iteration = ProfileIteration(params, grid, alpha, seed, half=half)
     # a non-finite iterate raises DivergenceError, so the overflow on the
     # way to it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         raw = accel.accelerated_iterate(iteration, cfg)
+    raw.z = iteration.samples(raw.z)
 
     meta = metadata(params)
     meta.update({"alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
@@ -224,19 +283,22 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> flo
     if isinstance(profile, SolveReport):
         profile = profile.envelope
     u0 = profile.samples.astype(complex)
+    # the full layout: the perturbations leave the reflection-conjugate class
     iteration = ProfileIteration(params, grid, alpha, ComplexField(grid, u0))
+    z0 = iteration.initial()
 
-    # symmetry directions: translation du/dx and phase rotation i*u
-    d0 = derivative_samples(grid, u0)
+    # symmetry directions: translation du/dx and phase rotation i*u, as spectra
+    d0 = 1j * grid.xi_odd * z0
     d0 /= np.linalg.norm(d0)
-    d1 = 1j * u0
+    d1 = 1j * z0
     d1 -= np.vdot(d1, d0).real * d0
     d1 /= np.linalg.norm(d1)
 
-    z0 = iteration.initial()
     eps = 1e-7 * np.linalg.norm(z0)
+    # the start is drawn on the samples and transformed, which keeps the
+    # estimates of the sample iteration
     rng = np.random.default_rng(0)
-    h = rng.standard_normal(2 * grid.n).view(np.complex128)
+    h = np.fft.fft(rng.standard_normal(2 * grid.n).view(np.complex128))
     estimate = 0.0
     for k in range(PROBE_MAX_ITER):
         h -= np.vdot(h, d0).real * d0

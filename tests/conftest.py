@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+# every transform of numpy.fft, full-size complex, real and Hermitian
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
+
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Count every np.fft.fft and np.fft.ifft call made while installed."""
+    """Count every numpy.fft transform called while installed."""
     calls = [0]
 
     def counted(fn):
@@ -13,6 +16,6 @@ def fft_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     return calls

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fnlswaves import accel
+from fnlswaves import accel, petviashvili
 from fnlswaves.analysis import reflect_samples
-from fnlswaves.params import Kind, ProblemParams, linear_phase_params, phase_slope
+from fnlswaves.params import Kind, ProblemParams, limiting_speed, phase_slope
 from fnlswaves.petviashvili import (
+    CLASS_RTOL,
     ProfileIteration,
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
+    reflection_conjugate_defect,
     save_report,
     solve_coupled,
     solve_scalar,
 )
-from fnlswaves.spectral import ComplexField, Grid, RealField, load_field
+from fnlswaves.spectral import ComplexField, Grid, RealField, load_field, profile_operator
 
 
 def fig1_params(lambda2, sigma=1.0):
@@ -243,46 +246,68 @@ class TestSpectrumProbe:
         assert all(r < 1.0 for r in ratios)
 
 
-def profile_iteration(lambda2, grid):
-    lp = linear_phase_params(fig1_params(lambda2))
-    alpha = SolverConfig().resolved_alpha(lp.sigma)
-    return ProfileIteration(lp, grid, alpha, initial_iterate(grid, lp.A))
+def profile_iteration(lambda2, grid, half=False):
+    params = fig1_params(lambda2)
+    alpha = SolverConfig().resolved_alpha(params.sigma)
+    return ProfileIteration(params, grid, alpha, initial_iterate(grid, params.A), half=half)
 
 
 class TestFusedResidual:
-    """step(z) reports the residual and m of z, so each base iteration costs
-    one step (4 FFTs) and diagnostics (2 FFTs) is left for iterates that are
-    never stepped from."""
+    """The iterate is a spectrum, and step(z) reports the residual and m of
+    z by Parseval, so each base iteration costs one step (2 transforms,
+    half-size in the half layout) and diagnostics (2 transforms) is left for
+    iterates that are never stepped from."""
 
-    def test_step_reports_diagnostics_of_its_input(self, fft_calls):
-        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
-        z = it.initial()
-        for _ in range(5):
-            before = fft_calls[0]
-            nxt, res, m = it.step(z)
-            assert fft_calls[0] - before == 4
-            before = fft_calls[0]
-            assert (res, m) == it.diagnostics(z)
-            assert fft_calls[0] - before == 2
-            z = nxt
+    def test_step_reports_diagnostics_of_its_input(self, fft_calls, monkeypatch):
+        for half in (True, False):
+            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            z = it.initial()
+            assert np.isrealobj(z) == half and z.shape == (1024,)
+            with monkeypatch.context() as mp:
+                if half:  # its transforms are the half-size ihfft and hfft
+                    mp.setattr(np.fft, "fft", None)
+                    mp.setattr(np.fft, "ifft", None)
+                for _ in range(5):
+                    before = fft_calls[0]
+                    nxt, res, m = it.step(z)
+                    assert fft_calls[0] - before == 2
+                    before = fft_calls[0]
+                    assert (res, m) == it.diagnostics(z)
+                    assert fft_calls[0] - before == 2
+                    z = nxt
 
     def test_vanishing_pairing(self):
         # <G(z), z> = 0: step cannot form m and raises, diagnostics reports NaN
-        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
-        z = np.zeros_like(it.initial())
-        with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
-            it.step(z)
-        res, m = it.diagnostics(z)
-        assert res == 0.0 and np.isnan(m)
+        for half in (True, False):
+            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            z = np.zeros_like(it.initial())
+            with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
+                it.step(z)
+            res, m = it.diagnostics(z)
+            assert res == 0.0 and np.isnan(m)
 
     @pytest.mark.parametrize("mw, iterations, ffts",
-                             [(1, 42, 172), (3, 30, 140), (4, 22, 102), (6, 18, 82)])
+                             [(1, 42, 88), (3, 30, 82), (4, 22, 58), (6, 18, 46)])
     def test_fft_budget_per_solve(self, grid64, fft_calls, mw, iterations, ffts):
-        # the diagnostics-per-iterate loop took 254/200/144/116; a negative
-        # speed is solved directly at the same cost
+        # the default seed takes the half layout: two half-size transforms per
+        # step or diagnostics, plus one fft of the seed and one ifft of the
+        # result.  Iterating the samples took 172/140/102/82 full transforms,
+        # and a negative speed is solved directly at the same cost
         for c in (1.0, -1.0):
             fft_calls[0] = 0
             rep = solve_scalar(fig1_params(c), grid64, SolverConfig(mw=mw))
+            assert rep.converged and rep.iterations == iterations
+            assert fft_calls[0] == ffts
+
+    @pytest.mark.parametrize("mw, iterations, ffts",
+                             [(1, 42, 88), (3, 31, 86), (4, 24, 62), (6, 19, 48)])
+    def test_fft_budget_per_solve_full_layout(self, grid64, fft_calls, mw, iterations, ffts):
+        # the quadratic seed takes the full layout at the same two transforms
+        # per step or diagnostics; iterating the samples took 172/148/108/86
+        for c in (1.0, -1.0):
+            fft_calls[0] = 0
+            rep = solve_scalar(fig1_params(c), grid64, SolverConfig(mw=mw),
+                               seed=initial_iterate(grid64, "quadratic"))
             assert rep.converged and rep.iterations == iterations
             assert fft_calls[0] == ffts
 
@@ -290,7 +315,10 @@ class TestFusedResidual:
     def test_speed_sign_is_the_reflection(self, c):
         # T_{-c} = R T_c R for the reflection R: u(x) -> u(-x), since
         # L_{-c}(xi) = L_c(-xi), G and the pairings commute with R, and the
-        # Nyquist mode carries no drift; solving at -c needs no second frame
+        # Nyquist mode carries no drift; solving at -c needs no second frame.
+        # On the full layout's spectra R is u_hat(xi) -> u_hat(-xi), the same
+        # index reflection; a random z is outside the class the half layout
+        # keeps
         grid = Grid(l=32.0, n=1024)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -306,27 +334,149 @@ class TestFusedResidual:
     def test_history_replays_diagnostics(self, mw, max_iter):
         # every recorded entry is exactly diagnostics() of its iterate:
         # base iterates from plain steps, extrapolants from each cycle
-        it = profile_iteration(1.0, Grid(l=32.0, n=1024))
-        raw = accel.accelerated_iterate(it, SolverConfig(mw=mw, max_iter=max_iter))
-        assert raw.converged == (max_iter == 500)
-        history = list(zip(raw.residual_history, raw.m_history))
-        z = it.initial()
-        replay = [it.diagnostics(z)]
-        while len(replay) < len(history):
-            cycle = [z]
-            for _ in range(mw):
-                z = it.step(z)[0]
-                cycle.append(z)
-                replay.append(it.diagnostics(z))
-                if len(replay) == len(history):
-                    break
-            else:
-                if mw > 1:
-                    z = accel.mpe_extrapolate(cycle)
+        for half in (True, False):
+            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            raw = accel.accelerated_iterate(it, SolverConfig(mw=mw, max_iter=max_iter))
+            assert raw.converged == (max_iter == 500)
+            history = list(zip(raw.residual_history, raw.m_history))
+            z = it.initial()
+            replay = [it.diagnostics(z)]
+            while len(replay) < len(history):
+                cycle = [z]
+                for _ in range(mw):
+                    z = it.step(z)[0]
+                    cycle.append(z)
                     replay.append(it.diagnostics(z))
-                    assert len(replay) - 1 in raw.cycle_ends
-        assert replay == history
-        assert np.array_equal(raw.z, z)
+                    if len(replay) == len(history):
+                        break
+                else:
+                    if mw > 1:
+                        z = accel.mpe_extrapolate(cycle)
+                        replay.append(it.diagnostics(z))
+                        assert len(replay) - 1 in raw.cycle_ends
+            assert replay == history
+            assert np.array_equal(raw.z, z)
+
+
+def subgrid_shift(field, d):
+    """The field translated by d, a fraction of a grid step, spectrally."""
+    return ComplexField(field.grid, np.fft.ifft(field.spectrum() * np.exp(-1j * field.grid.xi * d)))
+
+
+# a seed solved in each layout: the default seed, and the same seed moved off
+# x = 0 by 257 grid points, which takes it out of the class
+LAYOUT_SHIFTS = pytest.mark.parametrize("shift", [0, 257], ids=["half", "full"])
+
+
+class TestLayouts:
+    """solve_scalar iterates the real half spectrum when its seed satisfies
+    u(x) = conj(u(-x)) to CLASS_RTOL, and the full complex spectrum
+    otherwise; the report reads the same either way."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        chosen = []
+
+        class Recording(ProfileIteration):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                chosen.append(self.half)
+
+        monkeypatch.setattr(petviashvili, "ProfileIteration", Recording)
+        return chosen
+
+    @pytest.mark.parametrize("c, seed, half", [
+        (1.0, "default", True), (-1.0, "default", True), (1.0, "real sech", True),
+        (1.0, "quadratic", False), (1.0, "random", False), (1.0, "sub-grid shift", False)])
+    def test_seed_picks_the_layout(self, grid64, layouts, c, seed, half):
+        params = fig1_params(c)
+        rng = np.random.default_rng(3)
+        field = {
+            "default": None,
+            "real sech": initial_iterate(grid64),
+            "quadratic": initial_iterate(grid64, "quadratic"),
+            "random": ComplexField(grid64, rng.standard_normal(grid64.n)
+                                   + 1j * rng.standard_normal(grid64.n)),
+            "sub-grid shift": subgrid_shift(initial_iterate(grid64, params.A), 0.3 * grid64.h),
+        }[seed]
+        solve_scalar(params, grid64, SolverConfig(max_iter=2), seed=field)
+        assert layouts == [half]
+
+    def test_class_tolerance(self):
+        # the default seed misses the class by 2 sech(l)|sin(Al)| at x = -l,
+        # whose image x = l is not a grid point: 1.3e-14 relative on l = 32,
+        # n = 512, inside CLASS_RTOL, and nothing to speak of from l = 64.
+        # The quadratic seed misses it by 1.0
+        A = fig1_params(1.0).A
+        grid = Grid(l=32.0, n=512)
+        miss = 2.0 / np.cosh(grid.l) * abs(np.sin(A * grid.l))
+        seed = initial_iterate(grid, A).samples
+        assert reflection_conjugate_defect(seed) == pytest.approx(
+            miss / np.linalg.norm(seed), rel=1e-6)
+        assert 1.2e-14 < reflection_conjugate_defect(seed) < 1.3e-14 < CLASS_RTOL
+        assert reflection_conjugate_defect(initial_iterate(Grid(l=64.0, n=4096), A).samples) < 1e-28
+        assert reflection_conjugate_defect(initial_iterate(grid, "quadratic").samples) > 1.0
+
+    @LAYOUT_SHIFTS
+    def test_report_holds_the_samples(self, grid64, shift):
+        # z is the uncentred last iterate as grid samples in either layout:
+        # its peak sits where the seed's did, the envelope is z centred, and
+        # the residual of z evaluated on the samples is the last one recorded
+        params = fig1_params(1.0)
+        seed = initial_iterate(grid64, params.A)
+        rep = solve_scalar(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, shift)))
+        assert rep.converged and rep.z.dtype == np.complex128 and rep.z.shape == (grid64.n,)
+        assert int(np.argmax(np.abs(rep.z))) == grid64.zero_index() + shift
+        assert np.array_equal(rep.envelope.samples, np.roll(rep.z, -shift))
+        lu = np.fft.ifft(profile_operator(params, grid64).values * np.fft.fft(rep.z))
+        res = np.linalg.norm(lu - np.abs(rep.z) ** 2 * rep.z)
+        assert res == pytest.approx(rep.final_residual, rel=1e-2)
+
+    def test_report_does_not_leak_the_layout(self, grid64):
+        params = fig1_params(1.0)
+        seed = initial_iterate(grid64, params.A)
+        half = solve_scalar(params, grid64)
+        full = solve_scalar(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, 257)))
+        assert vars(half).keys() == vars(full).keys()
+        assert half.meta == full.meta
+        assert half.iterations == full.iterations == 42
+        assert np.max(np.abs(half.envelope.samples - full.envelope.samples)) < 1e-12
+
+    @LAYOUT_SHIFTS
+    def test_tol_1e12_converges_at_n4096(self, grid64, shift):
+        # the Parseval residual makes no round trip through the samples, so
+        # its floor here is about 3e-15; the sample residual stalled at
+        # 1.47e-12 and ran all 600 iterations
+        params = fig1_params(1.0)
+        seed = initial_iterate(grid64, params.A)
+        rep = solve_scalar(params, grid64, SolverConfig(mw=1, tol=1e-12, max_iter=600),
+                           seed=ComplexField(grid64, np.roll(seed.samples, shift)))
+        assert rep.converged and rep.iterations == 50
+        assert rep.final_residual <= 1e-12
+
+
+class TestHalfLayoutProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(s=st.floats(0.6, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
+           n=st.sampled_from([64, 128, 256, 512, 1024]))
+    def test_half_step_is_the_full_step(self, s, sigma, speed, n):
+        # from a seed in the class, one half-layout step is the full-layout
+        # step, and the full step stays in the class: L has a real symbol and
+        # G commutes with u(x) -> conj(u(-x))
+        params = ProblemParams(s=s, sigma=sigma, lambda1=1.0,
+                               lambda2=speed * limiting_speed(s, 1.0))
+        grid = Grid(l=48.0, n=n)
+        seed = initial_iterate(grid, params.A)
+        alpha = SolverConfig().resolved_alpha(sigma)
+        full, half = (ProfileIteration(params, grid, alpha, seed, half=h) for h in (False, True))
+        nxt_f, res_f, m_f = full.step(full.initial())
+        nxt_h, res_h, m_h = half.step(half.initial())
+        u_f, u_h = full.samples(nxt_f), half.samples(nxt_h)
+        assert np.linalg.norm(u_h - u_f) <= 1e-13 * np.linalg.norm(u_f)
+        assert res_h == pytest.approx(res_f, rel=1e-13)
+        assert m_h == pytest.approx(m_f, rel=1e-13)
+        assert np.isrealobj(nxt_h)
+        assert reflection_conjugate_defect(u_f) <= CLASS_RTOL
 
 
 class TestSolverConfig:
