@@ -30,6 +30,7 @@ from .petviashvili import (
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
+    reflection_conjugate_defect,
     solve_scalar,
 )
 from .accel import mpe_extrapolate
@@ -38,7 +39,6 @@ from .analysis import (
     DecayFit,
     ScanResult,
     decay_slope,
-    evenness_defect,
     phase_plane,
     speed_amplitude_scan,
 )

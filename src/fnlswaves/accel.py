@@ -13,9 +13,13 @@ The driver below uses restarted cycles: run mw base iterations, extrapolate
 from the cycle's mw + 1 iterates and restart from the extrapolant; with
 mw = 1 it is the plain iteration.  Iterates are flat float64 or complex128
 vectors; MPE pairs them as real vectors, a complex entry counting as its
-real and imaginary parts, so the least-squares problem stays real.  A step
-reports the residual of the iterate it starts from, so the driver records
-residuals without evaluating the operator a second time.
+real and imaginary parts, so the least-squares problem stays real.
+
+The iteration the driver runs has two methods: initial() -> z and
+step(z) -> (z_next, residual, m), whose residual and m are those of its
+input z.  Every iterate is stepped from exactly once, so its recorded
+residual costs nothing beyond the step, and the only step output thrown
+away is the one taken from the final iterate, converged or at max_iter.
 """
 
 from __future__ import annotations
@@ -104,19 +108,17 @@ class AccelResult:
 def accelerated_iterate(iteration, cfg) -> AccelResult:
     """Drive a fixed-point iteration with restarted-MPE cycles.
 
-    ``iteration`` provides initial() -> z, step(z) -> (z_next, residual, m)
-    with the residual and m of its input z, and diagnostics(z) ->
-    (residual, m).  One AccelResult is filled as the loop runs: it records
-    the residual of every iterate, including each cycle's extrapolant
+    ``iteration`` provides initial() -> z and step(z) -> (z_next, residual,
+    m), with the residual and m of its input z; the driver calls nothing
+    else.  One AccelResult is filled as the loop runs: it records the
+    residual of every iterate, including each cycle's extrapolant
     (evaluated on the profile equation itself).
 
-    Each iterate's residual comes from the step taken from it, so one base
-    iteration costs one step.  ``diagnostics`` is called only for iterates
-    that are never stepped from: the last base iterate of an mw > 1 cycle,
-    which feeds the extrapolation, and the iterate at max_iter.  After a
-    degenerate extrapolation the loop steps from that kept base iterate.
-    The only step output thrown away is the one taken from the converged
-    iterate.
+    Every iterate is stepped from exactly once, so one base iteration or
+    one extrapolant costs one step.  When an extrapolation is degenerate
+    the loop goes on from the step already taken from the cycle's last
+    base iterate.  The only step output thrown away is the one taken from
+    the final iterate, whether it converged or the loop reached max_iter.
     """
     z = iteration.initial()
     nxt, res, m = iteration.step(z)
@@ -127,25 +129,20 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
         rec.iterations += 1
         _check_finite(z, rec.iterations)
         cycle.append(z)
-        extrapolate = cfg.mw > 1 and len(cycle) > cfg.mw
-        if extrapolate or rec.iterations >= cfg.max_iter:
-            res, m = iteration.diagnostics(z)
-        else:
-            nxt, res, m = iteration.step(z)
+        nxt, res, m = iteration.step(z)
         rec.residual_history.append(res)
         rec.m_history.append(m)
-        if extrapolate and not (res <= cfg.tol or rec.iterations >= cfg.max_iter):
-            y = mpe_extrapolate(cycle)
-            if y is None:
-                rec.mpe_fallbacks += 1
-                nxt = iteration.step(z)[0]
-            else:
-                z = y
-                nxt, res, m = iteration.step(z)
-                rec.residual_history.append(res)
-                rec.m_history.append(m)
-                rec.cycle_ends.append(len(rec.residual_history) - 1)
         if len(cycle) > cfg.mw:
+            if cfg.mw > 1 and not (res <= cfg.tol or rec.iterations >= cfg.max_iter):
+                y = mpe_extrapolate(cycle)
+                if y is None:
+                    rec.mpe_fallbacks += 1
+                else:
+                    z = y
+                    nxt, res, m = iteration.step(z)
+                    rec.residual_history.append(res)
+                    rec.m_history.append(m)
+                    rec.cycle_ends.append(len(rec.residual_history) - 1)
             cycle = [z]
     rec.z, rec.converged = z, res <= cfg.tol
     return rec

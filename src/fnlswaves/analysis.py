@@ -1,5 +1,6 @@
-"""Post-processing of computed profiles: decay fits, symmetry and tail
-diagnostics, and speed-amplitude scans.
+"""Post-processing of computed profiles: decay fits, tail diagnostics, and
+speed-amplitude scans.  The evenness defect of a profile is
+petviashvili.reflection_conjugate_defect of its samples.
 
 The waves decay algebraically like |x|^{-(2s+1)}.  On the periodic grid the
 samples approximate the periodized profile sum_k rho(x + 2lk), and every
@@ -163,20 +164,6 @@ def decay_slope(profile, window=None) -> DecayFit:
         model_ok=bool(ok),
         points=int(mask.sum()),
     )
-
-
-def reflect_samples(samples: np.ndarray) -> np.ndarray:
-    """Index reflection x -> -x on the periodic grid (x_0 maps to itself)."""
-    return np.roll(samples[::-1], 1)
-
-
-def evenness_defect(profile) -> float:
-    """Relative norm of rho minus its reflection; zero for even profiles."""
-    vals = profile.samples
-    norm = np.linalg.norm(vals)
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(vals - reflect_samples(vals)) / norm)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import accel
-from .analysis import (decay_slope, decay_window, evenness_defect, phase_plane,
-                       speed_amplitude_scan)
+from .analysis import decay_slope, decay_window, phase_plane, speed_amplitude_scan
 from .evolve import EvolveConfig, run as evolve_run, save_evolution
 from .params import Kind, ParameterError, ProblemParams, metadata
 from .petviashvili import (
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
+    reflection_conjugate_defect,
     save_report,
     solve_scalar,
 )
@@ -252,7 +252,7 @@ def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) 
         return 3
     if cfg.command == "analyze":
         fit = decay_slope(report.profile, cfg.window)
-        defect = evenness_defect(report.profile)
+        defect = reflection_conjugate_defect(report.profile.samples)
         plane = phase_plane(report.profile)
         meta = {**metadata(cfg.params),
                 "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
@@ -354,8 +354,8 @@ def _fig4(out):
     rep_l = solve_scalar(_params(1.0), grid)
     rows = zip(grid.x.tolist(), rep_q.profile.samples.tolist(), rep_l.profile.samples.tolist())
     meta = _header(lambda2=1.0,
-                   evenness_defect_quadratic=evenness_defect(rep_q.profile),
-                   evenness_defect_linear=evenness_defect(rep_l.profile))
+                   evenness_defect_quadratic=reflection_conjugate_defect(rep_q.profile.samples),
+                   evenness_defect_linear=reflection_conjugate_defect(rep_l.profile.samples))
     fig4 = _write(out, "fig4.csv", meta, ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
     return [fig4], [rep_q.converged, rep_l.converged]
 

@@ -133,8 +133,9 @@ class ProfileIteration:
         |L u - G(u)| = |L u_hat - G_hat| / sqrt(n),
         <L u, u> = sum L |u_hat|^2 / n,   <G(u), u> = Re sum G_hat conj(u_hat) / n,
 
-    so a step or a diagnostics call transforms twice: u from u_hat, and
-    G_hat from G(u).  Two layouts share every line but that pair:
+    so a step transforms twice, u from u_hat and G_hat from G(u), and
+    returns the residual and m of its input with the next iterate.  Two
+    layouts share every line but that pair:
 
     * full (default): u_hat = fft(u), a complex vector, with ifft/fft;
     * half: for an envelope in the reflection-conjugate class
@@ -177,29 +178,21 @@ class ProfileIteration:
         """The n envelope samples u on the grid of an iterate ``spec``."""
         return np.fft.ifft(self._roll_sign * spec if self.half else spec)
 
-    def _evaluate(self, spec: np.ndarray):
-        """G_hat, the residual |L u - G(u)| and the pairings <L u, u> and
-        <G(u), u> (both times n, which cancels in m) at the iterate with
-        spectrum ``spec``, by Parseval from two transforms.  step and
-        diagnostics each call this, never each other, so a per-call count
-        of transforms reads 2 for each."""
-        u = np.fft.ihfft(spec) if self.half else np.fft.ifft(spec)
-        g = np.abs(u) ** (2.0 * self.sigma) * u
-        g_hat = np.fft.hfft(g, self.grid.n) if self.half else np.fft.fft(g)
-        lu_hat = self.symbol * spec
-        res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
-        num = float(np.vdot(spec, lu_hat).real)
-        den = float(np.vdot(spec, g_hat).real)
-        return g_hat, res, num, den
-
     def step(self, z: np.ndarray):
         """Next iterate, plus the residual and stabilizing factor of ``z``.
 
-        The residual and m come from the G_hat the step forms anyway, by
-        the same expressions as ``diagnostics``, so they are bit-identical
-        to ``diagnostics(z)`` at no extra transform.
+        The residual |L u - G(u)| and the pairings <L u, u> and <G(u), u>
+        (both times n, which cancels in m) come by Parseval from the G_hat
+        the step forms anyway, so a step transforms twice and evaluates its
+        input at no extra transform.
         """
-        g_hat, res, num, den = self._evaluate(z)
+        u = np.fft.ihfft(z) if self.half else np.fft.ifft(z)
+        g = np.abs(u) ** (2.0 * self.sigma) * u
+        g_hat = np.fft.hfft(g, self.grid.n) if self.half else np.fft.fft(g)
+        lu_hat = self.symbol * z
+        res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
+        num = float(np.vdot(z, lu_hat).real)
+        den = float(np.vdot(z, g_hat).real)
         if den == 0.0:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
         m = num / den
@@ -209,20 +202,19 @@ class ProfileIteration:
             raise accel.DivergenceError(f"m**alpha overflows at m={m}, alpha={self.alpha}") from None
         return scale * g_hat / self.symbol, res, m
 
-    def diagnostics(self, z: np.ndarray):
-        """Euclidean residual of the profile equation on the grid samples
-        and the stabilizing factor, both evaluated at the given iterate; m
-        is NaN where <G(z), z> = 0."""
-        _, res, num, den = self._evaluate(z)
-        return res, num / den if den != 0.0 else np.nan
+
+def reflect_samples(samples: np.ndarray) -> np.ndarray:
+    """Index reflection x -> -x on the periodic grid: x = 0, the grid point
+    at index n/2, and x = -l at index 0 map to themselves."""
+    return np.roll(samples[::-1], 1)
 
 
 def reflection_conjugate_defect(u: np.ndarray) -> float:
-    """Relative Euclidean distance of the samples u from conj(u(-x)), with
-    x = 0 the grid point at index n/2; 0 on the reflection-conjugate class,
-    which holds the zero field."""
+    """Relative Euclidean distance of the samples u from conj(u(-x)); 0 on
+    the reflection-conjugate class, which holds the zero field.  For real
+    samples, a profile rho say, it is the evenness defect of rho."""
     norm = np.linalg.norm(u)
-    return float(np.linalg.norm(u - np.conj(np.roll(u[::-1], 1))) / norm) if norm else 0.0
+    return float(np.linalg.norm(u - np.conj(reflect_samples(u))) / norm) if norm else 0.0
 
 
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:

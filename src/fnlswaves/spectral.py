@@ -293,7 +293,8 @@ def save_field(path, f: Field, metadata: dict | None = None) -> None:
 
 
 def load_field(path):
-    """Read a snapshot back; returns (field, metadata dict)."""
+    """Read a snapshot back; returns (field, metadata dict).  A malformed
+    snapshot, one with a non-finite sample included, raises ValueError."""
     meta: dict[str, str] = {}
     rows = []
     with open(path) as fh:
@@ -320,6 +321,8 @@ def load_field(path):
     data = np.asarray(rows)
     if data.ndim != 2 or data.shape[1] < columns:
         raise ValueError(f"{path}: {meta['field_type']} snapshot needs {columns} columns per row")
+    if not np.all(np.isfinite(data[:, :columns])):
+        raise ValueError(f"{path}: snapshot has a non-finite sample")
     grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
     if columns == 2:
         fld: Field = ComplexField(grid, data[:, 0] + 1j * data[:, 1])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnlswaves import accel
 from fnlswaves.accel import accelerated_iterate, mpe_coefficients, mpe_extrapolate
@@ -24,8 +25,46 @@ class LinearIteration:
         nxt = self.M @ z + self.b
         return nxt, float(np.linalg.norm(nxt - z)), 1.0
 
-    def diagnostics(self, z):
-        return self.step(z)[1:]
+
+class Recorder:
+    """Forwards to an iteration and records the name of every attribute
+    the driver reads from it."""
+
+    def __init__(self, iteration):
+        self.iteration, self.calls = iteration, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.iteration, name)
+
+
+class Drift(LinearIteration):
+    """z -> z + d: every cycle is an arithmetic progression, so each
+    extrapolation is degenerate."""
+
+    def __init__(self):
+        self.M, self.b, self.z0 = np.eye(2), np.ones(2), np.zeros(2)
+
+
+@st.composite
+def contractions(draw):
+    """z -> M z + b, real or complex, with M normal and its spectral radius
+    at most 0.9, so |z - z*| <= 10 |M z + b - z|."""
+    dim = draw(st.integers(2, 12))
+    is_complex = draw(st.booleans())
+    radius = draw(st.floats(0.0, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector():
+        v = rng.standard_normal(dim)
+        return v + 1j * rng.standard_normal(dim) if is_complex else v
+
+    if is_complex:
+        eigs = radius * np.sqrt(rng.random(dim)) * np.exp(2j * np.pi * rng.random(dim))
+    else:
+        eigs = radius * rng.uniform(-1.0, 1.0, dim)
+    q = np.linalg.qr(np.stack([vector() for _ in range(dim)]))[0]
+    return LinearIteration(q @ np.diag(eigs) @ q.conj().T, vector(), vector())
 
 
 class TestWindow:
@@ -141,19 +180,23 @@ class TestAcceleratedIterate:
         assert res.converged and res.cycle_ends == [] and res.mpe_fallbacks == 0
 
     def test_fallback_keeps_base_iterate(self):
-        # z -> z + d: every cycle is an arithmetic progression, so each
-        # extrapolation is degenerate and the loop goes on from the plain
-        # iterate; the fourth cycle ends at max_iter before extrapolating
-        class Drift(LinearIteration):
-            def __init__(self):
-                self.M, self.b, self.z0 = np.eye(2), np.ones(2), np.zeros(2)
-
+        # each extrapolation is degenerate and the loop goes on from the
+        # plain iterate; the fourth cycle ends at max_iter before
+        # extrapolating
         res = accelerated_iterate(Drift(), SolverConfig(tol=1e-12, max_iter=12, mw=3))
         assert not res.converged and res.iterations == 12
         assert res.mpe_fallbacks == 3 and res.cycle_ends == []
         assert np.array_equal(res.z, np.full(2, 12.0))
         # no extrapolant row, so every row is one base iteration on
         assert res.history_iterations == list(range(13))
+
+    def test_one_step_per_recorded_iterate(self):
+        # the driver asks for the seed, then steps every iterate once: after
+        # a degenerate extrapolation it goes on from the step it already took
+        it = Recorder(Drift())
+        res = accelerated_iterate(it, SolverConfig(tol=1e-12, max_iter=12, mw=3))
+        assert res.mpe_fallbacks == 3 and len(res.residual_history) == 13
+        assert it.calls == ["initial"] + ["step"] * len(res.residual_history)
 
     def test_restart_reaches_linear_fixed_point_fast(self):
         rng = np.random.default_rng(5)
@@ -164,6 +207,25 @@ class TestAcceleratedIterate:
         # window spans the full minimal polynomial: one cycle suffices
         assert res.converged and res.iterations <= 12
         assert np.linalg.norm(res.z - it.fixed_point) < 1e-9
+
+
+class TestContractionProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(iteration=contractions(), mw=st.integers(1, 6))
+    def test_driver_reaches_the_fixed_point(self, iteration, mw):
+        tol = 1e-10
+        it = Recorder(iteration)
+        res = accelerated_iterate(it, SolverConfig(tol=tol, max_iter=1000, mw=mw))
+        assert res.converged
+        assert np.linalg.norm(res.z - iteration.fixed_point) <= 10 * tol * (1 + 1e-6)
+        assert it.calls == ["initial"] + ["step"] * len(res.residual_history)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(iteration=contractions(), mw=st.integers(1, 6))
+    def test_extrapolation_keeps_the_fixed_point(self, iteration, mw):
+        # MPE weights sum to one, so a cycle at the fixed point stays there
+        fixed_point = iteration.fixed_point
+        assert np.array_equal(mpe_extrapolate([fixed_point] * (mw + 1)), fixed_point)
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from fnlswaves.analysis import decay_slope, evenness_defect, phase_plane, speed_amplitude_scan
+from fnlswaves.analysis import decay_slope, phase_plane, speed_amplitude_scan
 from fnlswaves.evolve import EvolveConfig, run as evolve_run
 from fnlswaves.params import ProblemParams, limiting_speed, linear_phase_params, phase_slope
-from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
+from fnlswaves.petviashvili import (
+    SolverConfig,
+    initial_iterate,
+    reflection_conjugate_defect,
+    solve_scalar,
+)
 from fnlswaves.spectral import ComplexField, Grid, RealField, apply_multiplier, m_symbol
 
 
@@ -137,9 +142,10 @@ def test_criterion_06_subfamily_consistency(grid64, fig1_reports):
 
 
 def test_criterion_07_evenness_dichotomy(grid64, fig1_reports):
-    defects = {c: evenness_defect(rep.profile) for c, rep in fig1_reports.items()}
+    defects = {c: reflection_conjugate_defect(rep.profile.samples)
+               for c, rep in fig1_reports.items()}
     quad = solve_scalar(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
-    quad_defect = evenness_defect(quad.profile)
+    quad_defect = reflection_conjugate_defect(quad.profile.samples)
     ok = all(d < 1e-6 for d in defects.values()) and quad_defect > 1e-2
     assert report_line(
         7,

@@ -266,8 +266,12 @@ class TestOtherCommands:
         ({"field_type": "vector", "l": "32.0", "n": "1024"}, None),
         ({"field_type": "complex", "l": "32.0", "n": "1024"}, ""),
         ({"field_type": "complex", "l": "32.0", "n": "1024"}, "1.0e+00\n"),
+        ({"field_type": "complex", "l": "32.0", "n": "1024"},
+         "nan 0.0e+00\n" + "1.0e+00 0.0e+00\n" * 1023),
+        ({"field_type": "complex", "l": "32.0", "n": "1024"},
+         "1.0e+00 0.0e+00\n" * 1023 + "1.0e+00 inf\n"),
     ], ids=["no-l", "no-n", "no-field_type", "unknown-field_type", "no-rows",
-            "one-column-complex"])
+            "one-column-complex", "nan-sample", "inf-sample"])
     def test_malformed_seed_profile_exits_2(self, tmp_path, capsys, header, body):
         if body is None:
             body = "1.0e+00 0.0e+00\n" * 1024

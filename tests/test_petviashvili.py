@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnlswaves import accel, petviashvili
-from fnlswaves.analysis import reflect_samples
 from fnlswaves.params import Kind, ProblemParams, limiting_speed, phase_slope
 from fnlswaves.petviashvili import (
     CLASS_RTOL,
@@ -11,6 +10,7 @@ from fnlswaves.petviashvili import (
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
+    reflect_samples,
     reflection_conjugate_defect,
     save_report,
     solve_coupled,
@@ -254,44 +254,45 @@ def profile_iteration(lambda2, grid, half=False):
 
 class TestFusedResidual:
     """The iterate is a spectrum, and step(z) reports the residual and m of
-    z by Parseval, so each base iteration costs one step (2 transforms,
-    half-size in the half layout) and diagnostics (2 transforms) is left for
-    iterates that are never stepped from."""
+    z by Parseval, so each iterate costs one step: 2 transforms, half-size
+    in the half layout."""
 
     def test_step_reports_diagnostics_of_its_input(self, fft_calls, monkeypatch):
+        # the oracle is the residual |ifft(L fft(u)) - |u|^{2 sigma} u| and
+        # the pairings of m, all on the samples u of z
         for half in (True, False):
             it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
             z = it.initial()
             assert np.isrealobj(z) == half and z.shape == (1024,)
-            with monkeypatch.context() as mp:
-                if half:  # its transforms are the half-size ihfft and hfft
-                    mp.setattr(np.fft, "fft", None)
-                    mp.setattr(np.fft, "ifft", None)
-                for _ in range(5):
+            for _ in range(5):
+                u = it.samples(z)
+                lu = np.fft.ifft(it.symbol * np.fft.fft(u))
+                g = np.abs(u) ** (2.0 * it.sigma) * u
+                with monkeypatch.context() as mp:
+                    if half:  # its transforms are the half-size ihfft and hfft
+                        mp.setattr(np.fft, "fft", None)
+                        mp.setattr(np.fft, "ifft", None)
                     before = fft_calls[0]
                     nxt, res, m = it.step(z)
                     assert fft_calls[0] - before == 2
-                    before = fft_calls[0]
-                    assert (res, m) == it.diagnostics(z)
-                    assert fft_calls[0] - before == 2
-                    z = nxt
+                assert res == pytest.approx(np.linalg.norm(lu - g), rel=1e-13)
+                assert m == pytest.approx(np.vdot(u, lu).real / np.vdot(u, g).real, rel=1e-13)
+                z = nxt
 
     def test_vanishing_pairing(self):
-        # <G(z), z> = 0: step cannot form m and raises, diagnostics reports NaN
+        # <G(z), z> = 0: step cannot form m and raises
         for half in (True, False):
             it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
             z = np.zeros_like(it.initial())
             with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
                 it.step(z)
-            res, m = it.diagnostics(z)
-            assert res == 0.0 and np.isnan(m)
 
     @pytest.mark.parametrize("mw, iterations, ffts",
                              [(1, 42, 88), (3, 30, 82), (4, 22, 58), (6, 18, 46)])
     def test_fft_budget_per_solve(self, grid64, fft_calls, mw, iterations, ffts):
         # the default seed takes the half layout: two half-size transforms per
-        # step or diagnostics, plus one fft of the seed and one ifft of the
-        # result.  Iterating the samples took 172/140/102/82 full transforms,
+        # step, one step per iterate, plus one fft of the seed and one ifft of
+        # the result.  Iterating the samples took 172/140/102/82 full transforms,
         # and a negative speed is solved directly at the same cost
         for c in (1.0, -1.0):
             fft_calls[0] = 0
@@ -303,7 +304,7 @@ class TestFusedResidual:
                              [(1, 42, 88), (3, 31, 86), (4, 24, 62), (6, 19, 48)])
     def test_fft_budget_per_solve_full_layout(self, grid64, fft_calls, mw, iterations, ffts):
         # the quadratic seed takes the full layout at the same two transforms
-        # per step or diagnostics; iterating the samples took 172/148/108/86
+        # per step; iterating the samples took 172/148/108/86
         for c in (1.0, -1.0):
             fft_calls[0] = 0
             rep = solve_scalar(fig1_params(c), grid64, SolverConfig(mw=mw),
@@ -332,7 +333,7 @@ class TestFusedResidual:
     @pytest.mark.parametrize("mw", [1, 3])
     @pytest.mark.parametrize("max_iter", [500, 7])
     def test_history_replays_diagnostics(self, mw, max_iter):
-        # every recorded entry is exactly diagnostics() of its iterate:
+        # every recorded entry is exactly step(z)[1:] of its iterate z:
         # base iterates from plain steps, extrapolants from each cycle
         for half in (True, False):
             it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
@@ -340,19 +341,19 @@ class TestFusedResidual:
             assert raw.converged == (max_iter == 500)
             history = list(zip(raw.residual_history, raw.m_history))
             z = it.initial()
-            replay = [it.diagnostics(z)]
+            replay = [it.step(z)[1:]]
             while len(replay) < len(history):
                 cycle = [z]
                 for _ in range(mw):
                     z = it.step(z)[0]
                     cycle.append(z)
-                    replay.append(it.diagnostics(z))
+                    replay.append(it.step(z)[1:])
                     if len(replay) == len(history):
                         break
                 else:
                     if mw > 1:
                         z = accel.mpe_extrapolate(cycle)
-                        replay.append(it.diagnostics(z))
+                        replay.append(it.step(z)[1:])
                         assert len(replay) - 1 in raw.cycle_ends
             assert replay == history
             assert np.array_equal(raw.z, z)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnlswaves.params import ProblemParams, linear_phase_params
 from fnlswaves.spectral import (
@@ -396,6 +397,50 @@ class TestSnapshots:
         back, _ = load_field(path)
         assert isinstance(back, RealField)
         assert np.array_equal(back.samples, f.samples)
+
+    @st.composite
+    def _snapshot_text(draw):
+        # header keys dropped, repeated or given wild values, and rows whose
+        # count and tokens vary; sane values come often enough that many
+        # texts load, and a wild token then sits in a loadable snapshot
+        first = draw(st.sampled_from(["# fnlswaves-field 1"] * 6 + ["# fnlswaves-field",
+                                                                   "fnlswaves-field 1"]))
+        header = {
+            "field_type": ["real", "complex"] * 3 + ["vector", ""],
+            "l": ["8.0"] * 6 + ["0", "-8.0", "nan", "inf", "1e400", "x"],
+            "n": ["8"] * 6 + ["7", "0", "-8", "8.0", "x"],
+            "s": ["0.75", "", "= 1"],
+        }
+        lines = [first]
+        for key, values in header.items():
+            for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+                lines.append(f"# {key} = {draw(st.sampled_from(values))}")
+        token = st.sampled_from(["1.0", "-2.5e-03", "0", "1e-300", "1e308", "nan", "-nan",
+                                 "inf", "-inf", "1e400", "NaN", "x", "1,0"])
+        finite = st.sampled_from(["1.0", "-2.5e-03", "0"])
+        count = draw(st.sampled_from([8] * 6 + [0, 7, 9]))
+        width = draw(st.sampled_from([1, 2, 2, 3]))
+        wild = draw(st.sets(st.integers(0, max(count - 1, 0)), max_size=2))
+        for i in range(count):
+            tokens = st.lists(token if i in wild else finite, min_size=width, max_size=width)
+            lines.append(" ".join(draw(tokens)))
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+        return "\n".join(lines) + "\n"
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_snapshot_text())
+    def test_generated_snapshot_loads_finite_or_fails_with_value_error(self, tmp_path, text):
+        path = tmp_path / "gen.dat"
+        path.unlink(missing_ok=True)  # a new file: some filesystems flush one rewritten in place
+        path.write_text(text)
+        try:
+            fld, _ = load_field(path)
+        except ValueError:
+            return
+        assert isinstance(fld.grid, Grid) and fld.samples.shape == (fld.grid.n,)
+        assert np.all(np.isfinite(fld.samples))
 
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "junk.dat"
