@@ -104,7 +104,9 @@ _KEYS = {
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed, validated and resolved run configuration: ``seed`` is the
+    theta seed (None for linear, each problem's own sech e^{iAx}), and
+    ``probe_alpha`` is [probe] alpha, else the solver's resolved alpha."""
 
     command: str
     params: ProblemParams
@@ -113,8 +115,8 @@ class RunConfig:
     evolve_cfg: EvolveConfig
     speeds: list | None
     window: tuple
-    probe_alpha: float | None
-    theta: str
+    probe_alpha: float
+    seed: ComplexField | None
     out: str
 
 
@@ -158,9 +160,9 @@ def parse_config(path) -> RunConfig:
     if missing:
         raise ConfigError(f"command '{command}' needs section(s): {', '.join(missing)}")
 
-    grid = Grid(**values["grid"])
+    grid = _in_section("grid", Grid, **values["grid"])
     solver = dict(values.get("solver", {}))
-    theta = solver.pop("theta", "linear")
+    phase = {"linear": None, "quadratic": "quadratic", "none": 0.0}[solver.pop("theta", "linear")]
     speeds = values.get("scan", {}).get("speeds")
     try:
         params = ProblemParams(**values["problem"])
@@ -168,44 +170,43 @@ def parse_config(path) -> RunConfig:
             replace(params, lambda2=c)
     except ParameterError as err:
         raise ConfigError(f"invalid parameters: {err}")
-    solver_cfg = SolverConfig(**solver)
-    solver_cfg.resolved_alpha(params.sigma)  # its window depends on sigma
+    solver_cfg = _in_section("solver", SolverConfig, **solver)
+    # the window of alpha depends on sigma
+    alpha = _in_section("solver", solver_cfg.resolved_alpha, params.sigma)
     analyze = values.get("analyze", {})
-    try:
-        window = decay_window(grid, (analyze.get("window_min"), analyze.get("window_max")),
-                              count=command == "analyze")
-    except ValueError as err:
-        raise ConfigError(f"[analyze] {err}")
+    window = _in_section("analyze", decay_window, grid,
+                         (analyze.get("window_min"), analyze.get("window_max")),
+                         count=command == "analyze")
     return RunConfig(
         command=command,
         params=params,
         grid=grid,
         solver_cfg=solver_cfg,
-        evolve_cfg=EvolveConfig(**values.get("evolve", {})),
+        evolve_cfg=_in_section("evolve", EvolveConfig, **values.get("evolve", {})),
         speeds=speeds,
         window=window,
-        probe_alpha=values.get("probe", {}).get("alpha"),
-        theta=theta,
+        probe_alpha=values.get("probe", {}).get("alpha", alpha),
+        seed=None if phase is None else initial_iterate(grid, phase),
         out=run.get("out", "results"),
     )
 
 
-def _seed_for(cfg: RunConfig):
-    if cfg.theta == "none":
-        return initial_iterate(cfg.grid)
-    if cfg.theta == "quadratic":
-        return initial_iterate(cfg.grid, "quadratic")
-    return None  # linear phase is the solver default
+def _in_section(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError prefixed with [section]."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}")
 
 
 def _solve(cfg: RunConfig):
-    return solve_scalar(cfg.params, cfg.grid, cfg.solver_cfg, seed=_seed_for(cfg))
+    return solve_scalar(cfg.params, cfg.grid, cfg.solver_cfg, seed=cfg.seed)
 
 
-def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) -> int:
+def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None) -> int:
     """Execute one command; outputs are deterministic given the config.
 
-    ``seed`` is the evolve start read from --seed-profile; None solves for it.
+    ``start`` is the evolve start read from --seed-profile; None solves for it.
     """
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
@@ -217,14 +218,14 @@ def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) 
         return 0 if report.converged else 3
 
     if cfg.command == "evolve":
-        if seed is None:
+        if start is None:
             report = _solve(cfg)
             if not report.converged:
                 save_report(report, out, "solve")
                 print("error: profile solve did not converge", file=sys.stderr)
                 return 3
-            seed = report.envelope
-        evo = evolve_run(seed, cfg.params, cfg.evolve_cfg)
+            start = report.envelope
+        evo = evolve_run(start, cfg.params, cfg.evolve_cfg)
         save_evolution(evo, out, "evolve")
         if evo.aborted:
             print(f"error: evolution aborted: {evo.aborted}", file=sys.stderr)
@@ -234,7 +235,7 @@ def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) 
 
     if cfg.command == "scan":
         result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg,
-                                      seed=_seed_for(cfg))
+                                      seed=cfg.seed)
         rows = [
             (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
             for r in result.rows
@@ -264,13 +265,10 @@ def run_command(cfg: RunConfig, out_dir=None, seed: ComplexField | None = None) 
               f"evenness={defect:.3e} oscillations={plane.tail_oscillations}")
         return 0
 
-    alpha = cfg.probe_alpha
-    if alpha is None:
-        alpha = cfg.solver_cfg.resolved_alpha(cfg.params.sigma)
-    est = fixed_point_spectrum_probe(cfg.params, cfg.grid, report, alpha)
-    write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": alpha},
-              ["alpha", "dominant_multiplier"], [(float(alpha), float(est))])
-    print(f"probe: alpha={alpha} dominant multiplier={est:.6f}")
+    est = fixed_point_spectrum_probe(cfg.params, report, cfg.probe_alpha)
+    write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": cfg.probe_alpha},
+              ["alpha", "dominant_multiplier"], [(float(cfg.probe_alpha), float(est))])
+    print(f"probe: alpha={cfg.probe_alpha} dominant multiplier={est:.6f}")
     return 0
 
 
@@ -437,15 +435,15 @@ def main(argv=None) -> int:
         if args.recipe:
             return reproduce_figures(args.recipe, args.out or "results")
         cfg = parse_config(args.config)
-        seed = None
+        start = None
         if args.seed_profile:
             if cfg.command != "evolve":
                 raise ConfigError("--seed-profile applies to the evolve command only")
             fld, _ = load_field(args.seed_profile)
             if fld.grid != cfg.grid:
                 raise ConfigError(f"--seed-profile is on {fld.grid}, [grid] on {cfg.grid}")
-            seed = ComplexField(fld.grid, fld.samples.astype(complex))
-        return run_command(cfg, out_dir=args.out, seed=seed)
+            start = ComplexField(fld.grid, fld.samples.astype(complex))
+        return run_command(cfg, out_dir=args.out, start=start)
     except ValueError as err:  # ConfigError and ParameterError included
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -262,7 +262,7 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
 solve_coupled = solve_scalar
 
 
-def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> float:
+def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> float:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
     Finite-difference Jacobian-vector products of ``ProfileIteration.step``
@@ -270,13 +270,11 @@ def fixed_point_spectrum_probe(params, grid: Grid, profile, alpha: float) -> flo
     carry multiplier exactly one (the symmetry orbit of the wave) and are
     deflated, so the estimate measures the convergence rate transverse to
     the orbit: below one for a stabilized iteration, 2 sigma + 1 for the
-    naive map alpha = 0.
+    naive map alpha = 0.  It reads the wave's grid and envelope from ``report``.
     """
-    if isinstance(profile, SolveReport):
-        profile = profile.envelope
-    u0 = profile.samples.astype(complex)
+    grid = report.envelope.grid
     # the full layout: the perturbations leave the reflection-conjugate class
-    iteration = ProfileIteration(params, grid, alpha, ComplexField(grid, u0))
+    iteration = ProfileIteration(params, grid, alpha, report.envelope)
     z0 = iteration.initial()
 
     # symmetry directions: translation du/dx and phase rotation i*u, as spectra

@@ -294,38 +294,41 @@ def save_field(path, f: Field, metadata: dict | None = None) -> None:
 
 def load_field(path):
     """Read a snapshot back; returns (field, metadata dict).  A malformed
-    snapshot, one with a non-finite sample included, raises ValueError."""
+    snapshot, a non-finite sample included, raises ValueError naming it."""
     meta: dict[str, str] = {}
     rows = []
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# fnlswaves-field"):
-            raise ValueError(f"{path}: not a field snapshot")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            else:
-                rows.append([float(tok) for tok in line.split()])
-    missing = [k for k in ("field_type", "l", "n") if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: snapshot header lacks {', '.join(missing)}")
-    columns = {"real": 1, "complex": 2}.get(meta["field_type"])
-    if columns is None:
-        raise ValueError(f"{path}: unknown field_type {meta['field_type']!r}")
-    if not rows:
-        raise ValueError(f"{path}: snapshot has no sample rows")
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] < columns:
-        raise ValueError(f"{path}: {meta['field_type']} snapshot needs {columns} columns per row")
-    if not np.all(np.isfinite(data[:, :columns])):
-        raise ValueError(f"{path}: snapshot has a non-finite sample")
-    grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
-    if columns == 2:
-        fld: Field = ComplexField(grid, data[:, 0] + 1j * data[:, 1])
-    else:
-        fld = RealField(grid, data[:, 0])
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            if not first.startswith("# fnlswaves-field"):
+                raise ValueError("not a field snapshot")
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    meta[key.strip()] = val.strip()
+                else:
+                    rows.append([float(tok) for tok in line.split()])
+        missing = [k for k in ("field_type", "l", "n") if k not in meta]
+        if missing:
+            raise ValueError(f"snapshot header lacks {', '.join(missing)}")
+        columns = {"real": 1, "complex": 2}.get(meta["field_type"])
+        if columns is None:
+            raise ValueError(f"unknown field_type {meta['field_type']!r}")
+        if not rows:
+            raise ValueError("snapshot has no sample rows")
+        data = np.asarray(rows)
+        if data.ndim != 2 or data.shape[1] < columns:
+            raise ValueError(f"{meta['field_type']} snapshot needs {columns} columns per row")
+        if not np.all(np.isfinite(data[:, :columns])):
+            raise ValueError("snapshot has a non-finite sample")
+        grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
+        if columns == 2:
+            fld: Field = ComplexField(grid, data[:, 0] + 1j * data[:, 1])
+        else:
+            fld = RealField(grid, data[:, 0])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return fld, meta

@@ -10,7 +10,7 @@ from fnlswaves.analysis import decay_slope
 from fnlswaves.cli import _COMMANDS, _KEYS, main, parse_config
 from fnlswaves.evolve import EvolveConfig
 from fnlswaves.params import ProblemParams
-from fnlswaves.petviashvili import SolverConfig, solve_scalar
+from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
 from fnlswaves.spectral import Grid, load_field
 
 SOLVE_CONFIG = """
@@ -115,7 +115,26 @@ class TestConfigParsing:
         text = SOLVE_CONFIG.replace("mw = 3", "mw = 3\ntheta = none")
         coupled = text.replace("kind = linear_phase", "kind = coupled")
         for name, body in (("linear.ini", text), ("coupled.ini", coupled)):
-            assert parse_config(write(tmp_path, name, body)).theta == "none"
+            cfg = parse_config(write(tmp_path, name, body))
+            assert cfg.seed.grid == cfg.grid
+            assert np.array_equal(cfg.seed.samples, initial_iterate(cfg.grid).samples)
+
+    @pytest.mark.parametrize("probe", ["", "alpha = 1.5\n"], ids=["probe-default", "probe-1.5"])
+    @pytest.mark.parametrize("kind", ["linear_phase", "coupled"])
+    @pytest.mark.parametrize("theta", ["linear", "quadratic", "none"])
+    def test_seed_and_probe_alpha_are_resolved(self, tmp_path, theta, kind, probe):
+        # at sigma = 2 the solver's alpha is 5/4, so the default is not 1.5
+        text = SOLVE_CONFIG.replace("command = solve", "command = probe").replace(
+            "sigma = 1.0", "sigma = 2.0").replace("kind = linear_phase", f"kind = {kind}")
+        text += f"theta = {theta}\n\n[probe]\n{probe}"
+        cfg = parse_config(write(tmp_path, "run.ini", text))
+        if theta == "linear":  # each problem starts from its own sech e^{iAx}
+            assert cfg.seed is None
+        else:
+            seed = {"quadratic": initial_iterate(cfg.grid, "quadratic"),
+                    "none": initial_iterate(cfg.grid)}[theta]
+            assert cfg.seed.grid == cfg.grid and np.array_equal(cfg.seed.samples, seed.samples)
+        assert cfg.probe_alpha == (1.5 if probe else 1.25)
 
     def test_window_point_count_is_for_analyze_only(self, tmp_path):
         # (0.15 l, 0.8 l) holds 3 of the 8 points; analyze would need 16,
@@ -204,7 +223,8 @@ class TestSolveCommand:
              "error: invalid parameters: ", "1.8899"),
             (scan + "\n[scan]\nspeeds = 0.5, 1.95\n", "error: invalid parameters: ", "1.8899"),
             (SOLVE_CONFIG.replace("mw = 3", "mw = 3\nalpha = 5.0"),
-             "error: alpha=5.0 outside the stabilizing window", "(1, 2.0)"),
+             "error: [solver] alpha=5.0 outside the stabilizing window", "(1, 2.0)"),
+            (SOLVE_CONFIG.replace("mw = 3", "mw = 0"), "error: [solver] mw must be", ">= 1"),
             (analyze + "\n[analyze]\nwindow_max = 40.0\n",
              "error: [analyze] window reaches 40.0", "0.9*l = 28.8"),
             (analyze + "\n[analyze]\nwindow_min = 30.0\nwindow_max = 20.0\n",
@@ -213,14 +233,16 @@ class TestSolveCommand:
              + "\n[analyze]\nwindow_min = 28.0\nwindow_max = 28.5\n",
              "error: [analyze] window (28.0, 28.5) holds 5 grid points", "need >= 16"),
             (SOLVE_CONFIG + "\n[evolve]\ndt = 5e-324\n",
-             "error: t_end = 10.0 over dt = 5e-324", "not a finite step count"),
+             "error: [evolve] t_end = 10.0 over dt = 5e-324", "not a finite step count"),
             (SOLVE_CONFIG + "\n[evolve]\ndt = 1e-300\nt_end = 1e10\n",
-             "error: t_end = 10000000000.0 over dt = 1e-300", "not a finite step count"),
+             "error: [evolve] t_end = 10000000000.0 over dt = 1e-300",
+             "not a finite step count"),
             (SOLVE_CONFIG.replace("lambda1 = 1.0", "lambda1 = 1e308").replace(
                 "lambda2 = 1.0", "lambda2 = 1e308"),
              "error: invalid parameters: ", "overflow the phase slope A"),
             (SOLVE_CONFIG.replace("l = 32.0", "l = 1e308").replace("n = 1024", "n = 64"),
-             "error: l must be positive and finite", "2l/n"),
+             "error: [grid] l must be positive and finite", "2l/n"),
+            (SOLVE_CONFIG.replace("n = 1024", "n = 7"), "error: [grid] n must be even", "got 7"),
         ]:
             code = main(["--config", write(tmp_path, "run.ini", text),
                          "--out", str(tmp_path / "o")])
@@ -270,8 +292,14 @@ class TestOtherCommands:
          "nan 0.0e+00\n" + "1.0e+00 0.0e+00\n" * 1023),
         ({"field_type": "complex", "l": "32.0", "n": "1024"},
          "1.0e+00 0.0e+00\n" * 1023 + "1.0e+00 inf\n"),
+        ({"field_type": "complex", "l": "32.0", "n": "7"}, None),
+        ({"field_type": "complex", "l": "32.0", "n": "8"}, "1.0e+00 0.0e+00\n" * 2),
+        ({"field_type": "complex", "l": "abc", "n": "1024"}, None),
+        ({"field_type": "complex", "l": "32.0", "n": "1024"},
+         "zz 0.0e+00\n" + "1.0e+00 0.0e+00\n" * 1023),
     ], ids=["no-l", "no-n", "no-field_type", "unknown-field_type", "no-rows",
-            "one-column-complex", "nan-sample", "inf-sample"])
+            "one-column-complex", "nan-sample", "inf-sample", "odd-n", "short-rows",
+            "l-not-a-number", "zz-sample"])
     def test_malformed_seed_profile_exits_2(self, tmp_path, capsys, header, body):
         if body is None:
             body = "1.0e+00 0.0e+00\n" * 1024

@@ -220,13 +220,13 @@ class TestSpectrumProbe:
         # alpha = 0 exposes the homogeneity eigenvalue 2 sigma + 1
         grid = Grid(l=64.0, n=1024)
         rep = solve_scalar(fig1_params(1.0), grid, SolverConfig(tol=1e-12, max_iter=600))
-        est = fixed_point_spectrum_probe(fig1_params(1.0), grid, rep, alpha=0.0)
+        est = fixed_point_spectrum_probe(fig1_params(1.0), rep, alpha=0.0)
         assert est == pytest.approx(3.0, abs=1e-3)
 
     def test_optimal_alpha_contracts(self):
         grid = Grid(l=64.0, n=1024)
         rep = solve_scalar(fig1_params(1.0), grid, SolverConfig(tol=1e-12, max_iter=600))
-        est = fixed_point_spectrum_probe(fig1_params(1.0), grid, rep, alpha=1.5)
+        est = fixed_point_spectrum_probe(fig1_params(1.0), rep, alpha=1.5)
         assert abs(est) < 1.0
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0])
@@ -235,7 +235,7 @@ class TestSpectrumProbe:
         # reads 2.46 against 0.565.  c = -1 runs its own float operations,
         # so the two agree to the probe's tol of 1e-8
         grid = Grid(l=32.0, n=1024)
-        est = [fixed_point_spectrum_probe(p, grid, solve_scalar(p, grid), alpha)
+        est = [fixed_point_spectrum_probe(p, solve_scalar(p, grid), alpha)
                for p in (fig1_params(1.0), fig1_params(-1.0))]
         assert abs(est[0] - est[1]) <= 1e-8
 

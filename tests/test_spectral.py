@@ -437,7 +437,8 @@ class TestSnapshots:
         path.write_text(text)
         try:
             fld, _ = load_field(path)
-        except ValueError:
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ")
             return
         assert isinstance(fld.grid, Grid) and fld.samples.shape == (fld.grid.n,)
         assert np.all(np.isfinite(fld.samples))
