@@ -16,17 +16,18 @@ real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
   zero the unpaired Nyquist mode k = -n/2.
 
 A ComplexField transforms itself at most once: ``spectrum()`` is cached
-on the (immutable) field.  The momentum and the dispersive part of the
-Hamiltonian are sums over that spectrum by Parseval, so an evolution step
-that records the invariants of a state and then steps from it transforms
-that state once.
+on the (immutable) field, and a field built ``with_spectrum`` is handed
+the one its maker already formed.  The momentum and the dispersive part of
+the Hamiltonian are sums over that spectrum by Parseval, and an evolution
+step builds its new state with the spectrum of its last sweep, so
+recording a state's invariants and stepping from it transform nothing.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,8 +85,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class RealField:
+class _SampleEquality:
+    """Value equality for fields: the same type, grid and samples.
+
+    A field holds an ndarray, so the dataclass ``__eq__`` would compare
+    arrays and raise; this one compares the samples elementwise and never
+    reads a cached spectrum.  Fields are unhashable, as arrays are.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.samples, other.samples)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class RealField(_SampleEquality):
     """Real samples on a grid; fields are immutable values."""
 
     grid: Grid
@@ -101,8 +118,8 @@ class RealField:
         return np.fft.fft(self.samples)
 
 
-@dataclass(frozen=True)
-class ComplexField:
+@dataclass(frozen=True, eq=False)
+class ComplexField(_SampleEquality):
     """Complex samples u = v + i w on a grid."""
 
     grid: Grid
@@ -114,12 +131,23 @@ class ComplexField:
             raise ValueError(f"expected {self.grid.n} samples, got {arr.shape}")
         object.__setattr__(self, "samples", _freeze(arr))
 
+    @classmethod
+    def with_spectrum(cls, grid: Grid, samples: np.ndarray, spectrum: np.ndarray) -> ComplexField:
+        """A field whose ``spectrum()`` is ``spectrum``, which the caller
+        computed alongside the samples: their DFT to roundoff, not bit for
+        bit.  The array is frozen and owned by the field from then on."""
+        fld = cls(grid, samples)
+        spectrum.flags.writeable = False
+        fld.__dict__["_spectrum"] = spectrum
+        return fld
+
     def spectrum(self) -> np.ndarray:
         """DFT of the samples, computed once per field and shared read-only."""
         return self._spectrum
 
     # Like Grid.x: the field is immutable, so the cached transform cannot go
-    # stale, and equality still sees only (grid, samples).
+    # stale.  It lives outside the dataclass fields, and equality compares
+    # the samples only.
     @cached_property
     def _spectrum(self) -> np.ndarray:
         spec = np.fft.fft(self.samples)
@@ -150,6 +178,17 @@ class MultiplierOp:
     values: np.ndarray
 
 
+@lru_cache(maxsize=1)
+def fractional_symbol(grid: Grid, s: float) -> np.ndarray:
+    """|xi|^{2s} on the grid modes, the symbol of (-d_xx)^s, built once per
+    (grid, s) and shared read-only.  One entry serves a whole evolution,
+    whose step and every Hamiltonian read the same one; keeping more would
+    hold a symbol per solve of a run over many (grid, s)."""
+    sym = np.abs(grid.xi) ** (2.0 * s)
+    sym.flags.writeable = False
+    return sym
+
+
 def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
     """Profile operator L with symbol |xi|^{2s} + lambda1 - lambda2*xi.
 
@@ -160,7 +199,7 @@ def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
     it is zeroed at the Nyquist mode.
     """
     values = (
-        np.abs(grid.xi) ** (2.0 * params.s)
+        fractional_symbol(grid, params.s)
         + params.lambda1
         - params.lambda2 * grid.xi_odd
     )
@@ -239,7 +278,7 @@ def momentum(u: ComplexField) -> float:
 def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
     """(h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum."""
     g = u.grid
-    kinetic = 0.5 / g.n * float(np.sum(np.abs(g.xi) ** (2.0 * s) * _power(u)))
+    kinetic = 0.5 / g.n * float(np.sum(fractional_symbol(g, s) * _power(u)))
     potential = float(np.sum((u.v ** 2 + u.w ** 2) ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
     return g.h * (kinetic - potential)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from fnlswaves import evolve
 from fnlswaves.cli import main
 from fnlswaves.evolve import EvolveConfig, StepError, run, step_midpoint
-from fnlswaves.params import ProblemParams
-from fnlswaves.petviashvili import SolverConfig, solve_scalar
+from fnlswaves.params import ProblemParams, limiting_speed
+from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
 from fnlswaves.spectral import ComplexField, Grid, hamiltonian, mass, momentum
 
 
@@ -146,8 +148,9 @@ class TestRun:
 
 
 class TestOneSpectrumPerStep:
-    """run() transforms each state once: the invariants read the cached
-    spectrum by Parseval, and the next step reuses it."""
+    """run() transforms u0 once: the invariants read the cached spectrum by
+    Parseval, and each step hands its new state the spectrum of its last
+    sweep."""
 
     def test_fft_budget_per_step(self, wave2048, fft_calls):
         u0 = ComplexField(wave2048.grid, wave2048.samples)  # nothing cached yet
@@ -157,21 +160,92 @@ class TestOneSpectrumPerStep:
         steps = len(report.times) - 1
         assert steps == 20 and len(report.sweeps) == steps
         assert np.all((report.sweeps >= 1) & (report.sweeps <= cfg.nl_max))
-        # a forward and an inverse transform per sweep, one spectrum per state
-        assert fft_calls[0] == 2 * int(report.sweeps.sum()) + steps + 1
+        # a forward and an inverse transform per sweep, and the spectrum of u0
+        assert fft_calls[0] == 2 * int(report.sweeps.sum()) + 1
+
+    def test_step_state_carries_its_spectrum(self, wave2048):
+        out = step_midpoint(wave2048, 0.01, params34(), EvolveConfig(nl_tol=1e-13))
+        spec = out.spectrum()
+        assert not spec.flags.writeable
+        fresh = np.fft.fft(out.samples)
+        assert np.linalg.norm(spec - fresh) <= 1e-14 * np.linalg.norm(fresh)
 
     def test_run_equals_chained_steps(self):
+        # run's first step starts from u0 as step_midpoint does; later steps
+        # start from the predicted midpoint, so they agree to the inner
+        # tolerance, not bit for bit
         g = Grid(l=16.0, n=256)
         u0 = ComplexField(g, 1.2 / np.cosh(g.x) * np.exp(0.5j * g.x))
-        cfg = EvolveConfig(dt=0.01, t_end=0.2, snapshot_stride=20, nl_tol=1e-12)
+        cfg = EvolveConfig(dt=0.01, t_end=0.2, snapshot_stride=1, nl_tol=1e-12)
         report = run(u0, params34(), cfg)
-        u = ComplexField(g, u0.samples)
-        for _ in range(20):
-            u = step_midpoint(u, cfg.dt, params34(), cfg)
+        assert len(report.snapshots) == 21
         assert report.snapshots[-1][0] == pytest.approx(0.2)
-        assert np.array_equal(report.snapshots[-1][1].samples, u.samples)
+        u = ComplexField(g, u0.samples)
+        for k, (_, state) in enumerate(report.snapshots[1:]):
+            u = step_midpoint(u, cfg.dt, params34(), cfg)
+            if k == 0:
+                assert np.array_equal(state.samples, u.samples)
+            assert np.max(np.abs(state.samples - u.samples)) <= 1e-13
 
     def test_no_sweeps_recorded_on_abort(self, wave2048):
         cfg = EvolveConfig(dt=80.0, t_end=160.0, nl_tol=1e-14, nl_max=3)
         report = run(wave2048, params34(), cfg)
         assert report.aborted is not None and len(report.sweeps) == 0
+
+
+class TestPredictedStart:
+    """run() starts each inner sweep from (u_k + P(t_{k+1})) / 2, P the
+    polynomial through the last evolve.PREDICT_ORDER states."""
+
+    def test_fig2_sweeps_per_step(self, wave2048):
+        cfg = EvolveConfig(dt=0.01, t_end=2.0, nl_tol=1e-13)
+        report = run(wave2048, params34(), cfg)
+        assert report.aborted is None and len(report.sweeps) == 200
+        assert report.sweeps[0] == 7  # the first step starts from u0
+        assert report.sweeps.mean() <= 4.1
+
+    def test_start_weights_extrapolate_polynomials(self):
+        # P(t_{k+1}) is exact on polynomials of degree order - 1, so the
+        # start is the midpoint of u_k and u_{k+1} on them
+        for order in range(2, evolve.PREDICT_ORDER + 1):
+            t = np.arange(order, dtype=float)  # t_{k-order+1} .. t_k
+            u = (t - 0.3) ** (order - 1)
+            start = np.dot(evolve._start_weights(order), u[::-1])
+            assert start == pytest.approx(0.5 * (u[-1] + (order - 0.3) ** (order - 1)), rel=1e-12)
+
+    def test_wild_start_reruns_from_u(self, wave2048, monkeypatch):
+        # a start ten times u_k stalls; each step reruns from u_k within a
+        # small nl_max and lands on the step_midpoint state
+        def wild(past, stored):
+            return 10.0 * past[(stored - 1) % len(past)]
+
+        monkeypatch.setattr(evolve, "_predicted_start", wild)
+        cfg = EvolveConfig(dt=0.01, t_end=0.05, nl_tol=1e-12, nl_max=10, snapshot_stride=1)
+        report = run(wave2048, params34(), cfg)
+        assert report.aborted is None and len(report.snapshots) == 6
+        u = wave2048
+        denom = evolve._step_symbol(u.grid, cfg.dt, params34().s)
+        for (_, state), used in zip(report.snapshots[1:], report.sweeps):
+            u, plain = evolve._step(u, cfg.dt, denom, params34().sigma, cfg)  # step_midpoint's step
+            assert np.array_equal(state.samples, u.samples)
+            assert used > plain
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(s=st.floats(0.55, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
+           dt=st.floats(0.005, 0.05))
+    def test_run_completes_where_chained_steps_do(self, s, sigma, speed, dt):
+        params = ProblemParams(s=s, sigma=sigma, lambda1=1.0,
+                               lambda2=speed * limiting_speed(s, 1.0))
+        grid = Grid(l=16.0, n=256)
+        u0 = initial_iterate(grid, params.A)
+        cfg = EvolveConfig(dt=dt, t_end=20 * dt)
+        u = u0
+        try:
+            for _ in range(cfg.steps):
+                u = step_midpoint(u, dt, params, cfg)
+        except StepError:
+            assume(False)
+        report = run(u0, params, cfg)
+        assert report.aborted is None and len(report.sweeps) == cfg.steps
+        budget = 100.0 * cfg.nl_tol * cfg.steps
+        assert np.max(np.abs(report.mass - report.mass[0])) <= budget

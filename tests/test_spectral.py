@@ -3,11 +3,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnlswaves.params import ProblemParams, linear_phase_params
+from fnlswaves.petviashvili import initial_iterate
 from fnlswaves.spectral import (
     ComplexField,
     Grid,
     RealField,
     apply_multiplier,
+    fractional_symbol,
     invariants,
     load_field,
     m_symbol,
@@ -133,6 +135,42 @@ class TestFields:
         assert spec is f.spectrum()
         assert not spec.flags.writeable
         assert np.array_equal(spec, np.fft.fft(f.samples))
+
+    def test_equality_compares_samples(self):
+        g = Grid(l=8.0, n=8)
+        seed = initial_iterate(g)
+        assert seed == initial_iterate(g)
+        assert seed != ComplexField(g, 2.0 * seed.samples)
+        assert seed != ComplexField(Grid(l=4.0, n=8), seed.samples)
+        assert RealField(g, np.ones(8)) == RealField(g, np.ones(8))
+        assert RealField(g, np.ones(8)) != ComplexField(g, np.ones(8))
+
+    def test_equality_never_reads_the_spectrum(self):
+        g = Grid(l=8.0, n=16)
+        a, b = ComplexField(g, np.arange(16.0)), ComplexField(g, np.arange(16.0))
+        a.spectrum()
+        assert a == b and b == a
+        assert "_spectrum" not in vars(b)
+
+    def test_fields_are_unhashable(self):
+        g = Grid(l=8.0, n=8)
+        for f in (RealField(g, np.ones(8)), ComplexField(g, np.ones(8))):
+            with pytest.raises(TypeError):
+                hash(f)
+
+
+class TestFractionalSymbol:
+    def test_built_once_per_grid_and_s(self):
+        g = Grid(l=8.0, n=64)
+        sym = fractional_symbol(g, 0.75)
+        assert sym is fractional_symbol(Grid(l=8.0, n=64), 0.75)
+        assert not sym.flags.writeable
+        assert np.array_equal(sym, np.abs(g.xi) ** 1.5)
+
+    def test_operator_reads_it(self):
+        p, g = fig1_params(), Grid(l=8.0, n=64)
+        expected = np.abs(g.xi) ** (2.0 * p.s) + p.lambda1 - p.lambda2 * g.xi_odd
+        assert np.array_equal(profile_operator(p, g).values, expected)
 
 
 class TestApplyMultiplier:
