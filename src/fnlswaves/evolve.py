@@ -8,19 +8,25 @@ Fourier collocation in space, implicit midpoint in time:
 Each step solves for the midpoint value w = (u^n + u^{n+1}) / 2 by the
 fixed-point sweep
 
-    w <- ifft((fft(u^n) + (i dt/2) fft(|w|^{2 sigma} w)) / (1 + (i dt/2) |xi|^{2s})),
+    w <- ifft(inv fft(u^n) + kick fft(|w|^{2 sigma} w)),
+    inv = 1 / (1 + (i dt/2) |xi|^{2s}),  kick = (i dt/2) inv,
 
 with the (diagonal-in-Fourier) linear part implicit and the nonlinearity
-lagged; a sweep takes two FFTs.  ``run`` starts the sweep from the average
-of u^n and the polynomial extrapolation of the last ``PREDICT_ORDER``
-states to t_{n+1}, the usual starting approximation for implicit
-Runge-Kutta iterations (Hairer, Lubich & Wanner, Geometric Numerical
-Integration, 2006, VIII.6): on the fig2 case it takes 2-3 sweeps where
-u^n takes 7.  The order ramps up over the first steps of a run, whose
-first step starts from u^n as ``step_midpoint`` does; a predicted start
-that stops contracting is dropped, and the step reruns from u^n before it
-can fail.  The new state carries the spectrum 2 w_hat -
-fft(u^n) of the last sweep, so no state is transformed again.
+lagged; a sweep takes two FFTs, and inv and kick are built once per run.
+``run`` starts the sweep from the average of u^n and the polynomial
+extrapolation of the last ``PREDICT_ORDER`` states to t_{n+1}, the usual
+starting approximation for implicit Runge-Kutta iterations (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, 2006, VIII.6): on the
+fig2 case it takes 2-3 sweeps where u^n takes 7.  A run from a fresh
+state ramps the order up over its first steps, the first starting from
+u^n as ``step_midpoint`` does.  A completed run leaves the ring of its
+last states on its final state, and a run started from that state with
+the same grid, dt, s and sigma continues it at full order: k chained
+runs equal one run of k times the steps, bit for bit.  A predicted start
+that stops contracting is dropped, the step reruns from u^n before it
+can fail, and the order ramps up again from the new state.  The new
+state carries the spectrum 2 w_hat - fft(u^n) of the last sweep, so no
+state is transformed again.
 
 The midpoint rule is symmetric, hence time reversible, and preserves the
 quadratic invariants (mass, momentum) up to the inner-solver tolerance
@@ -31,15 +37,19 @@ peak of |u| is how a computed profile proves it travels as a solitary wave.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .params import metadata
-from .spectral import (ComplexField, Grid, fractional_symbol, hamiltonian, mass, momentum,
-                       save_field, write_csv)
+from .spectral import (ComplexField, Grid, fractional_symbol, invariants, save_field,
+                       write_csv)
+# The one-at-a-time invariants stay importable from here for existing callers.
+from .spectral import hamiltonian, mass, momentum  # noqa: F401
 
 # Number of past states the starting guess of run's inner sweep reads: w0 =
 # (u_k + P(t_{k+1})) / 2 with P the degree PREDICT_ORDER - 1 polynomial
@@ -51,10 +61,14 @@ from .spectral import (ComplexField, Grid, fractional_symbol, hamiltonian, mass,
 PREDICT_ORDER = 8
 
 
+@lru_cache(maxsize=PREDICT_ORDER)
 def _start_weights(order: int) -> np.ndarray:
     """Weights c_j of w0 = sum_j c_j u_{k-j} for a predictor of this order:
-    P(t_{k+1}) = sum_j (-1)^j C(order, j+1) u_{k-j}, averaged with u_k."""
-    return np.array([0.5 * (j == 0) + 0.5 * (-1) ** j * comb(order, j + 1) for j in range(order)])
+    P(t_{k+1}) = sum_j (-1)^j C(order, j+1) u_{k-j}, averaged with u_k.
+    Built once per order and shared read-only."""
+    weights = np.array([0.5 * (j == 0) + 0.5 * (-1) ** j * comb(order, j + 1) for j in range(order)])
+    weights.flags.writeable = False
+    return weights
 
 
 class StepError(RuntimeError):
@@ -120,38 +134,43 @@ def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None =
     """One implicit-midpoint step of size dt (negative dt steps backward),
     its inner sweep started from u."""
     cfg = cfg or EvolveConfig()
-    return _step(u, dt, _step_symbol(u.grid, dt, params.s), params.sigma, cfg)[0]
+    return _step(u, *_step_symbols(u.grid, dt, params.s), params.sigma, cfg)[0]
 
 
-def _step_symbol(grid: Grid, dt: float, s: float) -> np.ndarray:
-    """The implicit half of the step, 1 + (i dt/2) |xi|^{2s}, per mode."""
-    return 1.0 + 0.5j * dt * fractional_symbol(grid, s)
+def _step_symbols(grid: Grid, dt: float, s: float):
+    """(inv, kick) per mode: inv = 1 / (1 + (i dt/2) |xi|^{2s}), the
+    implicit half of the step, and kick = (i dt/2) inv."""
+    inv = 1.0 / (1.0 + 0.5j * dt * fractional_symbol(grid, s))
+    return inv, 0.5j * dt * inv
 
 
-def _step(u: ComplexField, dt: float, denom: np.ndarray, sigma: float,
+def _step(u: ComplexField, inv: np.ndarray, kick: np.ndarray, sigma: float,
           cfg: EvolveConfig, start: np.ndarray | None = None):
-    """Advance u by dt; returns (u_next, inner sweeps used).
+    """Advance u by dt; returns (u_next, inner sweeps used, start dropped).
 
     The sweep starts from ``start`` if given, else from u.  The sweep from
-    ``start`` is guarded: when it stops contracting the step reruns from u,
-    and the sweeps of both count.  Only the sweep from u raises StepError.
-    The step reads ``u.spectrum()`` and hands u_next the spectrum of its
-    last sweep.
+    ``start`` is guarded: when it stops contracting the start is dropped,
+    the step reruns from u, and the sweeps of both count.  Only the sweep
+    from u raises StepError.  The step reads ``u.spectrum()`` and hands
+    u_next the spectrum of its last sweep.
     """
     u0, u_hat = u.samples, u.spectrum()
+    rhs = u_hat * inv
     w, spent = None, 0
     if start is not None:
         with np.errstate(all="ignore"):  # a wild start may overflow before the rerun
-            w, w_hat, spent = _sweep(u_hat, start, dt, denom, sigma, cfg, guarded=True)
+            w, w_hat, spent = _sweep(rhs, start, kick, sigma, cfg, guarded=True)
+    dropped = start is not None and w is None
     if w is None:
-        w, w_hat, used = _sweep(u_hat, u0, dt, denom, sigma, cfg)
+        w, w_hat, used = _sweep(rhs, u0, kick, sigma, cfg)
         spent += used
-    return ComplexField.with_spectrum(u.grid, 2.0 * w - u0, 2.0 * w_hat - u_hat), spent
+    return ComplexField.with_spectrum(u.grid, 2.0 * w - u0, 2.0 * w_hat - u_hat), spent, dropped
 
 
-def _sweep(u_hat, w, dt, denom, sigma, cfg: EvolveConfig, guarded: bool = False):
-    """Sweep the midpoint map from w until a sweep moves w by at most
-    nl_tol; returns (w, w_hat, sweeps), w_hat the spectrum w came from.
+def _sweep(rhs, w, kick, sigma, cfg: EvolveConfig, guarded: bool = False):
+    """Sweep the midpoint map w <- ifft(rhs + kick fft(|w|^{2 sigma} w)),
+    rhs = inv fft(u), from w until a sweep moves w by at most nl_tol;
+    returns (w, w_hat, sweeps), w_hat the spectrum w came from.
 
     Out of sweeps it raises StepError.  A guarded sweep gives up as soon as
     a sweep moves w no less than the one before, and returns
@@ -159,8 +178,8 @@ def _sweep(u_hat, w, dt, denom, sigma, cfg: EvolveConfig, guarded: bool = False)
     """
     last = np.inf
     for j in range(cfg.nl_max):
-        nl = np.abs(w) ** (2.0 * sigma) * w
-        w_hat = (u_hat + 0.5j * dt * np.fft.fft(nl)) / denom
+        nl = (w.real ** 2 + w.imag ** 2) ** sigma * w
+        w_hat = rhs + kick * np.fft.fft(nl)
         w_new = np.fft.ifft(w_hat)
         delta = np.linalg.norm(w_new - w)
         w = w_new
@@ -177,67 +196,89 @@ def _sweep(u_hat, w, dt, denom, sigma, cfg: EvolveConfig, guarded: bool = False)
     )
 
 
-def _predicted_start(past: np.ndarray, stored: int) -> np.ndarray | None:
-    """The starting guess for the step from u_k, k = stored - 1, with u_j in
-    row j % PREDICT_ORDER of the ring ``past``; None (start from u_k) while
-    u_k is the only state stored."""
-    rows = len(past)
-    order = min(stored, rows)
-    if order < 2:
-        return None
-    weights = np.zeros(rows)
-    weights[(stored - 1 - np.arange(order)) % rows] = _start_weights(order)
-    return weights @ past
+class _Predictor:
+    """Where run's predicted start stands: the ring ``past`` of the last
+    PREDICT_ORDER states, u_j in row j % PREDICT_ORDER, the count
+    ``stored`` of states pushed, and how many of the newest the next
+    prediction may read (``usable``, reset to 1 by a dropped start).
+
+    ``key`` = (grid, dt, s, sigma) names the steps the ring came from; a
+    run continues the predictor only under the same key.
+    """
+
+    def __init__(self, key: tuple, u0: np.ndarray):
+        self.key = key
+        self.past = np.zeros((PREDICT_ORDER, len(u0)), dtype=complex)
+        self.past[0] = u0
+        self.stored = self.usable = 1
+
+    def copy(self) -> _Predictor:
+        dup = copy.copy(self)
+        dup.past = self.past.copy()
+        return dup
+
+    def start(self) -> np.ndarray | None:
+        """The starting guess for the step from the newest state; None
+        (start from it) while it is the only usable state."""
+        order = min(self.usable, PREDICT_ORDER)
+        if order < 2:
+            return None
+        weights = np.zeros(PREDICT_ORDER)
+        weights[(self.stored - 1 - np.arange(order)) % PREDICT_ORDER] = _start_weights(order)
+        return weights @ self.past
+
+    def push(self, samples: np.ndarray, dropped: bool) -> None:
+        """Store the state a step reached; after a dropped start the order
+        ramps up again from that state."""
+        self.past[self.stored % PREDICT_ORDER] = samples
+        self.stored += 1
+        self.usable = 1 if dropped else self.usable + 1
 
 
-def _peak(grid: Grid, u: np.ndarray):
-    """Quadratic interpolation of the modulus maximum around the grid peak."""
-    m = np.abs(u)
-    j = int(np.argmax(m))
-    y0, y1, y2 = m[(j - 1) % grid.n], m[j], m[(j + 1) % grid.n]
-    dd = y0 - 2.0 * y1 + y2
-    delta = 0.5 * (y0 - y2) / dd if dd != 0.0 else 0.0
-    x_peak = grid.x[j] + delta * grid.h
-    amp = y1 - 0.25 * (y0 - y2) * delta
-    return x_peak, amp
+def _resume(u0: ComplexField, key: tuple) -> _Predictor:
+    """A working copy of the predictor u0 carries from the run that ended
+    on it under the same key, else a fresh one holding u0 alone."""
+    carried = vars(u0).get("_predictor")
+    if carried is not None and carried.key == key:
+        return carried.copy()
+    return _Predictor(key, u0.samples)
 
 
 def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     """March the ivp from u0, recording invariants and peak diagnostics.
 
     Each step's inner sweep starts from the predicted midpoint (see the
-    module docstring), read from a ring of the last PREDICT_ORDER states.
-    A step failure terminates the run and returns the partial report with
-    ``aborted`` set to the failure message.
+    module docstring).  A completed run leaves its predictor on its final
+    state, so a run from that state under the same grid, dt, s and sigma
+    goes on as if the two were one run.  A step failure terminates the run
+    and returns the partial report with ``aborted`` set to the failure
+    message; its last state carries no predictor.
     """
     grid = u0.grid
     s, sigma = params.s, params.sigma
-    denom = _step_symbol(grid, cfg.dt, s)
+    inv, kick = _step_symbols(grid, cfg.dt, s)
+    predictor = _resume(u0, (grid, cfg.dt, s, sigma))
 
-    def record(fld: ComplexField):
-        """(mass, momentum, H, amplitude, peak_x) of one state."""
-        x_pk, amp = _peak(grid, fld.samples)
-        return mass(fld), momentum(fld), hamiltonian(fld, s, sigma), amp, x_pk
-
-    rows = [record(u0)]
+    rows = [invariants(u0, s, sigma)]
     sweeps = []
     snaps = [(0.0, u0)] if cfg.snapshot_stride else []
     aborted = None
 
     fld = u0
-    past = np.zeros((PREDICT_ORDER, grid.n), dtype=complex)
-    past[0] = u0.samples
     for k in range(1, cfg.steps + 1):
         try:
-            fld, used = _step(fld, cfg.dt, denom, sigma, cfg, _predicted_start(past, k))
+            fld, used, dropped = _step(fld, inv, kick, sigma, cfg, predictor.start())
         except StepError as err:
             aborted = str(err)
             break
-        past[k % PREDICT_ORDER] = fld.samples
-        rows.append(record(fld))
+        predictor.push(fld.samples, dropped)
+        rows.append(invariants(fld, s, sigma))
         sweeps.append(used)
         if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
             snaps.append((k * cfg.dt, fld))
+    else:
+        # private, like the cached spectrum: equality reads the samples only
+        vars(fld)["_predictor"] = predictor
 
     meta = metadata(params)
     meta.update(

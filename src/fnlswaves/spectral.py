@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,9 +136,20 @@ class ComplexField(_SampleEquality):
     def with_spectrum(cls, grid: Grid, samples: np.ndarray, spectrum: np.ndarray) -> ComplexField:
         """A field whose ``spectrum()`` is ``spectrum``, which the caller
         computed alongside the samples: their DFT to roundoff, not bit for
-        bit.  The array is frozen and owned by the field from then on."""
-        fld = cls(grid, samples)
+        bit.
+
+        The field takes ownership of both complex arrays: it freezes them
+        in place and copies neither, so the caller must not write to them
+        through another reference afterwards.  The field equals
+        ``ComplexField(grid, samples)``.
+        """
+        if samples.dtype != complex or samples.shape != (grid.n,):
+            raise ValueError(f"expected {grid.n} complex samples, got {samples.dtype} {samples.shape}")
+        fld = cls.__new__(cls)
+        samples.flags.writeable = False
         spectrum.flags.writeable = False
+        object.__setattr__(fld, "grid", grid)
+        object.__setattr__(fld, "samples", samples)
         fld.__dict__["_spectrum"] = spectrum
         return fld
 
@@ -243,23 +255,53 @@ def _require_same_grid(g1: Grid, g2: Grid) -> None:
         raise ValueError(f"grid mismatch: {g1} vs {g2}")
 
 
-def invariants(u: ComplexField, s: float, sigma: float):
-    """Discrete mass, momentum and Hamiltonian of u = v + i w.
+class Invariants(NamedTuple):
+    """Discrete invariants of one state and its interpolated modulus peak."""
+
+    mass: float
+    momentum: float
+    hamiltonian: float
+    amplitude: float
+    peak_x: float
+
+
+def invariants(u: ComplexField, s: float, sigma: float) -> Invariants:
+    """Discrete mass, momentum and Hamiltonian of u = v + i w, and the peak
+    of |u|, from one pass over |u|^2 and one over |u_hat|^2.
 
     Equal-weight quadrature (trapezoidal on the periodic grid, which is
     spectrally accurate).  The quadratic terms are summed by Parseval,
     h * sum |f|^2 = (h/n) * sum |f_hat|^2, over the field's cached spectrum,
     so the invariants cost no transform beyond ``u.spectrum()``; only the
-    mass and the potential sum |u|^{2 sigma + 2} stay in physical space.
-    The momentum sign follows the real-pair form (v w_x - w v_x)/2, so
-    u = sech(x) e^{iAx} carries momentum +A.
+    mass, the potential sum |u|^{2 sigma + 2} and the peak stay in physical
+    space.  The momentum sign follows the real-pair form (v w_x - w v_x)/2,
+    so u = sech(x) e^{iAx} carries momentum +A.  ``mass``, ``momentum`` and
+    ``hamiltonian`` compute the same numbers one at a time.
     """
-    return mass(u), momentum(u), hamiltonian(u, s, sigma)
+    dens, power = _density(u), _power(u)
+    peak_x, amplitude = _peak(u, dens)
+    return Invariants(_mass(u.grid, dens), _momentum(u.grid, power),
+                      _hamiltonian(u.grid, s, sigma, dens, power), amplitude, peak_x)
 
 
 def mass(u: ComplexField) -> float:
-    g = u.grid
-    return 0.5 * g.h * float(np.sum(u.v ** 2 + u.w ** 2))
+    return _mass(u.grid, _density(u))
+
+
+def momentum(u: ComplexField) -> float:
+    """(h/2) sum (v w_x - w v_x) = (h/2n) sum xi |u_hat|^2, Nyquist dropped
+    as in the spectral derivative."""
+    return _momentum(u.grid, _power(u))
+
+
+def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
+    """(h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum."""
+    return _hamiltonian(u.grid, s, sigma, _density(u), _power(u))
+
+
+def _density(u: ComplexField) -> np.ndarray:
+    """|u|^2 per grid point."""
+    return u.v ** 2 + u.w ** 2
 
 
 def _power(u: ComplexField) -> np.ndarray:
@@ -268,19 +310,29 @@ def _power(u: ComplexField) -> np.ndarray:
     return spec.real ** 2 + spec.imag ** 2
 
 
-def momentum(u: ComplexField) -> float:
-    """(h/2) sum (v w_x - w v_x) = (h/2n) sum xi |u_hat|^2, Nyquist dropped
-    as in the spectral derivative."""
-    g = u.grid
-    return 0.5 * g.h / g.n * float(np.sum(g.xi_odd * _power(u)))
+def _mass(g: Grid, dens: np.ndarray) -> float:
+    return 0.5 * g.h * float(np.sum(dens))
 
 
-def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
-    """(h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum."""
-    g = u.grid
-    kinetic = 0.5 / g.n * float(np.sum(fractional_symbol(g, s) * _power(u)))
-    potential = float(np.sum((u.v ** 2 + u.w ** 2) ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
+def _momentum(g: Grid, power: np.ndarray) -> float:
+    return 0.5 * g.h / g.n * float(np.sum(g.xi_odd * power))
+
+
+def _hamiltonian(g: Grid, s: float, sigma: float, dens: np.ndarray, power: np.ndarray) -> float:
+    kinetic = 0.5 / g.n * float(np.sum(fractional_symbol(g, s) * power))
+    potential = float(np.sum(dens ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
     return g.h * (kinetic - potential)
+
+
+def _peak(u: ComplexField, dens: np.ndarray):
+    """(x, |u|) at the quadratic interpolation of the modulus maximum
+    around the grid point where |u|^2 peaks."""
+    g = u.grid
+    j = int(np.argmax(dens))
+    y0, y1, y2 = np.abs(u.samples[[(j - 1) % g.n, j, (j + 1) % g.n]])
+    dd = y0 - 2.0 * y1 + y2
+    delta = 0.5 * (y0 - y2) / dd if dd != 0.0 else 0.0
+    return g.x[j] + delta * g.h, y1 - 0.25 * (y0 - y2) * delta
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +9,7 @@ from fnlswaves.cli import main
 from fnlswaves.evolve import EvolveConfig, StepError, run, step_midpoint
 from fnlswaves.params import ProblemParams, limiting_speed
 from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
-from fnlswaves.spectral import ComplexField, Grid, hamiltonian, mass, momentum
+from fnlswaves.spectral import ComplexField, Grid, load_field, save_field
 
 
 def params34():
@@ -216,19 +218,51 @@ class TestPredictedStart:
     def test_wild_start_reruns_from_u(self, wave2048, monkeypatch):
         # a start ten times u_k stalls; each step reruns from u_k within a
         # small nl_max and lands on the step_midpoint state
-        def wild(past, stored):
-            return 10.0 * past[(stored - 1) % len(past)]
+        def wild(predictor):
+            return 10.0 * predictor.past[(predictor.stored - 1) % evolve.PREDICT_ORDER]
 
-        monkeypatch.setattr(evolve, "_predicted_start", wild)
+        monkeypatch.setattr(evolve._Predictor, "start", wild)
         cfg = EvolveConfig(dt=0.01, t_end=0.05, nl_tol=1e-12, nl_max=10, snapshot_stride=1)
         report = run(wave2048, params34(), cfg)
         assert report.aborted is None and len(report.snapshots) == 6
         u = wave2048
-        denom = evolve._step_symbol(u.grid, cfg.dt, params34().s)
+        symbols = evolve._step_symbols(u.grid, cfg.dt, params34().s)
         for (_, state), used in zip(report.snapshots[1:], report.sweeps):
-            u, plain = evolve._step(u, cfg.dt, denom, params34().sigma, cfg)  # step_midpoint's step
+            u, plain, dropped = evolve._step(u, *symbols, params34().sigma, cfg)  # step_midpoint's step
             assert np.array_equal(state.samples, u.samples)
-            assert used > plain
+            assert used > plain and not dropped
+
+    def test_dropped_start_restarts_the_ramp(self, wave2048, monkeypatch):
+        # every prediction is wild and dropped; the step after a drop starts
+        # from u_k, so no two steps in a row spend guard sweeps, and each
+        # state is the step_midpoint state
+        monkeypatch.setattr(evolve, "_start_weights", lambda order: np.r_[10.0, np.zeros(order - 1)])
+        cfg = EvolveConfig(dt=0.01, t_end=0.06, nl_tol=1e-12, nl_max=10, snapshot_stride=1)
+        report = run(wave2048, params34(), cfg)
+        assert report.aborted is None
+        u = wave2048
+        symbols = evolve._step_symbols(u.grid, cfg.dt, params34().s)
+        extra = []
+        for (_, state), used in zip(report.snapshots[1:], report.sweeps):
+            u, plain, _ = evolve._step(u, *symbols, params34().sigma, cfg)
+            assert np.array_equal(state.samples, u.samples)
+            extra.append(used > plain)
+        assert extra == [False, True] * 3
+
+    def test_predictor_ramp(self):
+        # order ramps 1, 2, 3, ..., and a dropped start sends it back to 1
+        g = Grid(l=4.0, n=8)
+        states = [np.full(g.n, float(j) ** 2, dtype=complex) for j in range(12)]
+        pred = evolve._Predictor((g, 0.1, 0.75, 1.0), states[0])
+        assert pred.start() is None
+        for j in range(1, 10):
+            pred.push(states[j], dropped=False)
+        # order 8 is exact on t^2: the start is the midpoint of u_9 and u_10
+        assert pred.start() == pytest.approx(np.full(g.n, 0.5 * (81.0 + 100.0)), rel=1e-12)
+        pred.push(states[10], dropped=True)
+        assert pred.start() is None
+        pred.push(states[11], dropped=False)
+        assert np.array_equal(pred.start(), 1.5 * states[11] - 0.5 * states[10])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(s=st.floats(0.55, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
@@ -249,3 +283,110 @@ class TestPredictedStart:
         assert report.aborted is None and len(report.sweeps) == cfg.steps
         budget = 100.0 * cfg.nl_tol * cfg.steps
         assert np.max(np.abs(report.mass - report.mass[0])) <= budget
+
+
+class TestContinuation:
+    """A completed run leaves its predictor on its final state; a run from
+    that state under the same (grid, dt, s, sigma) goes on as one run."""
+
+    @staticmethod
+    def cold(state: ComplexField) -> ComplexField:
+        """The same samples and spectrum, and nothing carried."""
+        return ComplexField.with_spectrum(state.grid, state.samples.copy(), state.spectrum().copy())
+
+    @staticmethod
+    def assert_same_run(a, b):
+        assert np.array_equal(a.sweeps, b.sweeps)
+        assert len(a.snapshots) == len(b.snapshots)
+        for (ta, fa), (tb, fb) in zip(a.snapshots, b.snapshots):
+            assert ta == tb and np.array_equal(fa.samples, fb.samples)
+        for name in ("mass", "momentum", "hamiltonian", "amplitude", "peak_x"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_fig2_chained_equals_one_run(self, wave2048):
+        one = run(wave2048, params34(), EvolveConfig(dt=0.01, t_end=2.0, nl_tol=1e-13,
+                                                     snapshot_stride=50))
+        cfg = EvolveConfig(dt=0.01, t_end=0.5, nl_tol=1e-13, snapshot_stride=50)
+        u, sweeps = wave2048, []
+        for k in range(1, 5):
+            part = run(u, params34(), cfg)
+            assert part.aborted is None
+            u = part.snapshots[-1][1]
+            assert np.array_equal(u.samples, one.snapshots[k][1].samples)
+            sweeps.extend(part.sweeps)
+        assert np.array_equal(sweeps, one.sweeps)
+        assert sweeps[50] == 2  # no ramp at the start of a continued run
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(s=st.floats(0.55, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
+           dt=st.floats(0.005, 0.05))
+    def test_chained_equals_one_run(self, s, sigma, speed, dt):
+        params = ProblemParams(s=s, sigma=sigma, lambda1=1.0,
+                               lambda2=speed * limiting_speed(s, 1.0))
+        u0 = initial_iterate(Grid(l=16.0, n=256), params.A)
+        one = run(u0, params, EvolveConfig(dt=dt, t_end=21 * dt, snapshot_stride=7))
+        assume(one.aborted is None)
+        u, sweeps = u0, []
+        for k in range(1, 4):
+            part = run(u, params, EvolveConfig(dt=dt, t_end=7 * dt, snapshot_stride=7))
+            assert part.aborted is None
+            u = part.snapshots[-1][1]
+            assert np.array_equal(u.samples, one.snapshots[k][1].samples)
+            sweeps.extend(part.sweeps)
+        assert np.array_equal(sweeps, one.sweeps)
+
+    @pytest.fixture(scope="class")
+    def continued(self, wave2048):
+        cfg = EvolveConfig(dt=0.01, t_end=0.2, nl_tol=1e-13, snapshot_stride=20)
+        return run(wave2048, params34(), cfg).snapshots[-1][1]
+
+    def test_a_state_continues_the_same_way_twice(self, continued):
+        # each run works on its own copy of the carried predictor
+        cfg = EvolveConfig(dt=0.01, t_end=0.1, nl_tol=1e-13, snapshot_stride=5)
+        first = run(continued, params34(), cfg)
+        assert first.sweeps[0] <= 3
+        self.assert_same_run(first, run(continued, params34(), cfg))
+
+    @pytest.mark.parametrize("change", ["dt", "s", "sigma"])
+    def test_other_steps_start_cold(self, continued, change):
+        params, cfg = params34(), EvolveConfig(dt=0.01, t_end=0.1, nl_tol=1e-13, snapshot_stride=5)
+        if change == "dt":
+            cfg = EvolveConfig(dt=0.005, t_end=0.05, nl_tol=1e-13, snapshot_stride=5)
+        else:
+            params = ProblemParams(**{"s": 0.75, "sigma": 1.0, "lambda1": 1.0, "lambda2": 1.0,
+                                      change: 0.8 if change == "s" else 1.1})
+        report = run(continued, params, cfg)
+        self.assert_same_run(report, run(self.cold(continued), params, cfg))
+        assert report.sweeps[0] >= 7  # from u_k: 7 at dt 0.005 and at s 0.8, 8 at sigma 1.1
+
+    def test_other_grid_starts_cold(self, continued):
+        # the same samples read on another domain, the carried state kept
+        moved = copy.copy(continued)
+        object.__setattr__(moved, "grid", Grid(l=48.0, n=continued.grid.n))
+        vars(moved).pop("_spectrum", None)
+        cfg = EvolveConfig(dt=0.01, t_end=0.05, nl_tol=1e-13, snapshot_stride=5)
+        self.assert_same_run(run(moved, params34(), cfg), run(self.cold(moved), params34(), cfg))
+
+    def test_reloaded_state_starts_cold(self, continued, tmp_path):
+        save_field(tmp_path / "u.dat", continued)
+        loaded, _ = load_field(tmp_path / "u.dat")
+        assert loaded == continued and continued == loaded
+        cfg = EvolveConfig(dt=0.01, t_end=0.1, nl_tol=1e-13, snapshot_stride=10)
+        report = run(loaded, params34(), cfg)
+        assert report.sweeps[0] == 7
+        assert run(continued, params34(), cfg).sweeps[0] <= 3
+
+    def test_aborted_run_hands_on_nothing(self, wave2048, monkeypatch):
+        step, calls = evolve._step, [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == 4:
+                raise StepError("forced")
+            return step(*args)
+
+        cfg = EvolveConfig(dt=0.01, t_end=0.1, nl_tol=1e-13, snapshot_stride=1)
+        monkeypatch.setattr(evolve, "_step", failing)
+        last = run(wave2048, params34(), cfg).snapshots[-1][1]
+        monkeypatch.setattr(evolve, "_step", step)
+        self.assert_same_run(run(last, params34(), cfg), run(self.cold(last), params34(), cfg))

@@ -10,9 +10,12 @@ from fnlswaves.spectral import (
     RealField,
     apply_multiplier,
     fractional_symbol,
+    hamiltonian,
     invariants,
     load_field,
     m_symbol,
+    mass,
+    momentum,
     profile_operator,
     save_field,
 )
@@ -151,6 +154,25 @@ class TestFields:
         a.spectrum()
         assert a == b and b == a
         assert "_spectrum" not in vars(b)
+
+    def test_with_spectrum_owns_its_samples(self):
+        g = Grid(l=4.0, n=64)
+        rng = np.random.default_rng(6)
+        samples = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        values = samples.copy()
+        spec = np.fft.fft(samples)
+        f = ComplexField.with_spectrum(g, samples, spec)
+        assert f.samples is samples and f.spectrum() is spec
+        assert not f.samples.flags.writeable and not spec.flags.writeable
+        with pytest.raises(ValueError):
+            f.samples[0] = 0.0
+        assert f == ComplexField(g, values)
+
+    def test_with_spectrum_checks_its_samples(self):
+        g = Grid(l=4.0, n=16)
+        for bad in (np.ones(16), np.ones(8, dtype=complex)):
+            with pytest.raises(ValueError, match="16 complex samples"):
+                ComplexField.with_spectrum(g, bad, np.ones(16, dtype=complex))
 
     def test_fields_are_unhashable(self):
         g = Grid(l=8.0, n=8)
@@ -375,7 +397,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         u = ComplexField(g, z + (0.8 - 0.3j) * (-1.0) ** np.arange(g.n))
-        _, i2, h = invariants(u, s=s, sigma=1.0)
+        _, i2, h = invariants(u, s=s, sigma=1.0)[:3]
         assert i2 == pytest.approx(physical_momentum(u), rel=1e-13)
         assert h == pytest.approx(physical_hamiltonian(u, s, 1.0), rel=1e-13)
 
@@ -383,35 +405,58 @@ class TestInvariants:
     def test_parseval_matches_physical_modulated_sech(self, s):
         g = Grid(l=16.0, n=256)
         u = ComplexField(g, (1.0 / np.cosh(g.x)) * np.exp(0.7j * g.x))
-        _, i2, h = invariants(u, s=s, sigma=1.0)
+        _, i2, h = invariants(u, s=s, sigma=1.0)[:3]
         assert i2 == pytest.approx(physical_momentum(u), rel=1e-13)
         assert h == pytest.approx(physical_hamiltonian(u, s, 1.0), rel=1e-13)
 
     def test_real_field_has_zero_momentum(self):
         g = Grid(l=16.0, n=256)
         u = ComplexField(g, (1.0 / np.cosh(g.x)).astype(complex))
-        _, i2, _ = invariants(u, s=0.75, sigma=1.0)
+        i2 = invariants(u, s=0.75, sigma=1.0).momentum
         assert abs(i2) < 1e-13
 
     def test_modulated_sech(self):
         g = Grid(l=32.0, n=1024)
         A = 0.7
         u = ComplexField(g, (1.0 / np.cosh(g.x)) * np.exp(1j * A * g.x))
-        i1, i2, _ = invariants(u, s=0.75, sigma=1.0)
+        i1, i2 = invariants(u, s=0.75, sigma=1.0)[:2]
         assert i1 == pytest.approx(1.0, abs=1e-10)
         assert i2 == pytest.approx(A, abs=1e-10)
 
     def test_zero_field(self):
         g = Grid(l=4.0, n=32)
         u = ComplexField(g, np.zeros(32, dtype=complex))
-        assert invariants(u, s=0.75, sigma=1.0) == (0.0, 0.0, 0.0)
+        rec = invariants(u, s=0.75, sigma=1.0)
+        assert rec[:3] == (0.0, 0.0, 0.0) and rec.amplitude == 0.0
 
     def test_classical_hamiltonian_value(self):
         # H(sech) at s=1, sigma=1: int(sech'^2)/2 - int(sech^4)/4 = 1/3 - 1/3
         g = Grid(l=32.0, n=1024)
         u = ComplexField(g, (1.0 / np.cosh(g.x)).astype(complex))
-        _, _, h = invariants(u, s=1.0, sigma=1.0)
+        h = invariants(u, s=1.0, sigma=1.0).hamiltonian
         assert h == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("s, sigma", [(0.6, 1.0), (0.75, 2.0), (1.0, 0.5)])
+    def test_one_pass_agrees_with_the_wrappers(self, s, sigma):
+        g = Grid(l=16.0, n=256)
+        rng = np.random.default_rng(5)
+        u = ComplexField(g, (1.0 / np.cosh(g.x)) * np.exp(0.7j * g.x)
+                         + 1e-3 * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)))
+        rec = invariants(u, s=s, sigma=sigma)
+        assert rec.mass == pytest.approx(mass(u), rel=1e-14)
+        assert rec.momentum == pytest.approx(momentum(u), rel=1e-14)
+        assert rec.hamiltonian == pytest.approx(hamiltonian(u, s, sigma), rel=1e-14)
+
+    def test_peak_interpolates_the_modulus_maximum(self):
+        # |u| = sech(x - x0) with x0 between grid points: the parabola
+        # through the three samples around the grid maximum finds x0 to O(h^3)
+        g = Grid(l=16.0, n=1024)
+        x0 = 1.3 * g.h + 0.37
+        u = ComplexField(g, np.exp(0.4j * g.x) / np.cosh(g.x - x0))
+        rec = invariants(u, s=0.75, sigma=1.0)
+        assert rec.peak_x == pytest.approx(x0, abs=g.h ** 2)
+        assert rec.amplitude == pytest.approx(1.0, abs=g.h ** 2)
+        assert rec.amplitude >= np.max(np.abs(u.samples))
 
 
 class TestSnapshots:
