@@ -31,6 +31,7 @@ from .petviashvili import (
     fixed_point_spectrum_probe,
     initial_iterate,
     reflection_conjugate_defect,
+    solve_on_grid,
     solve_scalar,
 )
 from .accel import mpe_extrapolate

@@ -32,6 +32,7 @@ from .petviashvili import (
     initial_iterate,
     reflection_conjugate_defect,
     save_report,
+    solve_on_grid,
     solve_scalar,
 )
 from .spectral import ComplexField, Grid, load_field, write_csv
@@ -314,7 +315,8 @@ def _fig1(out):
                                    {f"rho_c{c}": _params(c) for c in _FIG1_SPEEDS})
     rows = []
     for mw in (1, 3, 4, 6):
-        rep = solve_scalar(_params(1.0), Grid(), SolverConfig(mw=mw))
+        # the residual history of the iteration itself, cold on one grid
+        rep = solve_on_grid(_params(1.0), Grid(), SolverConfig(mw=mw))
         rows += [(mw, it, float(r))
                  for it, r in zip(rep.history_iterations, rep.residual_history)]
         solved.append(rep.converged)

@@ -26,6 +26,15 @@ fixed-point map; at the optimal alpha = (2 sigma + 1) / (2 sigma) that
 eigenvalue maps to zero.  The iteration is D. Pelinovsky and
 Yu. Stepanyants, SIAM J. Numer. Anal. 42 (2004); its Fourier form follows
 J. Alvarez and A. Duran, J. Comput. Appl. Math. 266 (2014).
+
+On grids of NEST_MIN_N points or more, solve_scalar nests: it solves on
+the half grid (l, n/2) first and starts the n grid from that answer,
+prolonged by zero-padding its spectrum, so the fine grid only polishes
+it (nested iteration, A. Brandt, Math. Comp. 31 (1977)).  The gap
+between the two answers is the grid-doubling estimate of how well the
+wave is resolved (J. P. Boyd, Chebyshev and Fourier Spectral Methods,
+2001), reported as ``resolution_defect``.  solve_on_grid is the cold
+one-grid iteration that both levels run.
 """
 
 from __future__ import annotations
@@ -49,6 +58,13 @@ PROBE_TOL = 1e-8
 # solved in the half layout; the default seed sech e^{iAx} misses the class
 # by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
 CLASS_RTOL = 1e-13
+
+# solve_scalar nests on grids with at least NEST_MIN_N points: it solves on
+# (l, n/2) to max(tol, COARSE_TOL) within max_iter // COARSE_ITER_SHARE
+# iterations first (the choice is argued in DECISIONS.md, "Nested solves")
+NEST_MIN_N = 2048
+COARSE_TOL = 1e-8
+COARSE_ITER_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -88,10 +104,14 @@ class SolverConfig:
 @dataclass(kw_only=True)
 class SolveReport(accel.AccelResult):
     """The driver's record, whose ``z`` stays the uncentred last iterate,
-    plus ``envelope``, that iterate centred, and its modulus ``profile``."""
+    plus ``envelope``, that iterate centred, and its modulus ``profile``.
+    A nested solve (see solve_scalar) adds the iterations of its coarse
+    solve and its ``resolution_defect``; a one-grid solve leaves 0 and NaN."""
 
     envelope: ComplexField
     meta: dict
+    coarse_iterations: int = 0
+    resolution_defect: float = float("nan")
 
     @cached_property
     def profile(self) -> RealField:
@@ -223,9 +243,9 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.roll(u, grid.zero_index() - j)
 
 
-def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
-                 seed: ComplexField | None = None) -> SolveReport:
-    """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
+def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
+                  seed: ComplexField | None = None) -> SolveReport:
+    """Solve L u = |u|^{2 sigma} u from ``seed`` on ``grid`` alone.
 
     ``seed`` is a ComplexField v + i w (build one with initial_iterate), or
     None for the sech e^{iAx} seed, which converges to the linear-phase
@@ -236,6 +256,8 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     uncentred last iterate, as grid samples.  A seed within CLASS_RTOL of
     u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
     any other in the full one; the report reads the same either way.
+    This is the iteration itself, cold from its seed: whatever measures
+    the iteration (its counts, layouts and transform budget) calls it.
     """
     cfg = cfg or SolverConfig()
     alpha = cfg.resolved_alpha(params.sigma)
@@ -255,6 +277,79 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     meta.update({"alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
     return SolveReport(**vars(raw), envelope=ComplexField(grid, center_samples(raw.z, grid)),
                        meta=meta)
+
+
+def prolong(field: ComplexField, grid: Grid) -> ComplexField:
+    """Trigonometric interpolant of ``field`` sampled on ``grid``, the same
+    domain with more points.
+
+    The spectrum is zero-padded and its unpaired Nyquist mode split evenly
+    between +-n/2 of the coarse grid, so a field band-limited below that
+    mode comes back exactly, a real spectrum stays real, and a field in
+    the class u(x) = conj(u(-x)) stays in it.  One transform each way; the
+    result carries its spectrum.
+    """
+    m, n = field.grid.n, grid.n
+    if grid.l != field.grid.l or n <= m:
+        raise ValueError(f"cannot prolong from (l={field.grid.l}, n={m}) to (l={grid.l}, n={n})")
+    coarse = field.spectrum()
+    spec = np.zeros(n, dtype=complex)
+    k = m // 2
+    spec[:k] = coarse[:k]
+    spec[n - k + 1:] = coarse[k + 1:]
+    spec[k] = spec[n - k] = 0.5 * coarse[k]
+    spec *= n / m
+    return ComplexField.with_spectrum(grid, np.fft.ifft(spec), spec)
+
+
+def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
+                 seed: ComplexField | None = None) -> SolveReport:
+    """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
+
+    The seed and the report read as in solve_on_grid.  On a grid with
+    n >= NEST_MIN_N the solve is nested: the seed sampled on (l, n/2)
+    (every other point; for the formula seeds that is the same seed built
+    there) is solved to max(tol, COARSE_TOL) within max_iter //
+    COARSE_ITER_SHARE iterations, and its last iterate, prolonged onto n,
+    seeds the solve on n.  The fine grid then only polishes the coarse
+    answer, in a handful of iterations.  If the coarse solve does not
+    converge, the solve on n starts from ``seed`` instead, exactly as
+    solve_on_grid.  ``iterations`` and the histories are those of the
+    requested grid either way.  ``coarse_iterations`` counts the coarse
+    solve's, also when it did not converge (0 on a grid too small to
+    nest), and ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n||
+    for the prolongation P, the grid-doubling estimate of how well n/2
+    resolves the wave (NaN when the solve was not nested or fell back).
+    It costs no transform: both sample vectors are at hand.
+    """
+    cfg = cfg or SolverConfig()
+    coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
+    if grid.n < NEST_MIN_N or coarse_iter < 1:
+        return solve_on_grid(params, grid, cfg, seed)
+    if seed is None:
+        seed = initial_iterate(grid, params.A)
+    if not isinstance(seed, ComplexField):
+        raise TypeError(f"unsupported seed {type(seed).__name__}")
+    coarse_grid = Grid(grid.l, grid.n // 2)
+    coarse_cfg = SolverConfig(alpha=cfg.alpha, tol=max(cfg.tol, COARSE_TOL),
+                              max_iter=coarse_iter, mw=cfg.mw)
+    try:
+        coarse = solve_on_grid(params, coarse_grid, coarse_cfg,
+                               ComplexField(coarse_grid, seed.samples[::2]))
+    except (accel.DivergenceError, ValueError):
+        # the one-grid solve below raises again if the problem is bad on n too
+        coarse = None
+    if coarse is None or not coarse.converged:
+        report = solve_on_grid(params, grid, cfg, seed)
+        report.coarse_iterations = coarse.iterations if coarse is not None else 0
+        return report
+    start = prolong(ComplexField(coarse_grid, coarse.z), grid)
+    report = solve_on_grid(params, grid, cfg, start)
+    report.coarse_iterations = coarse.iterations
+    # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
+    report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
+                                     / np.linalg.norm(report.z))
+    return report
 
 
 # The coupled system needs no solve of its own; the name stays for callers
@@ -315,7 +410,8 @@ def save_report(report: SolveReport, directory, stem: str):
     csv_path = os.path.join(directory, f"{stem}.csv")
     prof_path = os.path.join(directory, f"{stem}_profile.dat")
     meta = {**report.meta, "iterations": report.iterations, "converged": report.converged,
-            "mpe_fallbacks": report.mpe_fallbacks, "profile_file": os.path.basename(prof_path)}
+            "mpe_fallbacks": report.mpe_fallbacks, "coarse_iterations": report.coarse_iterations,
+            "resolution_defect": report.resolution_defect, "profile_file": os.path.basename(prof_path)}
     rows = zip(report.history_iterations, report.residual_history, report.m_history)
     write_csv(csv_path, meta, ["iter", "residual", "m_nu"], rows)
     save_field(prof_path, report.envelope, metadata=report.meta)

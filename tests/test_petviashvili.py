@@ -10,10 +10,12 @@ from fnlswaves.petviashvili import (
     SolverConfig,
     fixed_point_spectrum_probe,
     initial_iterate,
+    prolong,
     reflect_samples,
     reflection_conjugate_defect,
     save_report,
     solve_coupled,
+    solve_on_grid,
     solve_scalar,
 )
 from fnlswaves.spectral import ComplexField, Grid, RealField, load_field, profile_operator
@@ -186,9 +188,9 @@ class TestSeedFrame:
         # seed, and T_{-c} = R T_c R keeps the c = +1 iteration count
         params = [ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=c, kind=kind)
                   for c in (1.0, -1.0)]
-        plus = solve_scalar(params[0], grid64)
-        default = solve_scalar(params[1], grid64)
-        minus = solve_scalar(params[1], grid64,
+        plus = solve_on_grid(params[0], grid64)
+        default = solve_on_grid(params[1], grid64)
+        minus = solve_on_grid(params[1], grid64,
                              seed=initial_iterate(grid64, phase_slope(0.75, -1.0)))
         assert minus.iterations == plus.iterations == 42
         assert minus.residual_history == default.residual_history
@@ -296,7 +298,7 @@ class TestFusedResidual:
         # and a negative speed is solved directly at the same cost
         for c in (1.0, -1.0):
             fft_calls[0] = 0
-            rep = solve_scalar(fig1_params(c), grid64, SolverConfig(mw=mw))
+            rep = solve_on_grid(fig1_params(c), grid64, SolverConfig(mw=mw))
             assert rep.converged and rep.iterations == iterations
             assert fft_calls[0] == ffts
 
@@ -307,7 +309,7 @@ class TestFusedResidual:
         # per step; iterating the samples took 172/148/108/86
         for c in (1.0, -1.0):
             fft_calls[0] = 0
-            rep = solve_scalar(fig1_params(c), grid64, SolverConfig(mw=mw),
+            rep = solve_on_grid(fig1_params(c), grid64, SolverConfig(mw=mw),
                                seed=initial_iterate(grid64, "quadratic"))
             assert rep.converged and rep.iterations == iterations
             assert fft_calls[0] == ffts
@@ -370,7 +372,7 @@ LAYOUT_SHIFTS = pytest.mark.parametrize("shift", [0, 257], ids=["half", "full"])
 
 
 class TestLayouts:
-    """solve_scalar iterates the real half spectrum when its seed satisfies
+    """solve_on_grid iterates the real half spectrum when its seed satisfies
     u(x) = conj(u(-x)) to CLASS_RTOL, and the full complex spectrum
     otherwise; the report reads the same either way."""
 
@@ -400,7 +402,7 @@ class TestLayouts:
                                    + 1j * rng.standard_normal(grid64.n)),
             "sub-grid shift": subgrid_shift(initial_iterate(grid64, params.A), 0.3 * grid64.h),
         }[seed]
-        solve_scalar(params, grid64, SolverConfig(max_iter=2), seed=field)
+        solve_on_grid(params, grid64, SolverConfig(max_iter=2), seed=field)
         assert layouts == [half]
 
     def test_class_tolerance(self):
@@ -425,7 +427,7 @@ class TestLayouts:
         # the residual of z evaluated on the samples is the last one recorded
         params = fig1_params(1.0)
         seed = initial_iterate(grid64, params.A)
-        rep = solve_scalar(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, shift)))
+        rep = solve_on_grid(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, shift)))
         assert rep.converged and rep.z.dtype == np.complex128 and rep.z.shape == (grid64.n,)
         assert int(np.argmax(np.abs(rep.z))) == grid64.zero_index() + shift
         assert np.array_equal(rep.envelope.samples, np.roll(rep.z, -shift))
@@ -436,8 +438,8 @@ class TestLayouts:
     def test_report_does_not_leak_the_layout(self, grid64):
         params = fig1_params(1.0)
         seed = initial_iterate(grid64, params.A)
-        half = solve_scalar(params, grid64)
-        full = solve_scalar(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, 257)))
+        half = solve_on_grid(params, grid64)
+        full = solve_on_grid(params, grid64, seed=ComplexField(grid64, np.roll(seed.samples, 257)))
         assert vars(half).keys() == vars(full).keys()
         assert half.meta == full.meta
         assert half.iterations == full.iterations == 42
@@ -450,7 +452,7 @@ class TestLayouts:
         # 1.47e-12 and ran all 600 iterations
         params = fig1_params(1.0)
         seed = initial_iterate(grid64, params.A)
-        rep = solve_scalar(params, grid64, SolverConfig(mw=1, tol=1e-12, max_iter=600),
+        rep = solve_on_grid(params, grid64, SolverConfig(mw=1, tol=1e-12, max_iter=600),
                            seed=ComplexField(grid64, np.roll(seed.samples, shift)))
         assert rep.converged and rep.iterations == 50
         assert rep.final_residual <= 1e-12
@@ -478,6 +480,128 @@ class TestHalfLayoutProperty:
         assert m_h == pytest.approx(m_f, rel=1e-13)
         assert np.isrealobj(nxt_h)
         assert reflection_conjugate_defect(u_f) <= CLASS_RTOL
+
+
+class TestNestedSolve:
+    """On n >= NEST_MIN_N solve_scalar solves on (l, n/2) first and starts
+    the n grid from the prolonged coarse answer; solve_on_grid is the cold
+    one-grid solve it falls back to."""
+
+    def test_prolongation_is_exact_on_band_limited_fields(self):
+        # a trigonometric polynomial below the coarse Nyquist mode, plus the
+        # real cosine that mode carries, sampled on (l, m) and prolonged onto
+        # (l, 2m) and (l, 4m), is that polynomial sampled there
+        l, m = 8.0, 64
+        rng = np.random.default_rng(11)
+        k = np.arange(-m // 2 + 1, m // 2)
+        a = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+
+        def poly(grid):
+            x = grid.x[:, None]
+            waves = np.exp(1j * np.pi * k * x / l) @ a
+            return waves + 0.7 * np.cos(np.pi * (m // 2) * (grid.x + l) / l)
+
+        coarse = Grid(l, m)
+        for n in (2 * m, 4 * m):
+            fine = Grid(l, n)
+            out = prolong(ComplexField(coarse, poly(coarse)), fine)
+            exact = poly(fine)
+            assert np.linalg.norm(out.samples - exact) <= 1e-13 * np.linalg.norm(exact)
+            assert np.allclose(out.spectrum(), np.fft.fft(out.samples), rtol=0, atol=1e-11)
+
+    def test_prolongation_keeps_the_class(self):
+        # u(x) = conj(u(-x)) on the coarse grid stays so on the fine one, so
+        # the fine solve of a class seed runs in the half layout
+        coarse, fine = Grid(32.0, 256), Grid(32.0, 512)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(coarse.n) + 1j * rng.standard_normal(coarse.n)
+        u = 0.5 * (u + np.conj(reflect_samples(u)))
+        for field in (ComplexField(coarse, u), initial_iterate(coarse, fig1_params(1.0).A)):
+            assert reflection_conjugate_defect(field.samples) <= CLASS_RTOL
+            assert reflection_conjugate_defect(prolong(field, fine).samples) <= CLASS_RTOL
+        for target in (coarse, fine, Grid(16.0, 1024)):
+            with pytest.raises(ValueError, match="cannot prolong"):
+                prolong(ComplexField(fine, np.ones(fine.n)), target)
+
+    @pytest.mark.parametrize("mw, fine_max", [(1, 9), (4, 4)])
+    @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    def test_fig1_points_agree_with_one_grid(self, grid64, c, theta, mw, fine_max):
+        seed = None if theta is None else initial_iterate(grid64, theta)
+        cfg = SolverConfig(mw=mw)
+        nested = solve_scalar(fig1_params(c), grid64, cfg, seed=seed)
+        cold = solve_on_grid(fig1_params(c), grid64, cfg, seed=seed)
+        assert nested.converged and cold.converged
+        assert nested.coarse_iterations > 0 and nested.iterations <= fine_max
+        assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
+        assert nested.resolution_defect <= 1e-8
+
+    def test_transform_length(self, grid64, fft_length):
+        # the coarse steps transform half as many points; with the
+        # prolongation the nested solve costs 0.64 of the one-grid one
+        lengths = []
+        for solve in (solve_on_grid, solve_scalar):
+            fft_length[0] = 0
+            assert solve(fig1_params(1.0), grid64, SolverConfig(mw=1)).converged
+            lengths.append(fft_length[0])
+        assert lengths[1] <= 0.7 * lengths[0]
+
+    def test_resolution_defect(self, grid64):
+        # n/2 = 2048 resolves the c = 1 wave on l = 64, whose defect reads
+        # 5e-10; at s = 0.55 the tail decays as |x|^-2.1 and the n/2 = 1024
+        # answer differs from the n = 2048 one by 2.3e-4
+        resolved = solve_scalar(fig1_params(1.0), grid64)
+        assert resolved.resolution_defect <= 1e-7
+        p = ProblemParams(s=0.55, sigma=1.0, lambda1=1.0, lambda2=0.75)
+        unresolved = solve_scalar(p, Grid(64.0, 2048))
+        assert unresolved.converged and unresolved.resolution_defect >= 1e-5
+        small = solve_scalar(fig1_params(1.0), Grid(32.0, 1024))
+        assert small.coarse_iterations == 0 and np.isnan(small.resolution_defect)
+
+    @pytest.mark.parametrize("max_iter, converged", [(60, True), (20, False)])
+    def test_fallback_is_the_one_grid_solve(self, grid64, max_iter, converged):
+        # the coarse solve needs 34 iterations, more than max_iter // 4, so
+        # the n grid starts cold from the seed: the one-grid solve, bit for
+        # bit, and an unconverged one still reports iterations == max_iter
+        cfg = SolverConfig(mw=1, max_iter=max_iter)
+        nested = solve_scalar(fig1_params(1.0), grid64, cfg)
+        cold = solve_on_grid(fig1_params(1.0), grid64, cfg)
+        assert nested.converged == cold.converged == converged
+        assert nested.iterations == cold.iterations == (42 if converged else max_iter)
+        for name in ("residual_history", "m_history", "cycle_ends", "mpe_fallbacks", "meta"):
+            assert getattr(nested, name) == getattr(cold, name)
+        assert np.array_equal(nested.z, cold.z)
+        assert np.array_equal(nested.envelope.samples, cold.envelope.samples)
+        assert nested.coarse_iterations == max_iter // 4
+        assert np.isnan(nested.resolution_defect)
+
+    def test_seed_the_half_grid_cannot_see_falls_back(self):
+        # zero on every other point, the seed is degenerate on (l, n/2): the
+        # coarse solve refuses it, and n starts cold from it, as one grid does
+        grid = Grid(64.0, 2048)
+        samples = initial_iterate(grid, fig1_params(1.0).A).samples.copy()
+        samples[::2] = 0.0
+        seed = ComplexField(grid, samples)
+        nested = solve_scalar(fig1_params(1.0), grid, seed=seed)
+        cold = solve_on_grid(fig1_params(1.0), grid, seed=seed)
+        assert nested.converged and nested.residual_history == cold.residual_history
+        assert np.array_equal(nested.z, cold.z)
+        assert nested.coarse_iterations == 0 and np.isnan(nested.resolution_defect)
+
+    @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
+    def test_speed_sign_is_the_reflection(self, grid64, theta):
+        # T_{-c} = R T_c R holds for the nested solve: sampling on n/2 and
+        # the prolongation both commute with R, so the c = -1 solve from the
+        # reflected seed is the reflected c = +1 solve
+        seed = initial_iterate(grid64, fig1_params(1.0).A if theta is None else theta)
+        plus = solve_scalar(fig1_params(1.0), grid64, seed=seed)
+        minus = solve_scalar(fig1_params(-1.0), grid64,
+                             seed=ComplexField(grid64, reflect_samples(seed.samples)))
+        assert plus.converged and minus.converged
+        assert (minus.coarse_iterations, minus.iterations) == (plus.coarse_iterations, plus.iterations)
+        mirrored = reflect_samples(plus.z)
+        assert np.linalg.norm(minus.z - mirrored) <= 1e-12 * np.linalg.norm(mirrored)
+        assert minus.resolution_defect == pytest.approx(plus.resolution_defect, rel=1e-5)
 
 
 class TestSolverConfig:
@@ -509,6 +633,8 @@ class TestReportSerialization:
         rows = text.splitlines()[text.splitlines().index("iter,residual,m_nu") + 1:]
         assert [int(row.split(",")[0]) for row in rows] == report_c1.history_iterations
         assert "# lambda2 = 1.0" in text
+        assert f"# coarse_iterations = {report_c1.coarse_iterations}" in text
+        assert f"# resolution_defect = {report_c1.resolution_defect}" in text
         back, meta = load_field(prof_path)
         assert np.array_equal(back.samples, report_c1.envelope.samples)
         assert meta["kind"] == "linear_phase"
