@@ -9,19 +9,15 @@ from .params import (
     ParameterError,
     ProblemParams,
     limiting_speed,
-    linear_phase_params,
     phase_slope,
     spectral_shift,
 )
 from .spectral import (
     ComplexField,
     Grid,
-    MultiplierOp,
     RealField,
-    apply_multiplier,
     invariants,
     load_field,
-    m_symbol,
     profile_operator,
     save_field,
 )

@@ -275,8 +275,8 @@ def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None)
 
 # --------------------------------------------------------------------------
 # Figure recipes; the README lists each one's parameter set.  A recipe
-# returns the names of the CSVs it wrote and whether each solve it ran
-# converged.
+# writes its CSVs through ``write``, which records their names, and appends
+# to ``solved`` whether each solve it ran converged.
 # --------------------------------------------------------------------------
 
 # Every recipe works around s = 3/4, the cubic nonlinearity and lambda1 = 1.
@@ -297,22 +297,18 @@ def _header(*drop, **extra) -> dict:
     return {**{k: v for k, v in _RECIPE.items() if k not in drop}, **extra}
 
 
-def _write(out, name: str, meta: dict, columns, rows) -> str:
-    write_csv(os.path.join(out, name), meta, columns, rows)
-    return name
-
-
-def _profile_table(out, name: str, meta: dict, columns: dict):
+def _profile_table(write, solved: list, name: str, meta: dict, columns: dict):
     """x, then the profile rho for each {column name: params} entry."""
     grid = Grid()
     reports = [solve_scalar(p, grid) for p in columns.values()]
+    solved.extend(r.converged for r in reports)
     rows = zip(grid.x.tolist(), *[r.profile.samples.tolist() for r in reports])
-    return _write(out, name, meta, ["x", *columns], rows), [r.converged for r in reports]
+    write(name, meta, ["x", *columns], rows)
 
 
-def _fig1(out):
-    fig1a, solved = _profile_table(out, "fig1a.csv", _header(speeds=list(_FIG1_SPEEDS)),
-                                   {f"rho_c{c}": _params(c) for c in _FIG1_SPEEDS})
+def _fig1(write, solved: list):
+    _profile_table(write, solved, "fig1a.csv", _header(speeds=list(_FIG1_SPEEDS)),
+                   {f"rho_c{c}": _params(c) for c in _FIG1_SPEEDS})
     rows = []
     for mw in (1, 3, 4, 6):
         # the residual history of the iteration itself, cold on one grid
@@ -320,50 +316,49 @@ def _fig1(out):
         rows += [(mw, it, float(r))
                  for it, r in zip(rep.history_iterations, rep.residual_history)]
         solved.append(rep.converged)
-    fig1b = _write(out, "fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows)
-    return [fig1a, fig1b], solved
+    write("fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows)
 
 
-def _fig2(out):
+def _fig2(write, solved: list):
     params = _params(1.0)
     # h = 6.25e-2 on the default l = 64; the default dt = 0.01 up to t = 10
     rep = solve_scalar(params, Grid(n=2048), SolverConfig(tol=1e-12, max_iter=600))
+    solved.append(rep.converged)
     if not rep.converged:
-        return [], [False]
+        return
     evo = evolve_run(rep.envelope, params, EvolveConfig(nl_tol=1e-13))
+    solved.append(not evo.aborted)
     amp_err = np.abs(evo.amplitude - evo.amplitude[0])
     ham_err = np.abs(evo.hamiltonian - evo.hamiltonian[0])
     rows = zip(evo.times.tolist(), amp_err.tolist(), ham_err.tolist())
-    fig2 = _write(out, "fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows)
-    return [fig2], [not evo.aborted]
+    write("fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows)
 
 
-def _fig3(out):
-    fig3a, solved_a = _profile_table(
-        out, "fig3a.csv", _header("s", lambda2=0.75, s_values=list(_FIG3_S)),
+def _fig3(write, solved: list):
+    _profile_table(
+        write, solved, "fig3a.csv", _header("s", lambda2=0.75, s_values=list(_FIG3_S)),
         {f"rho_s{s}": _params(0.75, s=s) for s in _FIG3_S})
-    fig3b, solved_b = _profile_table(
-        out, "fig3b.csv", _header("sigma", lambda2=1.0, sigma_values=list(_FIG3_SIGMAS)),
+    _profile_table(
+        write, solved, "fig3b.csv", _header("sigma", lambda2=1.0, sigma_values=list(_FIG3_SIGMAS)),
         {f"rho_sigma{sigma}": _params(1.0, sigma=sigma) for sigma in _FIG3_SIGMAS})
-    return [fig3a, fig3b], solved_a + solved_b
 
 
-def _fig4(out):
+def _fig4(write, solved: list):
     grid = Grid()
     rep_q = solve_scalar(_params(1.0), grid, seed=initial_iterate(grid, "quadratic"))
     rep_l = solve_scalar(_params(1.0), grid)
+    solved.extend((rep_q.converged, rep_l.converged))
     rows = zip(grid.x.tolist(), rep_q.profile.samples.tolist(), rep_l.profile.samples.tolist())
     meta = _header(lambda2=1.0,
                    evenness_defect_quadratic=reflection_conjugate_defect(rep_q.profile.samples),
                    evenness_defect_linear=reflection_conjugate_defect(rep_l.profile.samples))
-    fig4 = _write(out, "fig4.csv", meta, ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
-    return [fig4], [rep_q.converged, rep_l.converged]
+    write("fig4.csv", meta, ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
 
 
-def _fig5(out):
+def _fig5(write, solved: list):
     grid = Grid()
     x = grid.x
-    rows, solved = [], []
+    rows = []
     for c in _FIG1_SPEEDS:
         rep = solve_scalar(_params(c), grid)
         solved.append(rep.converged)
@@ -372,35 +367,31 @@ def _fig5(out):
         logs = zip(np.log(x[mask]).tolist(), np.log(vals[mask]).tolist())
         rows += [(c, lx, lr) for lx, lr in logs]
     meta = _header(reference_slope=-(2 * _RECIPE["s"] + 1))
-    return [_write(out, "fig5.csv", meta, ["lambda2", "log_x", "log_rho"], rows)], solved
+    write("fig5.csv", meta, ["lambda2", "log_x", "log_rho"], rows)
 
 
-def _fig6(out):
+def _fig6(write, solved: list):
     grid = Grid()
-    rows, osc, solved = [], {}, []
+    rows, osc = [], {}
     for c in _FIG6_SPEEDS:
         rep = solve_scalar(_params(c), grid)
         solved.append(rep.converged)
         plane = phase_plane(rep.profile)
         osc[str(c)] = plane.tail_oscillations
         rows += [(c, r, rx) for r, rx in zip(plane.rho.tolist(), plane.rho_x.tolist())]
-    meta = _header(tail_oscillations=osc)
-    return [_write(out, "fig6.csv", meta, ["lambda2", "rho", "rho_x"], rows)], solved
+    write("fig6.csv", _header(tail_oscillations=osc), ["lambda2", "rho", "rho_x"], rows)
 
 
-def _fig7(out):
-    files, solved = [], []
+def _fig7(write, solved: list):
     grid = Grid()
     for tag, kind, seed in (("a", Kind.LINEAR_PHASE, None),
                             ("b", Kind.COUPLED, initial_iterate(grid, "quadratic"))):
         result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0]), _FIG7_SPEEDS, grid, seed=seed)
         rows = [(r.speed_gap, r.amplitude, r.lambda2, r.iterations, r.converged)
                 for r in result.rows]
-        files.append(_write(out, f"fig7{tag}.csv", _header(kind=kind.value),
-                            ["speed_gap", "amplitude", "lambda2", "iterations", "converged"],
-                            rows))
+        write(f"fig7{tag}.csv", _header(kind=kind.value),
+              ["speed_gap", "amplitude", "lambda2", "iterations", "converged"], rows)
         solved.append(result.all_converged)
-    return files, solved
 
 
 _RECIPES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
@@ -411,7 +402,13 @@ def reproduce_figures(recipe: str, out_dir) -> int:
     if recipe not in _RECIPES:
         raise ValueError(f"unknown recipe '{recipe}' (have {sorted(_RECIPES)})")
     os.makedirs(out_dir, exist_ok=True)
-    files, solved = _RECIPES[recipe](out_dir)
+    files, solved = [], []
+
+    def write(name: str, meta: dict, columns, rows) -> None:
+        write_csv(os.path.join(out_dir, name), meta, columns, rows)
+        files.append(name)
+
+    _RECIPES[recipe](write, solved)
     if files:
         print(f"{recipe}: wrote {', '.join(files)}")
     return 0 if all(solved) else 3

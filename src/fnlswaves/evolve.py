@@ -48,8 +48,8 @@ import numpy as np
 from .params import metadata
 from .spectral import (ComplexField, Grid, fractional_symbol, invariants, save_field,
                        write_csv)
-# The one-at-a-time invariants stay importable from here for existing callers.
-from .spectral import hamiltonian, mass, momentum  # noqa: F401
+# bench/workloads.py reads and traces mass under this name (ROADMAP direction 13)
+from .spectral import mass  # noqa: F401
 
 # Number of past states the starting guess of run's inner sweep reads: w0 =
 # (u_k + P(t_{k+1})) / 2 with P the degree PREDICT_ORDER - 1 polynomial
@@ -130,6 +130,7 @@ class EvolutionReport:
         return float(np.polyfit(self.times, unwrapped, 1)[0])
 
 
+# run steps through _step; bench/run.py times this one (ROADMAP direction 13)
 def step_midpoint(u: ComplexField, dt: float, params, cfg: EvolveConfig | None = None) -> ComplexField:
     """One implicit-midpoint step of size dt (negative dt steps backward),
     its inner sweep started from u."""

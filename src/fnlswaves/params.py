@@ -122,6 +122,7 @@ class ProblemParams:
         return limiting_speed(self.s, self.lambda1)
 
 
+# the identity, kept for bench/run.py's reference pass (ROADMAP direction 13)
 def linear_phase_params(params: ProblemParams) -> ProblemParams:
     """The parameters themselves, which carry the linear-phase (A, a)."""
     return params

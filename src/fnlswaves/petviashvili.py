@@ -177,7 +177,7 @@ class ProfileIteration:
         self.sigma = params.sigma
         self.alpha = alpha
         self.half = half
-        self.symbol = profile_operator(params, grid).values
+        self.symbol = profile_operator(params, grid)
         if np.any(self.symbol <= 0.0):
             raise ValueError(
                 "profile operator loses positivity on the grid modes; "
@@ -243,6 +243,18 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     return np.roll(u, grid.zero_index() - j)
 
 
+def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField:
+    """``seed``, or the sech e^{iAx} seed on ``grid`` for None; a seed that
+    is not a ComplexField on ``grid`` is refused."""
+    if seed is None:
+        return initial_iterate(grid, params.A)
+    if not isinstance(seed, ComplexField):
+        raise TypeError(f"unsupported seed {type(seed).__name__}")
+    if seed.grid != grid:
+        raise ValueError(f"seed is on {seed.grid}, the solve on {grid}")
+    return seed
+
+
 def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
                   seed: ComplexField | None = None) -> SolveReport:
     """Solve L u = |u|^{2 sigma} u from ``seed`` on ``grid`` alone.
@@ -256,15 +268,13 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     uncentred last iterate, as grid samples.  A seed within CLASS_RTOL of
     u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
     any other in the full one; the report reads the same either way.
-    This is the iteration itself, cold from its seed: whatever measures
-    the iteration (its counts, layouts and transform budget) calls it.
+    A seed on another grid than ``grid`` raises ValueError.  This is the
+    iteration itself, cold from its seed: whatever measures the iteration
+    (its counts, layouts and transform budget) calls it.
     """
     cfg = cfg or SolverConfig()
     alpha = cfg.resolved_alpha(params.sigma)
-    if seed is None:
-        seed = initial_iterate(grid, params.A)
-    if not isinstance(seed, ComplexField):
-        raise TypeError(f"unsupported seed {type(seed).__name__}")
+    seed = _resolve_seed(params, grid, seed)
     half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
     iteration = ProfileIteration(params, grid, alpha, seed, half=half)
     # a non-finite iterate raises DivergenceError, so the overflow on the
@@ -326,10 +336,7 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
     if grid.n < NEST_MIN_N or coarse_iter < 1:
         return solve_on_grid(params, grid, cfg, seed)
-    if seed is None:
-        seed = initial_iterate(grid, params.A)
-    if not isinstance(seed, ComplexField):
-        raise TypeError(f"unsupported seed {type(seed).__name__}")
+    seed = _resolve_seed(params, grid, seed)
     coarse_grid = Grid(grid.l, grid.n // 2)
     coarse_cfg = SolverConfig(alpha=cfg.alpha, tol=max(cfg.tol, COARSE_TOL),
                               max_iter=coarse_iter, mw=cfg.mw)
@@ -352,8 +359,8 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     return report
 
 
-# The coupled system needs no solve of its own; the name stays for callers
-# that still use it (the benchmark harness calls and traces it by name).
+# The coupled system needs no solve of its own; bench/workloads.py calls and
+# traces this alias by name (ROADMAP direction 13).
 solve_coupled = solve_scalar
 
 

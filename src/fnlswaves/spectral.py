@@ -6,8 +6,9 @@ numpy's fft ordering, wavenumbers xi_k = pi*k/l for k = -n/2 .. n/2-1.
 
 Operators are scalar Fourier multipliers.  The coupled (v, w) profile
 system is diagonal in u = v + i w, so its 2x2 operator reduces to the one
-real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
-``profile_operator``.  Two conventions keep real data real:
+real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi, which
+``profile_operator`` returns as a frozen array on the grid modes.  Two
+conventions keep real data real:
 
 * applying a multiplier to a RealField drops the roundoff/odd-part
   imaginary remainder of the inverse transform, which is exactly the
@@ -17,10 +18,12 @@ real symbol L(xi) = |xi|^{2s} + lambda1 - lambda2*xi built by
 
 A ComplexField transforms itself at most once: ``spectrum()`` is cached
 on the (immutable) field, and a field built ``with_spectrum`` is handed
-the one its maker already formed.  The momentum and the dispersive part of
-the Hamiltonian are sums over that spectrum by Parseval, and an evolution
-step builds its new state with the spectrum of its last sweep, so
-recording a state's invariants and stepping from it transform nothing.
+the one its maker already formed.  ``invariants`` computes the mass,
+momentum, Hamiltonian and peak of a state in one pass; the momentum and
+the dispersive part of the Hamiltonian are sums over that spectrum by
+Parseval, and an evolution step builds its new state with the spectrum of
+its last sweep, so recording a state's invariants and stepping from it
+transform nothing.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class Grid:
         xi[self.n // 2] = 0.0
         return _freeze(xi)
 
-    def nyquist_index(self) -> int:
-        return self.n // 2
-
     def zero_index(self) -> int:
         """Index of the grid point x = 0."""
         return self.n // 2
@@ -115,6 +115,7 @@ class RealField(_SampleEquality):
             raise ValueError(f"expected {self.grid.n} samples, got {arr.shape}")
         object.__setattr__(self, "samples", _freeze(arr))
 
+    # read only through apply_multiplier, for bench/run.py (ROADMAP direction 13)
     def spectrum(self) -> np.ndarray:
         return np.fft.fft(self.samples)
 
@@ -181,6 +182,7 @@ class ComplexField(_SampleEquality):
 Field = RealField | ComplexField
 
 
+# bench/run.py's reference pass builds one with m_symbol (ROADMAP direction 13)
 @dataclass(frozen=True)
 class MultiplierOp:
     """Fourier multiplier bound to a grid: ``values`` holds the real symbol
@@ -202,8 +204,9 @@ def fractional_symbol(grid: Grid, s: float) -> np.ndarray:
     return sym
 
 
-def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
-    """Profile operator L with symbol |xi|^{2s} + lambda1 - lambda2*xi.
+def profile_operator(params: ProblemParams, grid: Grid) -> np.ndarray:
+    """Symbol |xi|^{2s} + lambda1 - lambda2*xi of the profile operator L on
+    the grid modes, as a frozen array.
 
     L acts on u = v + i w exactly as the coupled 2x2 operator
     Q = [[lambda1 + |xi|^{2s}, -i lambda2 xi], [i lambda2 xi, lambda1 + |xi|^{2s}]]
@@ -216,9 +219,10 @@ def profile_operator(params: ProblemParams, grid: Grid) -> MultiplierOp:
         + params.lambda1
         - params.lambda2 * grid.xi_odd
     )
-    return MultiplierOp(grid, _freeze(values))
+    return _freeze(values)
 
 
+# bench/run.py builds its timed multiplier with this (ROADMAP direction 13)
 def m_symbol(params: ProblemParams, grid: Grid) -> MultiplierOp:
     """Profile operator symbol m(xi) = |xi+A|^{2s} - lambda2*xi - |A|^{2s}.
 
@@ -232,6 +236,7 @@ def m_symbol(params: ProblemParams, grid: Grid) -> MultiplierOp:
     return MultiplierOp(grid, _freeze(vals))
 
 
+# bench/run.py times this apply (ROADMAP direction 13)
 def apply_multiplier(op: MultiplierOp, f):
     """Apply a multiplier: spectrum(out) = values * spectrum(in), per mode.
 
@@ -251,6 +256,7 @@ def derivative_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(samples) else out
 
 
+# apply_multiplier's check, kept with it for bench/run.py (ROADMAP direction 13)
 def _require_same_grid(g1: Grid, g2: Grid) -> None:
     if g1 != g2:
         raise ValueError(f"grid mismatch: {g1} vs {g2}")
@@ -275,54 +281,26 @@ def invariants(u: ComplexField, s: float, sigma: float) -> Invariants:
     h * sum |f|^2 = (h/n) * sum |f_hat|^2, over the field's cached spectrum,
     so the invariants cost no transform beyond ``u.spectrum()``; only the
     mass, the potential sum |u|^{2 sigma + 2} and the peak stay in physical
-    space.  The momentum sign follows the real-pair form (v w_x - w v_x)/2,
-    so u = sech(x) e^{iAx} carries momentum +A.  ``mass``, ``momentum`` and
-    ``hamiltonian`` compute the same numbers one at a time.
+    space.  The momentum (h/2) sum (v w_x - w v_x) is (h/2n) sum xi
+    |u_hat|^2 with the Nyquist mode dropped, as in the spectral derivative,
+    so u = sech(x) e^{iAx} carries momentum +A; the Hamiltonian is
+    (h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum.
     """
-    dens, power = _density(u), _power(u)
-    peak_x, amplitude = _peak(u, dens)
-    return Invariants(_mass(u.grid, dens), _momentum(u.grid, power),
-                      _hamiltonian(u.grid, s, sigma, dens, power), amplitude, peak_x)
-
-
-def mass(u: ComplexField) -> float:
-    return _mass(u.grid, _density(u))
-
-
-def momentum(u: ComplexField) -> float:
-    """(h/2) sum (v w_x - w v_x) = (h/2n) sum xi |u_hat|^2, Nyquist dropped
-    as in the spectral derivative."""
-    return _momentum(u.grid, _power(u))
-
-
-def hamiltonian(u: ComplexField, s: float, sigma: float) -> float:
-    """(h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum."""
-    return _hamiltonian(u.grid, s, sigma, _density(u), _power(u))
-
-
-def _density(u: ComplexField) -> np.ndarray:
-    """|u|^2 per grid point."""
-    return u.v ** 2 + u.w ** 2
-
-
-def _power(u: ComplexField) -> np.ndarray:
-    """|u_hat|^2 per mode."""
+    g = u.grid
+    dens = u.v ** 2 + u.w ** 2
     spec = u.spectrum()
-    return spec.real ** 2 + spec.imag ** 2
-
-
-def _mass(g: Grid, dens: np.ndarray) -> float:
-    return 0.5 * g.h * float(np.sum(dens))
-
-
-def _momentum(g: Grid, power: np.ndarray) -> float:
-    return 0.5 * g.h / g.n * float(np.sum(g.xi_odd * power))
-
-
-def _hamiltonian(g: Grid, s: float, sigma: float, dens: np.ndarray, power: np.ndarray) -> float:
+    power = spec.real ** 2 + spec.imag ** 2
+    peak_x, amplitude = _peak(u, dens)
+    momentum = 0.5 * g.h / g.n * float(np.sum(g.xi_odd * power))
     kinetic = 0.5 / g.n * float(np.sum(fractional_symbol(g, s) * power))
     potential = float(np.sum(dens ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
-    return g.h * (kinetic - potential)
+    return Invariants(0.5 * g.h * float(np.sum(dens)), momentum, g.h * (kinetic - potential),
+                      amplitude, peak_x)
+
+
+# bench/workloads.py reads this through evolve.mass (ROADMAP direction 13)
+def mass(u: ComplexField) -> float:
+    return 0.5 * u.grid.h * float(np.sum(u.v ** 2 + u.w ** 2))
 
 
 def _peak(u: ComplexField, dens: np.ndarray):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from fnlswaves.petviashvili import (
     solve_on_grid,
     solve_scalar,
 )
-from fnlswaves.spectral import ComplexField, Grid, RealField, load_field, profile_operator
+from fnlswaves.spectral import (ComplexField, Grid, RealField, invariants, load_field,
+                                profile_operator)
 
 
 def fig1_params(lambda2, sigma=1.0):
@@ -131,10 +134,8 @@ class TestSolveScalar:
         rep_neg = solve_scalar(fig1_params(-1.0), grid64)
         assert rep_neg.converged
         assert np.max(np.abs(rep_neg.profile.samples - rep_pos.profile.samples)) < 1e-8
-        from fnlswaves.spectral import momentum
-
-        assert momentum(rep_neg.envelope) == pytest.approx(
-            -momentum(rep_pos.envelope), rel=1e-8
+        assert invariants(rep_neg.envelope, 0.75, 1.0).momentum == pytest.approx(
+            -invariants(rep_pos.envelope, 0.75, 1.0).momentum, rel=1e-8
         )
 
     def test_speed_outside_window_rejected(self, grid64):
@@ -178,6 +179,19 @@ class TestSolveCoupled:
         mod = np.abs(rep.envelope.samples)
         mod = np.roll(mod, grid64.n // 2 - int(np.argmax(mod)))
         assert np.max(np.abs(mod - report_c1.profile.samples)) < 1e-6
+
+
+class TestSeedGrid:
+    @pytest.mark.parametrize("seed_grid, grid", [
+        (Grid(l=64.0, n=512), Grid(l=64.0, n=4096)),  # fewer points: nested
+        (Grid(l=128.0, n=4096), Grid(l=64.0, n=4096)),  # same n, another domain
+    ], ids=["n", "l"])
+    @pytest.mark.parametrize("solve", [solve_scalar, solve_on_grid],
+                             ids=["scalar", "on_grid"])
+    def test_seed_on_another_grid_is_rejected(self, seed_grid, grid, solve):
+        seed = initial_iterate(seed_grid, fig1_params(1.0).A)
+        with pytest.raises(ValueError, match=re.escape(f"seed is on {seed_grid}, the solve on {grid}")):
+            solve(fig1_params(1.0), grid, seed=seed)
 
 
 class TestSeedFrame:
@@ -431,7 +445,7 @@ class TestLayouts:
         assert rep.converged and rep.z.dtype == np.complex128 and rep.z.shape == (grid64.n,)
         assert int(np.argmax(np.abs(rep.z))) == grid64.zero_index() + shift
         assert np.array_equal(rep.envelope.samples, np.roll(rep.z, -shift))
-        lu = np.fft.ifft(profile_operator(params, grid64).values * np.fft.fft(rep.z))
+        lu = np.fft.ifft(profile_operator(params, grid64) * np.fft.fft(rep.z))
         res = np.linalg.norm(lu - np.abs(rep.z) ** 2 * rep.z)
         assert res == pytest.approx(rep.final_residual, rel=1e-2)
 
