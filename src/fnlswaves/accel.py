@@ -20,6 +20,8 @@ step(z) -> (z_next, residual, m), whose residual and m are those of its
 input z.  Every iterate is stepped from exactly once, so its recorded
 residual costs nothing beyond the step, and the only step output thrown
 away is the one taken from the final iterate, converged or at max_iter.
+A step raises DivergenceError on an input it cannot evaluate, a
+non-finite one included, so the driver takes each residual as given.
 """
 
 from __future__ import annotations
@@ -119,15 +121,17 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
     the loop goes on from the step already taken from the cycle's last
     base iterate.  The only step output thrown away is the one taken from
     the final iterate, whether it converged or the loop reached max_iter.
+    ``step`` judges its input, a base iterate or an extrapolant, and raises
+    DivergenceError on one it cannot evaluate, so the driver takes each
+    residual as given and checks no iterate itself.
     """
     z = iteration.initial()
     nxt, res, m = iteration.step(z)
     rec = AccelResult(z, residual_history=[res], m_history=[m])
     cycle = [z]
-    while not res <= cfg.tol and rec.iterations < cfg.max_iter:  # NaN is not convergence
+    while res > cfg.tol and rec.iterations < cfg.max_iter:
         z = nxt
         rec.iterations += 1
-        _check_finite(z, rec.iterations)
         cycle.append(z)
         nxt, res, m = iteration.step(z)
         rec.residual_history.append(res)
@@ -149,12 +153,4 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
 
 
 class DivergenceError(RuntimeError):
-    """The iteration produced NaN or overflow."""
-
-
-def _check_finite(z: np.ndarray, it: int) -> None:
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError(
-            f"iterate became non-finite at base iteration {it}; "
-            "check admissibility of the parameters and the seed"
-        )
+    """The iteration cannot evaluate its iterate: NaN or overflow."""

@@ -441,7 +441,7 @@ def main(argv=None) -> int:
             fld, _ = load_field(args.seed_profile)
             if fld.grid != cfg.grid:
                 raise ConfigError(f"--seed-profile is on {fld.grid}, [grid] on {cfg.grid}")
-            start = ComplexField(fld.grid, fld.samples.astype(complex))
+            start = ComplexField(fld.grid, fld.samples)
         return run_command(cfg, out_dir=args.out, start=start)
     except ValueError as err:  # ConfigError and ParameterError included
         print(f"error: {err}", file=sys.stderr)

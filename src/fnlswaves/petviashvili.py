@@ -27,14 +27,14 @@ eigenvalue maps to zero.  The iteration is D. Pelinovsky and
 Yu. Stepanyants, SIAM J. Numer. Anal. 42 (2004); its Fourier form follows
 J. Alvarez and A. Duran, J. Comput. Appl. Math. 266 (2014).
 
-On grids of NEST_MIN_N points or more, solve_scalar nests: it solves on
-the half grid (l, n/2) first and starts the n grid from that answer,
-prolonged by zero-padding its spectrum, so the fine grid only polishes
-it (nested iteration, A. Brandt, Math. Comp. 31 (1977)).  The gap
-between the two answers is the grid-doubling estimate of how well the
-wave is resolved (J. P. Boyd, Chebyshev and Fourier Spectral Methods,
-2001), reported as ``resolution_defect``.  solve_on_grid is the cold
-one-grid iteration that both levels run.
+On grids of NEST_MIN_N points or more whose n/2 is even, solve_scalar
+nests: it solves on the half grid (l, n/2) first and starts the n grid
+from that answer, prolonged by zero-padding its spectrum, so the fine
+grid only polishes it (nested iteration, A. Brandt, Math. Comp. 31
+(1977)).  The gap between the two answers is the grid-doubling estimate
+of how well the wave is resolved (J. P. Boyd, Chebyshev and Fourier
+Spectral Methods, 2001), reported as ``resolution_defect``.
+solve_on_grid is the cold one-grid iteration that both levels run.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ PROBE_TOL = 1e-8
 # by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
 CLASS_RTOL = 1e-13
 
-# solve_scalar nests on grids with at least NEST_MIN_N points: it solves on
-# (l, n/2) to max(tol, COARSE_TOL) within max_iter // COARSE_ITER_SHARE
-# iterations first (the choice is argued in DECISIONS.md, "Nested solves")
+# solve_scalar nests on grids with at least NEST_MIN_N points and n/2 even:
+# it solves on (l, n/2) to max(tol, COARSE_TOL) within
+# max_iter // COARSE_ITER_SHARE iterations first (the choice is argued in
+# DECISIONS.md, "Nested solves")
 NEST_MIN_N = 2048
 COARSE_TOL = 1e-8
 COARSE_ITER_SHARE = 4
@@ -204,13 +205,16 @@ class ProfileIteration:
         The residual |L u - G(u)| and the pairings <L u, u> and <G(u), u>
         (both times n, which cancels in m) come by Parseval from the G_hat
         the step forms anyway, so a step transforms twice and evaluates its
-        input at no extra transform.
+        input at no extra transform.  A non-finite residual, <G(z), z> = 0
+        or an overflowing m**alpha raises DivergenceError.
         """
         u = np.fft.ihfft(z) if self.half else np.fft.ifft(z)
         g = np.abs(u) ** (2.0 * self.sigma) * u
         g_hat = np.fft.hfft(g, self.grid.n) if self.half else np.fft.fft(g)
         lu_hat = self.symbol * z
         res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
+        if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
+            raise accel.DivergenceError(f"residual {res}; check the parameters and the seed")
         num = float(np.vdot(z, lu_hat).real)
         den = float(np.vdot(z, g_hat).real)
         if den == 0.0:
@@ -277,8 +281,8 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     seed = _resolve_seed(params, grid, seed)
     half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
     iteration = ProfileIteration(params, grid, alpha, seed, half=half)
-    # a non-finite iterate raises DivergenceError, so the overflow on the
-    # way to it needs no warning of its own
+    # the step raises DivergenceError on an input whose residual is not
+    # finite, so the overflow on the way to it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         raw = accel.accelerated_iterate(iteration, cfg)
     raw.z = iteration.samples(raw.z)
@@ -317,16 +321,16 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
 
     The seed and the report read as in solve_on_grid.  On a grid with
-    n >= NEST_MIN_N the solve is nested: the seed sampled on (l, n/2)
-    (every other point; for the formula seeds that is the same seed built
-    there) is solved to max(tol, COARSE_TOL) within max_iter //
-    COARSE_ITER_SHARE iterations, and its last iterate, prolonged onto n,
-    seeds the solve on n.  The fine grid then only polishes the coarse
-    answer, in a handful of iterations.  If the coarse solve does not
-    converge, the solve on n starts from ``seed`` instead, exactly as
-    solve_on_grid.  ``iterations`` and the histories are those of the
+    n >= NEST_MIN_N and n divisible by 4, so that (l, n/2) is a grid, the
+    solve is nested: the seed sampled on (l, n/2) (every other point; for
+    the formula seeds that is the same seed built there) is solved to
+    max(tol, COARSE_TOL) within max_iter // COARSE_ITER_SHARE iterations,
+    and its last iterate, prolonged onto n, seeds the solve on n.  The fine
+    grid then only polishes the coarse answer, in a handful of iterations.
+    If the coarse solve does not converge, the solve on n starts from
+    ``seed`` instead, exactly as solve_on_grid.  ``iterations`` and the histories are those of the
     requested grid either way.  ``coarse_iterations`` counts the coarse
-    solve's, also when it did not converge (0 on a grid too small to
+    solve's, also when it did not converge (0 on a grid that does not
     nest), and ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n||
     for the prolongation P, the grid-doubling estimate of how well n/2
     resolves the wave (NaN when the solve was not nested or fell back).
@@ -334,7 +338,7 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
-    if grid.n < NEST_MIN_N or coarse_iter < 1:
+    if grid.n < NEST_MIN_N or grid.n % 4 or coarse_iter < 1:
         return solve_on_grid(params, grid, cfg, seed)
     seed = _resolve_seed(params, grid, seed)
     coarse_grid = Grid(grid.l, grid.n // 2)

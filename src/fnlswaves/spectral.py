@@ -16,14 +16,16 @@ conventions keep real data real:
 * symbols built from odd terms (the -lambda2*xi drift, first derivatives)
   zero the unpaired Nyquist mode k = -n/2.
 
-A ComplexField transforms itself at most once: ``spectrum()`` is cached
-on the (immutable) field, and a field built ``with_spectrum`` is handed
-the one its maker already formed.  ``invariants`` computes the mass,
-momentum, Hamiltonian and peak of a state in one pass; the momentum and
-the dispersive part of the Hamiltonian are sums over that spectrum by
-Parseval, and an evolution step builds its new state with the spectrum of
-its last sweep, so recording a state's invariants and stepping from it
-transform nothing.
+Fields are immutable values: RealField and ComplexField share one base
+that casts, checks and freezes the samples and compares by value.  A
+ComplexField transforms itself at most once: ``spectrum()`` is cached on
+the field, and a field built ``with_spectrum`` is handed the one its
+maker already formed.  ``invariants`` computes the mass, momentum,
+Hamiltonian and peak of a state in one pass; the momentum and the
+dispersive part of the Hamiltonian are sums over that spectrum by
+Parseval, and an evolution step builds its new state with the spectrum
+of its last sweep, so recording a state's invariants and stepping from
+it transform nothing.
 """
 
 from __future__ import annotations
@@ -86,13 +88,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _SampleEquality:
-    """Value equality for fields: the same type, grid and samples.
+@dataclass(frozen=True, eq=False)
+class _Field:
+    """Samples on a grid, cast to the class's ``_dtype``, checked and frozen.
 
-    A field holds an ndarray, so the dataclass ``__eq__`` would compare
-    arrays and raise; this one compares the samples elementwise and never
+    Two fields are equal when their type, grid and samples are (the
+    dataclass ``__eq__`` would compare arrays and raise); equality never
     reads a cached spectrum.  Fields are unhashable, as arrays are.
     """
+
+    grid: Grid
+    samples: np.ndarray
+    _dtype = float
+
+    def __post_init__(self):
+        arr = np.asarray(self.samples, dtype=self._dtype)
+        if arr.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} samples, got {arr.shape}")
+        object.__setattr__(self, "samples", _freeze(arr))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -103,17 +116,8 @@ class _SampleEquality:
 
 
 @dataclass(frozen=True, eq=False)
-class RealField(_SampleEquality):
-    """Real samples on a grid; fields are immutable values."""
-
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got {arr.shape}")
-        object.__setattr__(self, "samples", _freeze(arr))
+class RealField(_Field):
+    """Real samples on a grid."""
 
     # read only through apply_multiplier, for bench/run.py (ROADMAP direction 13)
     def spectrum(self) -> np.ndarray:
@@ -121,17 +125,10 @@ class RealField(_SampleEquality):
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexField(_SampleEquality):
+class ComplexField(_Field):
     """Complex samples u = v + i w on a grid."""
 
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got {arr.shape}")
-        object.__setattr__(self, "samples", _freeze(arr))
+    _dtype = complex
 
     @classmethod
     def with_spectrum(cls, grid: Grid, samples: np.ndarray, spectrum: np.ndarray) -> ComplexField:

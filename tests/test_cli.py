@@ -110,6 +110,13 @@ class TestConfigParsing:
         assert code == 2
         assert f"[{section}] {key}" in err and "Traceback" not in err
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "absent.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and "absent.ini" in err
+        assert not out.exists()
+
     def test_theta_none_parses_for_both_kinds(self, tmp_path):
         # the seed phase and the kind label are independent keys
         text = SOLVE_CONFIG.replace("mw = 3", "mw = 3\ntheta = none")
@@ -212,6 +219,17 @@ class TestSolveCommand:
         assert meta["lambda2"] == "1.0"
         assert float(meta["limiting_speed"]) == pytest.approx(1.8899, abs=5e-4)
 
+    @pytest.mark.parametrize("change, line", [
+        (("n = 1024", "n = 2050"), "# coarse_iterations = 0"),  # n/2 is odd: one grid
+        (("mw = 3", "mw = 3\nalpha = 1.4"), "# alpha = 1.4"),
+    ], ids=["n-2050", "alpha-1.4"])
+    def test_solve_converges_and_records(self, tmp_path, capsys, change, line):
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "run.ini", SOLVE_CONFIG.replace(*change)),
+                     "--out", out]) == 0
+        header, _ = read_table(os.path.join(out, "solve.csv"))
+        assert line in header and "# converged = True" in header
+
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
         # a speed, a scan speed, an alpha, a decay window, or a value that
         # overflows a derived quantity is rejected before the output
@@ -280,6 +298,26 @@ class TestOtherCommands:
         for name in ("solve.csv", "evolve.csv"):
             with open(os.path.join(out, name)) as fh:
                 assert fh.readline() == f"# fnlswaves {__version__}\n"
+
+    def test_evolve_solves_its_start(self, tmp_path):
+        # without --seed-profile evolve starts from the solved envelope and
+        # stores every fifth state of the 20 steps, t = 0 included
+        text = SOLVE_CONFIG.replace("command = solve", "command = evolve") + (
+            "\n[evolve]\nt_end = 0.2\nsnapshot_stride = 5\n")
+        cfg = write(tmp_path, "evolve.ini", text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        header, columns = read_table(out / "evolve.csv")
+        assert columns == "t,I1,I2,H,amplitude,peak_x"
+        assert not [line for line in header if line.startswith("# aborted")]
+        times = [f"{0.05 * k:.6f}" for k in range(5)]
+        assert sorted(os.listdir(out)) == ["evolve.csv"] + [f"evolve_t{t}.dat" for t in times]
+        run = parse_config(cfg)
+        for t in times:
+            state, meta = load_field(out / f"evolve_t{t}.dat")
+            assert state.grid == run.grid and float(meta["t"]) == pytest.approx(float(t))
+        start, _ = load_field(out / f"evolve_t{times[0]}.dat")
+        assert start == solve_scalar(run.params, run.grid, run.solver_cfg).envelope
 
     @pytest.mark.parametrize("header, body", [
         ({"field_type": "complex", "n": "1024"}, None),

@@ -232,6 +232,23 @@ class TestPredictedStart:
             assert np.array_equal(state.samples, u.samples)
             assert used > plain and not dropped
 
+    def test_guard_drops_a_start_that_stops_contracting(self, wave2048):
+        # on fig2, a start of 100 u_k stops contracting at its second sweep:
+        # the guard gives up there and the step reruns from u_k, landing on
+        # the step_midpoint state; a start of 10 u_k still contracts, and
+        # converges from the start in 12 sweeps
+        cfg = EvolveConfig(dt=0.01, nl_tol=1e-13)
+        symbols = evolve._step_symbols(wave2048.grid, cfg.dt, params34().s)
+        plain, plain_sweeps, _ = evolve._step(wave2048, *symbols, params34().sigma, cfg)
+        assert plain_sweeps == 7
+        state, used, dropped = evolve._step(wave2048, *symbols, params34().sigma, cfg,
+                                            100.0 * wave2048.samples)
+        assert dropped and used == plain_sweeps + 2
+        assert np.array_equal(state.samples, step_midpoint(wave2048, cfg.dt, params34(), cfg).samples)
+        _, used, dropped = evolve._step(wave2048, *symbols, params34().sigma, cfg,
+                                        10.0 * wave2048.samples)
+        assert not dropped and used == 12
+
     def test_dropped_start_restarts_the_ramp(self, wave2048, monkeypatch):
         # every prediction is wild and dropped; the step after a drop starts
         # from u_k, so no two steps in a row spend guard sweeps, and each

@@ -303,6 +303,35 @@ class TestFusedResidual:
             with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
                 it.step(z)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # NaN and inf survive the transforms into the residual, which the
+        # step checks before it forms m
+        for half in (True, False):
+            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            z = it.initial()
+            z[7] = bad
+            with np.errstate(all="ignore"), pytest.raises(accel.DivergenceError, match="residual"):
+                it.step(z)
+
+    def test_non_finite_extrapolant_raises_at_its_step(self, monkeypatch):
+        # the driver checks no iterate: a NaN extrapolant is caught by the
+        # step taken from it, the step after the cycle's mw base steps
+        inputs = []
+        it = profile_iteration(1.0, Grid(l=32.0, n=1024), half=True)
+        step = it.step
+
+        def recorded(z):
+            inputs.append(z)
+            return step(z)
+
+        monkeypatch.setattr(it, "step", recorded)
+        monkeypatch.setattr(accel, "mpe_extrapolate", lambda cycle: np.full_like(cycle[0], np.nan))
+        with np.errstate(all="ignore"), pytest.raises(accel.DivergenceError, match="residual nan"):
+            accel.accelerated_iterate(it, SolverConfig(mw=3))
+        assert len(inputs) == 1 + 3 + 1
+        assert np.all(np.isfinite(inputs[:-1])) and np.all(np.isnan(inputs[-1]))
+
     @pytest.mark.parametrize("mw, iterations, ffts",
                              [(1, 42, 88), (3, 30, 82), (4, 22, 58), (6, 18, 46)])
     def test_fft_budget_per_solve(self, grid64, fft_calls, mw, iterations, ffts):
@@ -600,6 +629,18 @@ class TestNestedSolve:
         cold = solve_on_grid(fig1_params(1.0), grid, seed=seed)
         assert nested.converged and nested.residual_history == cold.residual_history
         assert np.array_equal(nested.z, cold.z)
+        assert nested.coarse_iterations == 0 and np.isnan(nested.resolution_defect)
+
+    @pytest.mark.parametrize("n", [2050, 4098])
+    def test_grid_whose_half_is_odd_does_not_nest(self, n):
+        # (l, n/2) is no grid when n/2 is odd, so the solve runs on n alone
+        grid = Grid(64.0, n)
+        nested = solve_scalar(fig1_params(1.0), grid)
+        cold = solve_on_grid(fig1_params(1.0), grid)
+        assert nested.converged and nested.residual_history == cold.residual_history
+        assert nested.m_history == cold.m_history and nested.iterations == cold.iterations
+        assert np.array_equal(nested.z, cold.z)
+        assert np.array_equal(nested.envelope.samples, cold.envelope.samples)
         assert nested.coarse_iterations == 0 and np.isnan(nested.resolution_defect)
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
