@@ -27,14 +27,16 @@ eigenvalue maps to zero.  The iteration is D. Pelinovsky and
 Yu. Stepanyants, SIAM J. Numer. Anal. 42 (2004); its Fourier form follows
 J. Alvarez and A. Duran, J. Comput. Appl. Math. 266 (2014).
 
-On grids of NEST_MIN_N points or more whose n/2 is even, solve_scalar
-nests: it solves on the half grid (l, n/2) first and starts the n grid
-from that answer, prolonged by zero-padding its spectrum, so the fine
-grid only polishes it (nested iteration, A. Brandt, Math. Comp. 31
-(1977)).  The gap between the two answers is the grid-doubling estimate
-of how well the wave is resolved (J. P. Boyd, Chebyshev and Fourier
-Spectral Methods, 2001), reported as ``resolution_defect``.
-solve_on_grid is the cold one-grid iteration that both levels run.
+solve_scalar nests (nested iteration, A. Brandt, Math. Comp. 31 (1977)):
+on a grid that nests, see _nests, it solves on the half grid (l, n/2)
+first and starts the n grid from that answer, prolonged by zero-padding
+its spectrum, so the fine grid only polishes it.  The half grid nests
+again by the same rule, down to NEST_MIN_N // 2 points or the spacing
+NEST_MAX_H.  The gap between the answers on n/2 and n is the
+grid-doubling estimate of how well the wave is resolved (J. P. Boyd,
+Chebyshev and Fourier Spectral Methods, 2001), reported as
+``resolution_defect``.  solve_on_grid is the cold one-grid iteration that
+every level runs.
 """
 
 from __future__ import annotations
@@ -59,12 +61,15 @@ PROBE_TOL = 1e-8
 # by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
 CLASS_RTOL = 1e-13
 
-# solve_scalar nests on grids with at least NEST_MIN_N points and n/2 even:
-# it solves on (l, n/2) to max(tol, COARSE_TOL) within
-# max_iter // COARSE_ITER_SHARE iterations first (the choice is argued in
+# a grid nests when n/2 is an even grid of at least NEST_MIN_N // 2 points
+# whose spacing 2l/(n/2) is at most NEST_MAX_H, which keeps the quadratic
+# seed e^{ix^2} from aliasing there; every level below the requested one
+# is solved to max(tol, COARSE_TOL) within the requested
+# max_iter // COARSE_ITER_SHARE iterations (the choice is argued in
 # DECISIONS.md, "Nested solves")
 NEST_MIN_N = 2048
-COARSE_TOL = 1e-8
+NEST_MAX_H = 1.0 / 8.0
+COARSE_TOL = 1e-9
 COARSE_ITER_SHARE = 4
 
 
@@ -316,47 +321,81 @@ def prolong(field: ComplexField, grid: Grid) -> ComplexField:
     return ComplexField.with_spectrum(grid, np.fft.ifft(spec), spec)
 
 
+def _nests(grid: Grid) -> bool:
+    """Whether a solve on ``grid`` starts from one on (l, n/2): n/2 is even
+    and at least NEST_MIN_N // 2, and its spacing 2l/(n/2) is at most
+    NEST_MAX_H."""
+    half = grid.n // 2
+    return grid.n % 4 == 0 and half >= NEST_MIN_N // 2 and 2.0 * grid.l / half <= NEST_MAX_H
+
+
+def _seed_residual(params, grid: Grid, cfg: SolverConfig, seed: ComplexField) -> float:
+    """The residual of ``seed`` on ``grid``, by one step in the layout
+    solve_on_grid would pick, so it is the first entry of that solve's
+    residual history."""
+    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
+    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma), seed, half=half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return iteration.step(iteration.initial())[1]
+
+
 def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
                  seed: ComplexField | None = None) -> SolveReport:
     """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
 
-    The seed and the report read as in solve_on_grid.  On a grid with
-    n >= NEST_MIN_N and n divisible by 4, so that (l, n/2) is a grid, the
-    solve is nested: the seed sampled on (l, n/2) (every other point; for
-    the formula seeds that is the same seed built there) is solved to
-    max(tol, COARSE_TOL) within max_iter // COARSE_ITER_SHARE iterations,
-    and its last iterate, prolonged onto n, seeds the solve on n.  The fine
-    grid then only polishes the coarse answer, in a handful of iterations.
-    If the coarse solve does not converge, the solve on n starts from
-    ``seed`` instead, exactly as solve_on_grid.  ``iterations`` and the histories are those of the
-    requested grid either way.  ``coarse_iterations`` counts the coarse
-    solve's, also when it did not converge (0 on a grid that does not
-    nest), and ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n||
-    for the prolongation P, the grid-doubling estimate of how well n/2
-    resolves the wave (NaN when the solve was not nested or fell back).
-    It costs no transform: both sample vectors are at hand.
+    The seed and the report read as in solve_on_grid.  On a grid that
+    nests (n divisible by 4, n/2 >= NEST_MIN_N // 2 and the spacing of
+    (l, n/2) at most NEST_MAX_H), the solve is nested: the seed sampled on
+    (l, n/2) (every other point; for the formula seeds that is the same
+    seed built there) is solved to max(tol, COARSE_TOL) within
+    max_iter // COARSE_ITER_SHARE iterations, and its last iterate,
+    prolonged onto n, seeds the solve on n.  The fine grid then only
+    polishes the coarse answer, in a handful of iterations.  The solve on
+    (l, n/2) nests again by the same rule, with the same tolerance and
+    budget, unless its seed already meets that tolerance, which one step
+    on (l, n/2) decides; so on (256, 16384) the levels are 4096, 8192 and
+    16384.  A level whose coarse solve does not converge starts from its
+    own seed instead, exactly as solve_on_grid.  ``iterations`` and the
+    histories are those of the requested grid either way.
+    ``coarse_iterations`` sums the iterations of every level below n, also
+    of those that did not converge (0 on a grid that does not nest), and
+    ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
+    prolongation P, the grid-doubling estimate of how well n/2 resolves
+    the wave (NaN when the solve was not nested or fell back).  It costs
+    no transform: both sample vectors are at hand.
     """
     cfg = cfg or SolverConfig()
     coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
-    if grid.n < NEST_MIN_N or grid.n % 4 or coarse_iter < 1:
+    if not _nests(grid) or coarse_iter < 1:
         return solve_on_grid(params, grid, cfg, seed)
-    seed = _resolve_seed(params, grid, seed)
-    coarse_grid = Grid(grid.l, grid.n // 2)
     coarse_cfg = SolverConfig(alpha=cfg.alpha, tol=max(cfg.tol, COARSE_TOL),
                               max_iter=coarse_iter, mw=cfg.mw)
+    return _solve_nested(params, grid, cfg, _resolve_seed(params, grid, seed), coarse_cfg)
+
+
+def _solve_nested(params, grid: Grid, cfg: SolverConfig, seed: ComplexField,
+                  coarse_cfg: SolverConfig) -> SolveReport:
+    """solve_scalar on a grid that nests, every level below it under
+    ``coarse_cfg``."""
+    coarse_grid = Grid(grid.l, grid.n // 2)
+    coarse_seed = ComplexField(coarse_grid, seed.samples[::2])
     try:
-        coarse = solve_on_grid(params, coarse_grid, coarse_cfg,
-                               ComplexField(coarse_grid, seed.samples[::2]))
+        if (_nests(coarse_grid)
+                and _seed_residual(params, coarse_grid, coarse_cfg, coarse_seed) > coarse_cfg.tol):
+            coarse = _solve_nested(params, coarse_grid, coarse_cfg, coarse_seed, coarse_cfg)
+        else:
+            coarse = solve_on_grid(params, coarse_grid, coarse_cfg, coarse_seed)
     except (accel.DivergenceError, ValueError):
         # the one-grid solve below raises again if the problem is bad on n too
         coarse = None
+    spent = 0 if coarse is None else coarse.iterations + coarse.coarse_iterations
     if coarse is None or not coarse.converged:
         report = solve_on_grid(params, grid, cfg, seed)
-        report.coarse_iterations = coarse.iterations if coarse is not None else 0
+        report.coarse_iterations = spent
         return report
     start = prolong(ComplexField(coarse_grid, coarse.z), grid)
     report = solve_on_grid(params, grid, cfg, start)
-    report.coarse_iterations = coarse.iterations
+    report.coarse_iterations = spent
     # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
     report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
                                      / np.linalg.norm(report.z))

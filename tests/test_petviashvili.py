@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ def grid64():
 @pytest.fixture(scope="module")
 def report_c1(grid64):
     return solve_scalar(fig1_params(1.0), grid64)
+
+
+@pytest.fixture
+def steps_per_n(monkeypatch):
+    """Count the ProfileIteration.step calls on each grid size while installed."""
+    steps = Counter()
+    step = ProfileIteration.step
+
+    def counted(iteration, z):
+        steps[iteration.grid.n] += 1
+        return step(iteration, z)
+
+    monkeypatch.setattr(ProfileIteration, "step", counted)
+    return steps
 
 
 class TestInitialIterate:
@@ -526,9 +541,9 @@ class TestHalfLayoutProperty:
 
 
 class TestNestedSolve:
-    """On n >= NEST_MIN_N solve_scalar solves on (l, n/2) first and starts
-    the n grid from the prolonged coarse answer; solve_on_grid is the cold
-    one-grid solve it falls back to."""
+    """On a grid that nests solve_scalar solves on (l, n/2) first, nesting
+    again there, and starts the n grid from the prolonged coarse answer;
+    solve_on_grid is the cold one-grid solve it falls back to."""
 
     def test_prolongation_is_exact_on_band_limited_fields(self):
         # a trigonometric polynomial below the coarse Nyquist mode, plus the
@@ -580,8 +595,9 @@ class TestNestedSolve:
         assert nested.resolution_defect <= 1e-8
 
     def test_transform_length(self, grid64, fft_length):
-        # the coarse steps transform half as many points; with the
-        # prolongation the nested solve costs 0.64 of the one-grid one
+        # the coarse steps transform half and a quarter as many points;
+        # with the prolongations the nested solve costs 0.42 of the
+        # one-grid one
         lengths = []
         for solve in (solve_on_grid, solve_scalar):
             fft_length[0] = 0
@@ -591,7 +607,7 @@ class TestNestedSolve:
 
     def test_resolution_defect(self, grid64):
         # n/2 = 2048 resolves the c = 1 wave on l = 64, whose defect reads
-        # 5e-10; at s = 0.55 the tail decays as |x|^-2.1 and the n/2 = 1024
+        # 4.7e-11; at s = 0.55 the tail decays as |x|^-2.1 and the n/2 = 1024
         # answer differs from the n = 2048 one by 2.3e-4
         resolved = solve_scalar(fig1_params(1.0), grid64)
         assert resolved.resolution_defect <= 1e-7
@@ -603,9 +619,10 @@ class TestNestedSolve:
 
     @pytest.mark.parametrize("max_iter, converged", [(60, True), (20, False)])
     def test_fallback_is_the_one_grid_solve(self, grid64, max_iter, converged):
-        # the coarse solve needs 34 iterations, more than max_iter // 4, so
-        # the n grid starts cold from the seed: the one-grid solve, bit for
-        # bit, and an unconverged one still reports iterations == max_iter
+        # the coarse solves on 1024 and 2048 each need more than
+        # max_iter // 4 iterations and spend it all, so the n grid starts
+        # cold from the seed: the one-grid solve, bit for bit, and an
+        # unconverged one still reports iterations == max_iter
         cfg = SolverConfig(mw=1, max_iter=max_iter)
         nested = solve_scalar(fig1_params(1.0), grid64, cfg)
         cold = solve_on_grid(fig1_params(1.0), grid64, cfg)
@@ -615,7 +632,7 @@ class TestNestedSolve:
             assert getattr(nested, name) == getattr(cold, name)
         assert np.array_equal(nested.z, cold.z)
         assert np.array_equal(nested.envelope.samples, cold.envelope.samples)
-        assert nested.coarse_iterations == max_iter // 4
+        assert nested.coarse_iterations == 2 * (max_iter // 4)
         assert np.isnan(nested.resolution_defect)
 
     def test_seed_the_half_grid_cannot_see_falls_back(self):
@@ -642,6 +659,58 @@ class TestNestedSolve:
         assert np.array_equal(nested.z, cold.z)
         assert np.array_equal(nested.envelope.samples, cold.envelope.samples)
         assert nested.coarse_iterations == 0 and np.isnan(nested.resolution_defect)
+
+    def test_grid_past_the_spacing_floor_does_not_nest(self):
+        # (256, 1024) has the spacing 1/2 > NEST_MAX_H, on which the
+        # quadratic seed aliases, so (256, 2048) solves on one grid
+        grid = Grid(256.0, 2048)
+        nested = solve_scalar(fig1_params(1.0), grid)
+        cold = solve_on_grid(fig1_params(1.0), grid)
+        assert nested.converged and nested.residual_history == cold.residual_history
+        assert np.array_equal(nested.z, cold.z)
+        assert np.array_equal(nested.envelope.samples, cold.envelope.samples)
+        assert nested.coarse_iterations == 0 and np.isnan(nested.resolution_defect)
+
+    @pytest.mark.parametrize("l, n, levels", [(64.0, 4096, [1024, 2048, 4096]),
+                                              (256.0, 16384, [4096, 8192, 16384])],
+                             ids=["l64-n4096", "l256-n16384"])
+    def test_levels_nest_down_to_the_floor(self, steps_per_n, l, n, levels):
+        # every level nests again until its half grid would have fewer than
+        # NEST_MIN_N // 2 points (l = 64: 512) or a spacing above NEST_MAX_H
+        # (l = 256: 2048, h = 1/4); no step runs below the last level
+        grid = Grid(l, n)
+        nested = solve_scalar(fig1_params(1.0), grid)
+        assert sorted(steps_per_n) == levels
+        cold = solve_on_grid(fig1_params(1.0), grid)
+        assert nested.converged and cold.converged
+        assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
+
+    def test_every_coarse_level_gets_a_share_of_the_requested_budget(self, monkeypatch, grid64):
+        # the share is of the requested max_iter at every level; a share of
+        # the share (//16 on n/4) gives up on problems n/4 holds
+        levels = []
+        one_grid = petviashvili.solve_on_grid
+
+        def recorded(params, grid, cfg, seed):
+            levels.append((grid.n, cfg.max_iter, cfg.tol))
+            return one_grid(params, grid, cfg, seed)
+
+        monkeypatch.setattr(petviashvili, "solve_on_grid", recorded)
+        rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(max_iter=200))
+        assert rep.converged
+        floor = petviashvili.COARSE_TOL
+        assert levels == [(1024, 50, floor), (2048, 50, floor), (4096, 200, 1e-10)]
+
+    def test_exact_seed_does_not_descend(self, steps_per_n):
+        # the seed of n/2 = 8192, sampled from the answer on 16384, meets
+        # the coarse tolerance: one step on 8192 decides that, n/4 is never
+        # solved, and both levels converge at 0 iterations
+        grid = Grid(256.0, 16384)
+        exact = solve_scalar(fig1_params(1.0), grid).envelope
+        steps_per_n.clear()
+        rep = solve_scalar(fig1_params(1.0), grid, seed=exact)
+        assert rep.converged and rep.iterations == rep.coarse_iterations == 0
+        assert steps_per_n == {8192: 2, 16384: 1}
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
