@@ -11,17 +11,11 @@ iterations feed one extrapolation; mw = 1 disables acceleration.
 
 The driver below uses restarted cycles: run mw base iterations, extrapolate
 from the cycle's mw + 1 iterates and restart from the extrapolant; with
-mw = 1 it is the plain iteration.  Iterates are flat float64 or complex128
-vectors; MPE pairs them as real vectors, a complex entry counting as its
-real and imaginary parts, so the least-squares problem stays real.
-
-The iteration the driver runs has two methods: initial() -> z and
-step(z) -> (z_next, residual, m), whose residual and m are those of its
-input z.  Every iterate is stepped from exactly once, so its recorded
-residual costs nothing beyond the step, and the only step output thrown
-away is the one taken from the final iterate, converged or at max_iter.
-A step raises DivergenceError on an input it cannot evaluate, a
-non-finite one included, so the driver takes each residual as given.
+mw = 1 it is the plain iteration.  It takes its start z0 and calls only
+the iteration's step(z) -> (z_next, residual, m).  Iterates are flat
+float64 or complex128 vectors; MPE pairs them as real vectors, a complex
+entry counting as its real and imaginary parts, so the least-squares
+problem stays real.
 """
 
 from __future__ import annotations
@@ -107,14 +101,14 @@ class AccelResult:
         return counts
 
 
-def accelerated_iterate(iteration, cfg) -> AccelResult:
-    """Drive a fixed-point iteration with restarted-MPE cycles.
+def accelerated_iterate(iteration, z0: np.ndarray, cfg) -> AccelResult:
+    """Drive a fixed-point iteration from ``z0`` with restarted-MPE cycles.
 
-    ``iteration`` provides initial() -> z and step(z) -> (z_next, residual,
-    m), with the residual and m of its input z; the driver calls nothing
-    else.  One AccelResult is filled as the loop runs: it records the
-    residual of every iterate, including each cycle's extrapolant
-    (evaluated on the profile equation itself).
+    ``iteration`` provides step(z) -> (z_next, residual, m), with the
+    residual and m of its input z; the driver calls nothing else and
+    writes to no iterate.  One AccelResult is filled as the loop runs: it
+    records the residual of every iterate, including each cycle's
+    extrapolant (evaluated on the profile equation itself).
 
     Every iterate is stepped from exactly once, so one base iteration or
     one extrapolant costs one step.  When an extrapolation is degenerate
@@ -125,7 +119,7 @@ def accelerated_iterate(iteration, cfg) -> AccelResult:
     DivergenceError on one it cannot evaluate, so the driver takes each
     residual as given and checks no iterate itself.
     """
-    z = iteration.initial()
+    z = z0
     nxt, res, m = iteration.step(z)
     rec = AccelResult(z, residual_history=[res], m_history=[m])
     cycle = [z]

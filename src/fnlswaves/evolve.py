@@ -92,6 +92,8 @@ class EvolveConfig:
             raise ValueError("nl_max must be >= 1")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
+        if self.snapshot_stride and self.dt * self.snapshot_stride < 1e-6:  # save_evolution's t{t:.6f}
+            raise ValueError("snapshot_stride * dt must be >= 1e-6, the t step of snapshot file names")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.steps < 1:

@@ -35,8 +35,8 @@ again by the same rule, down to NEST_MIN_N // 2 points or the spacing
 NEST_MAX_H.  The gap between the answers on n/2 and n is the
 grid-doubling estimate of how well the wave is resolved (J. P. Boyd,
 Chebyshev and Fourier Spectral Methods, 2001), reported as
-``resolution_defect``.  solve_on_grid is the cold one-grid iteration that
-every level runs.
+``resolution_defect``.  solve_on_grid is the cold one-grid solve; a
+nested solve builds one ProfileIteration per level and runs it the same way.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ class SolverConfig:
 class SolveReport(accel.AccelResult):
     """The driver's record, whose ``z`` stays the uncentred last iterate,
     plus ``envelope``, that iterate centred, and its modulus ``profile``.
-    A nested solve (see solve_scalar) adds the iterations of its coarse
-    solve and its ``resolution_defect``; a one-grid solve leaves 0 and NaN."""
+    A nested solve (see solve_scalar) adds its ``coarse_iterations`` and
+    ``resolution_defect``, which reads 0 to roundoff, bounding nothing
+    beyond tol, when n took no iteration; a one-grid solve leaves 0 and NaN."""
 
     envelope: ComplexField
     meta: dict
@@ -150,8 +151,9 @@ def initial_iterate(grid: Grid, theta=0.0) -> ComplexField:
 
 
 class ProfileIteration:
-    """One Petviashvili iteration on the spectrum of the complex envelope
-    u = v + i w.
+    """The Petviashvili map of one problem, grid and layout, acting on the
+    spectrum of the complex envelope u = v + i w; it holds no seed, and
+    ``iterate`` turns a field into the vector its ``step`` maps.
 
     The iterate is the spectrum u_hat, never the samples: L is diagonal
     there, and Parseval gives the residual and both pairings of m,
@@ -177,8 +179,7 @@ class ProfileIteration:
     on the layout.
     """
 
-    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, seed: ComplexField,
-                 half: bool = False):
+    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, half: bool = False):
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
@@ -189,15 +190,13 @@ class ProfileIteration:
                 "profile operator loses positivity on the grid modes; "
                 "the speed is outside the admissible window"
             )
-        if np.sum(np.abs(seed.samples) ** (2.0 * self.sigma + 2.0)) == 0.0:
-            raise ValueError("degenerate seed: <G(z), z> vanishes")
-        self._seed = seed
         # (-1)^k: the spectrum of u rolled by n/2 is (-1)^k u_hat_k
         self._roll_sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
 
-    def initial(self) -> np.ndarray:
-        """The seed's spectrum, projected onto the class in the half layout."""
-        spec = self._seed.spectrum()
+    def iterate(self, field: ComplexField) -> np.ndarray:
+        """The iterate of ``field``: its spectrum, projected onto the class
+        in the half layout."""
+        spec = field.spectrum()
         return (self._roll_sign * spec).real if self.half else spec.copy()
 
     def samples(self, spec: np.ndarray) -> np.ndarray:
@@ -254,14 +253,36 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField:
     """``seed``, or the sech e^{iAx} seed on ``grid`` for None; a seed that
-    is not a ComplexField on ``grid`` is refused."""
+    is not a ComplexField on ``grid``, or on which <G(z), z> vanishes, is
+    refused."""
     if seed is None:
         return initial_iterate(grid, params.A)
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     if seed.grid != grid:
         raise ValueError(f"seed is on {seed.grid}, the solve on {grid}")
+    if np.sum(np.abs(seed.samples) ** (2.0 * params.sigma + 2.0)) == 0.0:
+        raise ValueError("degenerate seed: <G(z), z> vanishes")
     return seed
+
+
+def _prepare(params, grid: Grid, cfg: SolverConfig, seed: ComplexField | None):
+    """The checked seed and the iteration of a solve: alpha and the layout are chosen here."""
+    seed = _resolve_seed(params, grid, seed)
+    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
+    return seed, ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma), half)
+
+
+def _run(params, iteration: ProfileIteration, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
+    """The driver run from the iterate ``z0``, as a solve on the grid of ``iteration``."""
+    # the step raises DivergenceError on an input whose residual is not
+    # finite, so the overflow on the way to it needs no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = accel.accelerated_iterate(iteration, z0, cfg)
+    raw.z = iteration.samples(raw.z)
+    meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
+    envelope = ComplexField(iteration.grid, center_samples(raw.z, iteration.grid))
+    return SolveReport(**vars(raw), envelope=envelope, meta=meta)
 
 
 def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
@@ -282,20 +303,8 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     (its counts, layouts and transform budget) calls it.
     """
     cfg = cfg or SolverConfig()
-    alpha = cfg.resolved_alpha(params.sigma)
-    seed = _resolve_seed(params, grid, seed)
-    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
-    iteration = ProfileIteration(params, grid, alpha, seed, half=half)
-    # the step raises DivergenceError on an input whose residual is not
-    # finite, so the overflow on the way to it needs no warning of its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = accel.accelerated_iterate(iteration, cfg)
-    raw.z = iteration.samples(raw.z)
-
-    meta = metadata(params)
-    meta.update({"alpha": alpha, "mw": cfg.mw, "tol": cfg.tol})
-    return SolveReport(**vars(raw), envelope=ComplexField(grid, center_samples(raw.z, grid)),
-                       meta=meta)
+    seed, iteration = _prepare(params, grid, cfg, seed)
+    return _run(params, iteration, iteration.iterate(seed), cfg)
 
 
 def prolong(field: ComplexField, grid: Grid) -> ComplexField:
@@ -329,16 +338,6 @@ def _nests(grid: Grid) -> bool:
     return grid.n % 4 == 0 and half >= NEST_MIN_N // 2 and 2.0 * grid.l / half <= NEST_MAX_H
 
 
-def _seed_residual(params, grid: Grid, cfg: SolverConfig, seed: ComplexField) -> float:
-    """The residual of ``seed`` on ``grid``, by one step in the layout
-    solve_on_grid would pick, so it is the first entry of that solve's
-    residual history."""
-    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
-    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma), seed, half=half)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return iteration.step(iteration.initial())[1]
-
-
 def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
                  seed: ComplexField | None = None) -> SolveReport:
     """Solve L u = |u|^{2 sigma} u from ``seed``, the one profile solve.
@@ -362,43 +361,47 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
     prolongation P, the grid-doubling estimate of how well n/2 resolves
     the wave (NaN when the solve was not nested or fell back).  It costs
-    no transform: both sample vectors are at hand.
+    no transform: both sample vectors are at hand.  When n takes no
+    iteration it reads 0 to roundoff (exactly 0 in the full layout),
+    which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
+    seed, iteration = _prepare(params, grid, cfg, seed)
     coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
     if not _nests(grid) or coarse_iter < 1:
-        return solve_on_grid(params, grid, cfg, seed)
+        return _run(params, iteration, iteration.iterate(seed), cfg)
     coarse_cfg = SolverConfig(alpha=cfg.alpha, tol=max(cfg.tol, COARSE_TOL),
                               max_iter=coarse_iter, mw=cfg.mw)
-    return _solve_nested(params, grid, cfg, _resolve_seed(params, grid, seed), coarse_cfg)
+    return _solve_nested(params, iteration, cfg, seed, coarse_cfg)
 
 
-def _solve_nested(params, grid: Grid, cfg: SolverConfig, seed: ComplexField,
+def _solve_nested(params, iteration: ProfileIteration, cfg: SolverConfig, seed: ComplexField,
                   coarse_cfg: SolverConfig) -> SolveReport:
-    """solve_scalar on a grid that nests, every level below it under
-    ``coarse_cfg``."""
+    """solve_scalar from ``seed`` on the grid of ``iteration``, which nests,
+    every level below it under ``coarse_cfg`` and in the layout of
+    ``iteration``: sampling on n/2 and prolong both keep the class."""
+    grid = iteration.grid
     coarse_grid = Grid(grid.l, grid.n // 2)
-    coarse_seed = ComplexField(coarse_grid, seed.samples[::2])
     try:
-        if (_nests(coarse_grid)
-                and _seed_residual(params, coarse_grid, coarse_cfg, coarse_seed) > coarse_cfg.tol):
-            coarse = _solve_nested(params, coarse_grid, coarse_cfg, coarse_seed, coarse_cfg)
-        else:
-            coarse = solve_on_grid(params, coarse_grid, coarse_cfg, coarse_seed)
+        coarse_seed = _resolve_seed(params, coarse_grid, ComplexField(coarse_grid, seed.samples[::2]))
+        coarse_it = ProfileIteration(params, coarse_grid, iteration.alpha, iteration.half)
+        z0 = coarse_it.iterate(coarse_seed)
+        # one step of the seed decides whether the level descends
+        with np.errstate(over="ignore", invalid="ignore"):
+            descend = _nests(coarse_grid) and coarse_it.step(z0)[1] > coarse_cfg.tol
+        coarse = (_solve_nested(params, coarse_it, coarse_cfg, coarse_seed, coarse_cfg) if descend
+                  else _run(params, coarse_it, z0, coarse_cfg))
     except (accel.DivergenceError, ValueError):
-        # the one-grid solve below raises again if the problem is bad on n too
+        # n then starts from its own seed, and raises again if the problem is bad there too
         coarse = None
-    spent = 0 if coarse is None else coarse.iterations + coarse.coarse_iterations
-    if coarse is None or not coarse.converged:
-        report = solve_on_grid(params, grid, cfg, seed)
-        report.coarse_iterations = spent
-        return report
-    start = prolong(ComplexField(coarse_grid, coarse.z), grid)
-    report = solve_on_grid(params, grid, cfg, start)
-    report.coarse_iterations = spent
-    # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
-    report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
-                                     / np.linalg.norm(report.z))
+    nested = coarse is not None and coarse.converged
+    start = prolong(ComplexField(coarse_grid, coarse.z), grid) if nested else seed
+    report = _run(params, iteration, iteration.iterate(start), cfg)
+    report.coarse_iterations = 0 if coarse is None else coarse.iterations + coarse.coarse_iterations
+    if nested:
+        # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
+        report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
+                                         / np.linalg.norm(report.z))
     return report
 
 
@@ -419,8 +422,8 @@ def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> flo
     """
     grid = report.envelope.grid
     # the full layout: the perturbations leave the reflection-conjugate class
-    iteration = ProfileIteration(params, grid, alpha, report.envelope)
-    z0 = iteration.initial()
+    iteration = ProfileIteration(params, grid, alpha)
+    z0 = iteration.iterate(report.envelope)
 
     # symmetry directions: translation du/dx and phase rotation i*u, as spectra
     d0 = 1j * grid.xi_odd * z0

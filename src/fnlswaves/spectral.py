@@ -192,10 +192,9 @@ class MultiplierOp:
 @lru_cache(maxsize=2)
 def fractional_symbol(grid: Grid, s: float) -> np.ndarray:
     """|xi|^{2s} on the grid modes, the symbol of (-d_xx)^s, built once per
-    (grid, s) and shared read-only.  One entry serves a whole evolution,
-    whose step and every Hamiltonian read the same one, and two serve a
-    nested profile solve, which reads (l, n/2) and (l, n); keeping more
-    would hold a symbol per solve of a run over many (grid, s)."""
+    (grid, s) and shared read-only.  The cache serves an evolution, whose
+    step and the invariants of every state read one entry; a nested profile
+    solve reads 2 to 5 grids, each once, in that grid's ProfileIteration."""
     sym = np.abs(grid.xi) ** (2.0 * s)
     sym.flags.writeable = False
     return sym

@@ -12,14 +12,12 @@ from fnlswaves.spectral import Grid
 
 
 class LinearIteration:
-    """z -> M z + b test harness with the fixed point known exactly."""
+    """z -> M z + b test harness with the fixed point known exactly; z0 is
+    the start a test hands the driver."""
 
     def __init__(self, M, b, z0):
         self.M, self.b, self.z0 = M, b, z0
         self.fixed_point = np.linalg.solve(np.eye(len(b)) - M, b)
-
-    def initial(self):
-        return self.z0.copy()
 
     def step(self, z):
         nxt = self.M @ z + self.b
@@ -110,7 +108,7 @@ class TestExtrapolation:
         M = np.diag(eigs)
         b = rng.standard_normal(5)
         it = LinearIteration(M, b, rng.standard_normal(5))
-        seq = [it.initial()]
+        seq = [it.z0]
         for _ in range(kappa + 1):
             seq.append(it.step(seq[-1])[0])
         out = mpe_extrapolate(seq)
@@ -163,8 +161,8 @@ class TestAcceleratedIterate:
         M = np.diag([0.9, 0.5, 0.1])
         it = LinearIteration(M, rng.standard_normal(3), rng.standard_normal(3))
         cfg = SolverConfig(alpha=None, tol=1e-9, max_iter=300, mw=1)
-        res = accelerated_iterate(it, cfg)
-        z = it.initial()
+        res = accelerated_iterate(it, it.z0, cfg)
+        z = it.z0
         for _ in range(res.iterations):
             z = it.step(z)[0]
         assert np.array_equal(res.z, z)
@@ -176,14 +174,15 @@ class TestAcceleratedIterate:
 
         monkeypatch.setattr(accel, "mpe_extrapolate", refuse)
         it = LinearIteration(np.diag([0.5, 0.2]), np.ones(2), np.zeros(2))
-        res = accelerated_iterate(it, SolverConfig(tol=1e-12, max_iter=100, mw=1))
+        res = accelerated_iterate(it, it.z0, SolverConfig(tol=1e-12, max_iter=100, mw=1))
         assert res.converged and res.cycle_ends == [] and res.mpe_fallbacks == 0
 
     def test_fallback_keeps_base_iterate(self):
         # each extrapolation is degenerate and the loop goes on from the
         # plain iterate; the fourth cycle ends at max_iter before
         # extrapolating
-        res = accelerated_iterate(Drift(), SolverConfig(tol=1e-12, max_iter=12, mw=3))
+        it = Drift()
+        res = accelerated_iterate(it, it.z0, SolverConfig(tol=1e-12, max_iter=12, mw=3))
         assert not res.converged and res.iterations == 12
         assert res.mpe_fallbacks == 3 and res.cycle_ends == []
         assert np.array_equal(res.z, np.full(2, 12.0))
@@ -191,19 +190,21 @@ class TestAcceleratedIterate:
         assert res.history_iterations == list(range(13))
 
     def test_one_step_per_recorded_iterate(self):
-        # the driver asks for the seed, then steps every iterate once: after
-        # a degenerate extrapolation it goes on from the step it already took
-        it = Recorder(Drift())
-        res = accelerated_iterate(it, SolverConfig(tol=1e-12, max_iter=12, mw=3))
+        # the driver takes its start and steps every iterate once: after a
+        # degenerate extrapolation it goes on from the step it already took
+        drift = Drift()
+        it = Recorder(drift)
+        res = accelerated_iterate(it, drift.z0, SolverConfig(tol=1e-12, max_iter=12, mw=3))
         assert res.mpe_fallbacks == 3 and len(res.residual_history) == 13
-        assert it.calls == ["initial"] + ["step"] * len(res.residual_history)
+        assert it.calls == ["step"] * len(res.residual_history)
+        assert np.array_equal(drift.z0, np.zeros(2))  # the start is read, never written
 
     def test_restart_reaches_linear_fixed_point_fast(self):
         rng = np.random.default_rng(5)
         M = np.diag([0.95, 0.8, 0.6, 0.3, 0.1])
         it = LinearIteration(M, rng.standard_normal(5), rng.standard_normal(5))
         cfg = SolverConfig(alpha=None, tol=1e-11, max_iter=500, mw=6)
-        res = accelerated_iterate(it, cfg)
+        res = accelerated_iterate(it, it.z0, cfg)
         # window spans the full minimal polynomial: one cycle suffices
         assert res.converged and res.iterations <= 12
         assert np.linalg.norm(res.z - it.fixed_point) < 1e-9
@@ -215,10 +216,10 @@ class TestContractionProperty:
     def test_driver_reaches_the_fixed_point(self, iteration, mw):
         tol = 1e-10
         it = Recorder(iteration)
-        res = accelerated_iterate(it, SolverConfig(tol=tol, max_iter=1000, mw=mw))
+        res = accelerated_iterate(it, iteration.z0, SolverConfig(tol=tol, max_iter=1000, mw=mw))
         assert res.converged
         assert np.linalg.norm(res.z - iteration.fixed_point) <= 10 * tol * (1 + 1e-6)
-        assert it.calls == ["initial"] + ["step"] * len(res.residual_history)
+        assert it.calls == ["step"] * len(res.residual_history)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(iteration=contractions(), mw=st.integers(1, 6))

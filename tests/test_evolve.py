@@ -54,6 +54,26 @@ class TestEvolveConfig:
         cfg = EvolveConfig(nl_max=1, snapshot_stride=0)
         assert cfg.nl_max == 1 and cfg.snapshot_stride == 0
 
+    def test_snapshots_closer_than_their_file_names_rejected(self, tmp_path):
+        # save_evolution names a snapshot by t to 6 decimals: 1e-7 apart,
+        # the 6 snapshots of this run would all be written to one file
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            EvolveConfig(dt=1e-7, t_end=5e-7, snapshot_stride=1)
+        assert EvolveConfig(dt=1e-7, t_end=5e-7, snapshot_stride=10).snapshot_stride == 10
+        # 1e-6 apart, every snapshot gets a file of its own
+        cfg = EvolveConfig(dt=1e-6, t_end=5e-6, snapshot_stride=1)
+        report = run(initial_iterate(Grid(l=8.0, n=64)), params34(), cfg)
+        assert len(report.snapshots) == 6
+        assert len(set(evolve.save_evolution(report, tmp_path, "evolve"))) == 1 + 6
+
+    def test_cli_refuses_snapshots_closer_than_their_file_names(self, tmp_path, capsys):
+        path = tmp_path / "evolve.ini"
+        path.write_text(EVOLVE_CONFIG.format(evolve="dt = 1e-7\nt_end = 5e-7\nsnapshot_stride = 1"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_stride" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("nl_max", 0), ("snapshot_stride", -1),
                                             ("t_end", 0.001), ("t_end", -1.0)])
     def test_cli_exits_2(self, tmp_path, capsys, key, value):

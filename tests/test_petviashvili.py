@@ -53,6 +53,26 @@ def steps_per_n(monkeypatch):
     return steps
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the ProfileIteration constructions and the layout tests of the
+    solves run while installed."""
+    counts = Counter()
+    init, defect = ProfileIteration.__init__, petviashvili.reflection_conjugate_defect
+
+    def counted_init(iteration, *args, **kwargs):
+        counts["iterations"] += 1
+        init(iteration, *args, **kwargs)
+
+    def counted_defect(u):
+        counts["layout tests"] += 1
+        return defect(u)
+
+    monkeypatch.setattr(ProfileIteration, "__init__", counted_init)
+    monkeypatch.setattr(petviashvili, "reflection_conjugate_defect", counted_defect)
+    return counts
+
+
 class TestInitialIterate:
     def test_linear_phase(self):
         g = Grid(l=8.0, n=64)
@@ -278,9 +298,12 @@ class TestSpectrumProbe:
 
 
 def profile_iteration(lambda2, grid, half=False):
+    """The iteration of the fig1 problem at speed lambda2, and the iterate
+    of its default seed."""
     params = fig1_params(lambda2)
     alpha = SolverConfig().resolved_alpha(params.sigma)
-    return ProfileIteration(params, grid, alpha, initial_iterate(grid, params.A), half=half)
+    iteration = ProfileIteration(params, grid, alpha, half=half)
+    return iteration, iteration.iterate(initial_iterate(grid, params.A))
 
 
 class TestFusedResidual:
@@ -292,8 +315,7 @@ class TestFusedResidual:
         # the oracle is the residual |ifft(L fft(u)) - |u|^{2 sigma} u| and
         # the pairings of m, all on the samples u of z
         for half in (True, False):
-            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
-            z = it.initial()
+            it, z = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
             assert np.isrealobj(z) == half and z.shape == (1024,)
             for _ in range(5):
                 u = it.samples(z)
@@ -313,8 +335,8 @@ class TestFusedResidual:
     def test_vanishing_pairing(self):
         # <G(z), z> = 0: step cannot form m and raises
         for half in (True, False):
-            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
-            z = np.zeros_like(it.initial())
+            it, z = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            z = np.zeros_like(z)
             with pytest.raises(accel.DivergenceError, match="<G\\(z\\), z> = 0"):
                 it.step(z)
 
@@ -323,8 +345,7 @@ class TestFusedResidual:
         # NaN and inf survive the transforms into the residual, which the
         # step checks before it forms m
         for half in (True, False):
-            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
-            z = it.initial()
+            it, z = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
             z[7] = bad
             with np.errstate(all="ignore"), pytest.raises(accel.DivergenceError, match="residual"):
                 it.step(z)
@@ -333,7 +354,7 @@ class TestFusedResidual:
         # the driver checks no iterate: a NaN extrapolant is caught by the
         # step taken from it, the step after the cycle's mw base steps
         inputs = []
-        it = profile_iteration(1.0, Grid(l=32.0, n=1024), half=True)
+        it, z0 = profile_iteration(1.0, Grid(l=32.0, n=1024), half=True)
         step = it.step
 
         def recorded(z):
@@ -343,7 +364,7 @@ class TestFusedResidual:
         monkeypatch.setattr(it, "step", recorded)
         monkeypatch.setattr(accel, "mpe_extrapolate", lambda cycle: np.full_like(cycle[0], np.nan))
         with np.errstate(all="ignore"), pytest.raises(accel.DivergenceError, match="residual nan"):
-            accel.accelerated_iterate(it, SolverConfig(mw=3))
+            accel.accelerated_iterate(it, z0, SolverConfig(mw=3))
         assert len(inputs) == 1 + 3 + 1
         assert np.all(np.isfinite(inputs[:-1])) and np.all(np.isnan(inputs[-1]))
 
@@ -383,7 +404,7 @@ class TestFusedResidual:
         grid = Grid(l=32.0, n=1024)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        plus, minus = profile_iteration(c, grid), profile_iteration(-c, grid)
+        (plus, _), (minus, _) = profile_iteration(c, grid), profile_iteration(-c, grid)
         nxt_p, res_p, m_p = plus.step(z)
         nxt_m, res_m, m_m = minus.step(reflect_samples(z))
         assert np.linalg.norm(nxt_m - reflect_samples(nxt_p)) <= 1e-13 * np.linalg.norm(nxt_p)
@@ -396,11 +417,10 @@ class TestFusedResidual:
         # every recorded entry is exactly step(z)[1:] of its iterate z:
         # base iterates from plain steps, extrapolants from each cycle
         for half in (True, False):
-            it = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
-            raw = accel.accelerated_iterate(it, SolverConfig(mw=mw, max_iter=max_iter))
+            it, z = profile_iteration(1.0, Grid(l=32.0, n=1024), half)
+            raw = accel.accelerated_iterate(it, z, SolverConfig(mw=mw, max_iter=max_iter))
             assert raw.converged == (max_iter == 500)
             history = list(zip(raw.residual_history, raw.m_history))
-            z = it.initial()
             replay = [it.step(z)[1:]]
             while len(replay) < len(history):
                 cycle = [z]
@@ -529,9 +549,9 @@ class TestHalfLayoutProperty:
         grid = Grid(l=48.0, n=n)
         seed = initial_iterate(grid, params.A)
         alpha = SolverConfig().resolved_alpha(sigma)
-        full, half = (ProfileIteration(params, grid, alpha, seed, half=h) for h in (False, True))
-        nxt_f, res_f, m_f = full.step(full.initial())
-        nxt_h, res_h, m_h = half.step(half.initial())
+        full, half = (ProfileIteration(params, grid, alpha, half=h) for h in (False, True))
+        nxt_f, res_f, m_f = full.step(full.iterate(seed))
+        nxt_h, res_h, m_h = half.step(half.iterate(seed))
         u_f, u_h = full.samples(nxt_f), half.samples(nxt_h)
         assert np.linalg.norm(u_h - u_f) <= 1e-13 * np.linalg.norm(u_f)
         assert res_h == pytest.approx(res_f, rel=1e-13)
@@ -674,13 +694,16 @@ class TestNestedSolve:
     @pytest.mark.parametrize("l, n, levels", [(64.0, 4096, [1024, 2048, 4096]),
                                               (256.0, 16384, [4096, 8192, 16384])],
                              ids=["l64-n4096", "l256-n16384"])
-    def test_levels_nest_down_to_the_floor(self, steps_per_n, l, n, levels):
+    def test_levels_nest_down_to_the_floor(self, steps_per_n, builds, l, n, levels):
         # every level nests again until its half grid would have fewer than
         # NEST_MIN_N // 2 points (l = 64: 512) or a spacing above NEST_MAX_H
-        # (l = 256: 2048, h = 1/4); no step runs below the last level
+        # (l = 256: 2048, h = 1/4); no step runs below the last level.  Each
+        # level builds one iteration, which checks its seed and solves, and
+        # the layout is chosen once, from the requested grid's seed
         grid = Grid(l, n)
         nested = solve_scalar(fig1_params(1.0), grid)
         assert sorted(steps_per_n) == levels
+        assert builds == {"iterations": 3, "layout tests": 1}
         cold = solve_on_grid(fig1_params(1.0), grid)
         assert nested.converged and cold.converged
         assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
@@ -689,28 +712,31 @@ class TestNestedSolve:
         # the share is of the requested max_iter at every level; a share of
         # the share (//16 on n/4) gives up on problems n/4 holds
         levels = []
-        one_grid = petviashvili.solve_on_grid
+        drive = accel.accelerated_iterate
 
-        def recorded(params, grid, cfg, seed):
-            levels.append((grid.n, cfg.max_iter, cfg.tol))
-            return one_grid(params, grid, cfg, seed)
+        def recorded(iteration, z0, cfg):
+            levels.append((iteration.grid.n, cfg.max_iter, cfg.tol))
+            return drive(iteration, z0, cfg)
 
-        monkeypatch.setattr(petviashvili, "solve_on_grid", recorded)
+        monkeypatch.setattr(accel, "accelerated_iterate", recorded)
         rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(max_iter=200))
         assert rep.converged
         floor = petviashvili.COARSE_TOL
         assert levels == [(1024, 50, floor), (2048, 50, floor), (4096, 200, 1e-10)]
 
-    def test_exact_seed_does_not_descend(self, steps_per_n):
+    def test_exact_seed_does_not_descend(self, steps_per_n, builds):
         # the seed of n/2 = 8192, sampled from the answer on 16384, meets
         # the coarse tolerance: one step on 8192 decides that, n/4 is never
-        # solved, and both levels converge at 0 iterations
+        # solved, and both levels converge at 0 iterations, each with the
+        # one iteration it built
         grid = Grid(256.0, 16384)
         exact = solve_scalar(fig1_params(1.0), grid).envelope
         steps_per_n.clear()
+        builds.clear()
         rep = solve_scalar(fig1_params(1.0), grid, seed=exact)
         assert rep.converged and rep.iterations == rep.coarse_iterations == 0
         assert steps_per_n == {8192: 2, 16384: 1}
+        assert builds == {"iterations": 2, "layout tests": 1}
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
