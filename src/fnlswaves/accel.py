@@ -16,6 +16,12 @@ the iteration's step(z) -> (z_next, residual, m).  Iterates are flat
 float64 or complex128 vectors; MPE pairs them as real vectors, a complex
 entry counting as its real and imaginary parts, so the least-squares
 problem stays real.
+
+A run may also test for a stall: when STALL_WINDOW history rows pass
+without a residual below STALL_DROP times the residual of the last row
+that made such a drop, the run is creeping, not converging (see
+DECISIONS.md, "Lattice pinning"), and the driver stops it at the end of
+that cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ import numpy as np
 
 _DEGENERATE_RTOL = 1e-12  # |sum c| below this times the coefficient scale
 _COND_LIMIT = 1e12  # normal equations handed to SVD lstsq beyond this
+STALL_WINDOW = 60  # rows without a drop after which a tested run stalls
+STALL_DROP = 0.5  # a drop: a residual below this times the last drop's
 
 
 def mpe_coefficients(diffs: np.ndarray):
@@ -78,7 +86,10 @@ def mpe_extrapolate(iterates):
 class AccelResult:
     """The record of one solve: a residual and an m row per iterate, the
     rows of the extrapolants (``cycle_ends``), the base ``iterations``, the
-    degenerate extrapolations (``mpe_fallbacks``) and the last iterate ``z``."""
+    degenerate extrapolations (``mpe_fallbacks``) and the last iterate ``z``.
+    ``stalled`` says the stall test stopped the run (its first part, once
+    joined); a run continued from another start than its last iterate
+    (see ``join``) records that start's row as ``restart_row``."""
 
     z: np.ndarray
     converged: bool = False
@@ -87,12 +98,14 @@ class AccelResult:
     m_history: list = field(default_factory=list)
     cycle_ends: list = field(default_factory=list)
     mpe_fallbacks: int = 0
+    stalled: bool = False
+    restart_row: int | None = None
 
     @property
     def history_iterations(self) -> list:
-        """Base-iteration count of each history row; an extrapolant's row
-        repeats the count before it."""
-        ends = set(self.cycle_ends)
+        """Base-iteration count of each history row; an extrapolant's row,
+        and the restart row, repeat the count before it."""
+        ends = set(self.cycle_ends) | {self.restart_row}
         counts, it = [], 0
         for idx in range(len(self.residual_history)):
             if idx > 0 and idx not in ends:
@@ -100,8 +113,24 @@ class AccelResult:
             counts.append(it)
         return counts
 
+    def join(self, tail: AccelResult, restart: bool) -> None:
+        """Append ``tail``, the run that continued this one under the rest
+        of its budget: from this run's last iterate (``restart`` False;
+        the tail's first row repeats this run's last and is dropped), or
+        from another start (True; the tail's first row is that start's)."""
+        skip = 0 if restart else 1
+        offset = len(self.residual_history) - skip
+        if restart:
+            self.restart_row = offset
+        self.residual_history += tail.residual_history[skip:]
+        self.m_history += tail.m_history[skip:]
+        self.cycle_ends += [offset + row for row in tail.cycle_ends]
+        self.iterations += tail.iterations
+        self.mpe_fallbacks += tail.mpe_fallbacks
+        self.z, self.converged = tail.z, tail.converged
 
-def accelerated_iterate(iteration, z0: np.ndarray, cfg) -> AccelResult:
+
+def accelerated_iterate(iteration, z0: np.ndarray, cfg, stall: bool = False) -> AccelResult:
     """Drive a fixed-point iteration from ``z0`` with restarted-MPE cycles.
 
     ``iteration`` provides step(z) -> (z_next, residual, m), with the
@@ -118,11 +147,20 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg) -> AccelResult:
     ``step`` judges its input, a base iterate or an extrapolant, and raises
     DivergenceError on one it cannot evaluate, so the driver takes each
     residual as given and checks no iterate itself.
+
+    With ``stall``, the run is tested at the end of every cycle that
+    leaves it unconverged and within max_iter: once STALL_WINDOW rows
+    have passed since the last drop (a residual below STALL_DROP times
+    the previous drop's, the first row being the first drop), it stops
+    there with ``stalled`` set.  Continued from its last iterate, a
+    stopped run takes the path it would have taken; a run that never
+    stalls takes the untested path exactly.
     """
     z = z0
     nxt, res, m = iteration.step(z)
     rec = AccelResult(z, residual_history=[res], m_history=[m])
     cycle = [z]
+    drop = seen = 0  # the row of the last drop, and the rows scanned for one
     while res > cfg.tol and rec.iterations < cfg.max_iter:
         z = nxt
         rec.iterations += 1
@@ -142,6 +180,15 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg) -> AccelResult:
                     rec.m_history.append(m)
                     rec.cycle_ends.append(len(rec.residual_history) - 1)
             cycle = [z]
+            if stall and res > cfg.tol and rec.iterations < cfg.max_iter:
+                hist = rec.residual_history
+                for row in range(seen, len(hist)):
+                    if hist[row] < STALL_DROP * hist[drop]:
+                        drop = row
+                seen = len(hist)
+                if seen - 1 - drop >= STALL_WINDOW:
+                    rec.stalled = True
+                    break
     rec.z, rec.converged = z, res <= cfg.tol
     return rec
 

@@ -13,10 +13,15 @@ iteration runs on the spectrum of u, where L is diagonal, and transforms
 only to form the nonlinearity: two transforms a step.  A seed with
 u(x) = conj(u(-x)), the default one among them, keeps that symmetry under
 the iteration, which then runs on a real spectrum with half-size
-transforms (see ProfileIteration).  The reported residual is the discrete
-Euclidean residual of the profile equation on the grid samples, taken
-from the spectrum by Parseval, and the real profile rho is the modulus of
-the converged envelope.  Each step evaluates the stabilizing factor
+transforms (see ProfileIteration).  Any other seed runs on the full
+spectrum, where the grid pins the wave's translations (the Peierls-Nabarro
+barrier of lattice NLS, P. G. Kevrekidis, The Discrete Nonlinear
+Schroedinger Equation, Springer 2009), and an iterate can creep along
+them instead of converging; such a run is stopped, aligned onto the class
+in closed form (align_to_class) and finished in the half layout.  The
+reported residual is the discrete Euclidean residual of the profile
+equation on the grid samples, taken from the spectrum by Parseval, and
+the real profile rho is the modulus of the converged envelope.  Each step evaluates the stabilizing factor
 
     m = <L z, z> / <G(z), z>,
 
@@ -42,7 +47,7 @@ nested solve builds one ProfileIteration per level and runs it the same way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +76,12 @@ NEST_MIN_N = 2048
 NEST_MAX_H = 1.0 / 8.0
 COARSE_TOL = 1e-9
 COARSE_ITER_SHARE = 4
+
+# a full-layout run that stalls (accel.STALL_WINDOW) is aligned onto the
+# reflection-conjugate class by align_to_class, and finished in the half
+# layout when the class defect of the aligned iterate is at most
+# CLASS_GUARD (the choice is argued in DECISIONS.md, "Lattice pinning")
+CLASS_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,18 +118,42 @@ class SolverConfig:
         return self.alpha
 
 
+@dataclass(frozen=True)
+class ClassSwitch:
+    """A stalled full-layout run on ``n`` points, aligned onto the class
+    after ``iteration`` base iterations: the shift ``d`` and phase ``phi``
+    of align_to_class and the class ``defect`` of the aligned iterate.
+    ``taken`` when the defect was within CLASS_GUARD and the run finished
+    in the half layout; otherwise it carried on in the full layout."""
+
+    n: int
+    iteration: int
+    d: float
+    phi: float
+    defect: float
+    taken: bool
+
+    def __str__(self):
+        return (f"n={self.n} iteration={self.iteration} d={self.d:.6e} phi={self.phi:.6e} "
+                f"defect={self.defect:.3e} finished={'half' if self.taken else 'full'}")
+
+
 @dataclass(kw_only=True)
 class SolveReport(accel.AccelResult):
     """The driver's record, whose ``z`` stays the uncentred last iterate,
     plus ``envelope``, that iterate centred, and its modulus ``profile``.
     A nested solve (see solve_scalar) adds its ``coarse_iterations`` and
     ``resolution_defect``, which reads 0 to roundoff, bounding nothing
-    beyond tol, when n took no iteration; a one-grid solve leaves 0 and NaN."""
+    beyond tol, when n took no iteration; a one-grid solve leaves 0 and NaN.
+    ``class_switch`` is the ClassSwitch of the stalled run on the
+    requested grid or, failing that, of the finest level below it whose
+    run stalled; None when no run stalled."""
 
     envelope: ComplexField
     meta: dict
     coarse_iterations: int = 0
     resolution_defect: float = float("nan")
+    class_switch: ClassSwitch | None = None
 
     @cached_property
     def profile(self) -> RealField:
@@ -245,6 +280,36 @@ def reflection_conjugate_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u - np.conj(reflect_samples(u))) / norm) if norm else 0.0
 
 
+def align_to_class(field: ComplexField):
+    """The translate and rotation of ``field`` nearest the
+    reflection-conjugate class, in closed form.
+
+    The rolled spectrum w_k = (-1)^k u_hat_k of a class envelope is real,
+    so its translate by d, rotated by phi, has w_k = e^{i phi}
+    e^{-i xi_k d} r_k with r real.  Squaring removes the sign of r, and
+    with the modes in xi order, spaced by dxi = pi / l,
+
+        d = -arg sum_k w_{k+1}^2 conj(w_k^2) / (2 dxi),
+        phi = arg sum_k w_k^2 e^{2 i xi_k d} / 2,
+
+    d unique for |d| < l/2 and phi modulo pi.  Returns the half-layout
+    iterate of the aligned envelope, the real part of
+    e^{-i phi} e^{i xi d} w (its projection onto the class), with d, phi
+    and the class defect of the aligned envelope (its
+    reflection_conjugate_defect, 2 |Im| / |.| of the aligned w by
+    Parseval).  It costs the field's spectrum and O(n) work.
+    """
+    grid = field.grid
+    w = field.spectrum().copy()
+    w[1::2] *= -1.0
+    w2 = np.fft.fftshift(w) ** 2
+    d = -float(np.angle(np.vdot(w2[:-1], w2[1:]))) / (2.0 * np.pi / grid.l)
+    phi = 0.5 * float(np.angle(np.sum(w ** 2 * np.exp(2j * d * grid.xi_odd))))
+    aligned = w * np.exp(1j * (d * grid.xi_odd - phi))
+    defect = 2.0 * float(np.linalg.norm(aligned.imag) / np.linalg.norm(aligned))
+    return aligned.real, d, phi, defect
+
+
 def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Circularly shift so the modulus peak sits at the grid point x = 0."""
     j = int(np.argmax(np.abs(u)))
@@ -254,7 +319,8 @@ def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
 def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField:
     """``seed``, or the sech e^{iAx} seed on ``grid`` for None; a seed that
     is not a ComplexField on ``grid``, or on which <G(z), z> vanishes, is
-    refused."""
+    refused.  Only the requested grid's seed is checked: on a coarse level
+    the first step raises DivergenceError on <G(z), z> = 0."""
     if seed is None:
         return initial_iterate(grid, params.A)
     if not isinstance(seed, ComplexField):
@@ -274,15 +340,43 @@ def _prepare(params, grid: Grid, cfg: SolverConfig, seed: ComplexField | None):
 
 
 def _run(params, iteration: ProfileIteration, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
-    """The driver run from the iterate ``z0``, as a solve on the grid of ``iteration``."""
+    """The driver run from the iterate ``z0``, as a solve on the grid of
+    ``iteration``.  A full-layout run is tested for a stall, and a stalled
+    one is finished by _finish_stalled; a half-layout run is not tested."""
     # the step raises DivergenceError on an input whose residual is not
     # finite, so the overflow on the way to it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = accel.accelerated_iterate(iteration, z0, cfg)
+        raw = accel.accelerated_iterate(iteration, z0, cfg, stall=not iteration.half)
+        switch = None
+        if raw.stalled:
+            iteration, switch = _finish_stalled(params, iteration, raw, cfg)
     raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
     envelope = ComplexField(iteration.grid, center_samples(raw.z, iteration.grid))
-    return SolveReport(**vars(raw), envelope=envelope, meta=meta)
+    return SolveReport(**vars(raw), envelope=envelope, meta=meta, class_switch=switch)
+
+
+def _finish_stalled(params, iteration: ProfileIteration, raw: accel.AccelResult, cfg: SolverConfig):
+    """Finish the stalled full-layout run ``raw`` of ``iteration`` within
+    the rest of cfg.max_iter, joined onto ``raw``; returns the iteration
+    that made its last iterate and the ClassSwitch.
+
+    The last iterate is aligned onto the class (align_to_class).  Within
+    CLASS_GUARD, the aligned iterate is solved in the half layout, where
+    the translation and phase that the lattice pins are gone; beyond it,
+    the run carries on from its last iterate, the path it would have
+    taken untested.
+    """
+    grid = iteration.grid
+    z, d, phi, defect = align_to_class(ComplexField.with_spectrum(grid, iteration.samples(raw.z), raw.z))
+    switch = ClassSwitch(grid.n, raw.iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
+    if switch.taken:
+        iteration = ProfileIteration(params, grid, iteration.alpha, half=True)
+    else:
+        z = raw.z
+    raw.join(accel.accelerated_iterate(iteration, z, replace(cfg, max_iter=cfg.max_iter - raw.iterations)),
+             restart=switch.taken)
+    return iteration, switch
 
 
 def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
@@ -297,7 +391,10 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     profile that time evolution should be seeded with; ``z`` is the
     uncentred last iterate, as grid samples.  A seed within CLASS_RTOL of
     u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
-    any other in the full one; the report reads the same either way.
+    any other in the full one; the report reads the same either way.  A
+    full-layout run that stalls is aligned onto the class and, within
+    CLASS_GUARD, finished in the half layout (see _finish_stalled); the
+    report's ``class_switch`` records it.
     A seed on another grid than ``grid`` raises ValueError.  This is the
     iteration itself, cold from its seed: whatever measures the iteration
     (its counts, layouts and transform budget) calls it.
@@ -383,7 +480,7 @@ def _solve_nested(params, iteration: ProfileIteration, cfg: SolverConfig, seed: 
     grid = iteration.grid
     coarse_grid = Grid(grid.l, grid.n // 2)
     try:
-        coarse_seed = _resolve_seed(params, coarse_grid, ComplexField(coarse_grid, seed.samples[::2]))
+        coarse_seed = ComplexField(coarse_grid, seed.samples[::2])
         coarse_it = ProfileIteration(params, coarse_grid, iteration.alpha, iteration.half)
         z0 = coarse_it.iterate(coarse_seed)
         # one step of the seed decides whether the level descends
@@ -391,13 +488,16 @@ def _solve_nested(params, iteration: ProfileIteration, cfg: SolverConfig, seed: 
             descend = _nests(coarse_grid) and coarse_it.step(z0)[1] > coarse_cfg.tol
         coarse = (_solve_nested(params, coarse_it, coarse_cfg, coarse_seed, coarse_cfg) if descend
                   else _run(params, coarse_it, z0, coarse_cfg))
-    except (accel.DivergenceError, ValueError):
-        # n then starts from its own seed, and raises again if the problem is bad there too
+    except accel.DivergenceError:
+        # n then starts from its own seed, and raises again if the problem is
+        # bad there too; a seed degenerate on (l, n/2) raises at its first step
         coarse = None
     nested = coarse is not None and coarse.converged
     start = prolong(ComplexField(coarse_grid, coarse.z), grid) if nested else seed
     report = _run(params, iteration, iteration.iterate(start), cfg)
     report.coarse_iterations = 0 if coarse is None else coarse.iterations + coarse.coarse_iterations
+    if report.class_switch is None and coarse is not None:
+        report.class_switch = coarse.class_switch
     if nested:
         # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
         report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
@@ -464,7 +564,10 @@ def save_report(report: SolveReport, directory, stem: str):
     prof_path = os.path.join(directory, f"{stem}_profile.dat")
     meta = {**report.meta, "iterations": report.iterations, "converged": report.converged,
             "mpe_fallbacks": report.mpe_fallbacks, "coarse_iterations": report.coarse_iterations,
-            "resolution_defect": report.resolution_defect, "profile_file": os.path.basename(prof_path)}
+            "resolution_defect": report.resolution_defect}
+    if report.class_switch is not None:
+        meta["class_switch"] = str(report.class_switch)
+    meta["profile_file"] = os.path.basename(prof_path)
     rows = zip(report.history_iterations, report.residual_history, report.m_history)
     write_csv(csv_path, meta, ["iter", "residual", "m_nu"], rows)
     save_field(prof_path, report.envelope, metadata=report.meta)

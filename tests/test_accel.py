@@ -44,6 +44,15 @@ class Drift(LinearIteration):
         self.M, self.b, self.z0 = np.eye(2), np.ones(2), np.zeros(2)
 
 
+class Pinned(LinearIteration):
+    """z -> diag(1, 0.1) z + (1e-6, 1) from 0: the unit eigenvalue drifts
+    the first entry by 1e-6 a step for ever, so the residual of z_k is
+    sqrt(1e-12 + 0.01^k) and never falls below 1e-6."""
+
+    def __init__(self):
+        self.M, self.b, self.z0 = np.diag([1.0, 0.1]), np.array([1e-6, 1.0]), np.zeros(2)
+
+
 @st.composite
 def contractions(draw):
     """z -> M z + b, real or complex, with M normal and its spectral radius
@@ -223,10 +232,62 @@ class TestContractionProperty:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(iteration=contractions(), mw=st.integers(1, 6))
+    def test_stall_test_never_stops_a_contraction(self, iteration, mw):
+        # a base step shrinks the residual of a normal contraction at least
+        # 0.9-fold, and an extrapolant's is at most that of its cycle's
+        # last-but-one base iterate, so every STALL_WINDOW rows hold a drop:
+        # the tested run is the untested one, bit for bit
+        cfg = SolverConfig(tol=1e-10, max_iter=1000, mw=mw)
+        untested = accelerated_iterate(iteration, iteration.z0, cfg)
+        tested = accelerated_iterate(iteration, iteration.z0, cfg, stall=True)
+        assert tested.converged and not tested.stalled and not untested.stalled
+        assert tested.residual_history == untested.residual_history
+        assert tested.m_history == untested.m_history
+        assert tested.cycle_ends == untested.cycle_ends and tested.iterations == untested.iterations
+        assert np.array_equal(tested.z, untested.z)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(iteration=contractions(), mw=st.integers(1, 6))
     def test_extrapolation_keeps_the_fixed_point(self, iteration, mw):
         # MPE weights sum to one, so a cycle at the fixed point stays there
         fixed_point = iteration.fixed_point
         assert np.array_equal(mpe_extrapolate([fixed_point] * (mw + 1)), fixed_point)
+
+
+class TestStallStop:
+    def test_unit_eigenvalue_stops_one_window_after_its_last_drop(self):
+        # sqrt(1e-12 + 0.01^k): rows 1..6 each fall below half of the row
+        # before (row 6 reads 1.41e-6 against 1.00e-5), no later row falls
+        # below 0.71e-6, so the run stops STALL_WINDOW rows after row 6, on
+        # the path it would have taken untested
+        cfg = SolverConfig(tol=1e-10, max_iter=500, mw=1)
+        it = Recorder(Pinned())
+        rec = accelerated_iterate(it, np.zeros(2), cfg, stall=True)
+        assert rec.stalled and not rec.converged
+        assert rec.iterations == len(rec.residual_history) - 1 == 6 + accel.STALL_WINDOW
+        assert it.calls == ["step"] * len(rec.residual_history)
+        untested = accelerated_iterate(Pinned(), np.zeros(2), cfg)
+        assert not untested.stalled and untested.iterations == 500
+        assert rec.residual_history == untested.residual_history[:len(rec.residual_history)]
+
+    def test_untested_run_is_not_stopped(self):
+        rec = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=100))
+        assert not rec.stalled and rec.iterations == 100
+
+    def test_join_drops_the_repeated_row_or_keeps_the_restart(self):
+        # continued from its last iterate, the tail's first row is the
+        # head's last; restarted elsewhere, it is a row of its own, counted
+        # with the base iteration before it
+        cfg = SolverConfig(tol=1e-10, max_iter=20, mw=1)
+        whole = accelerated_iterate(Pinned(), np.zeros(2), cfg)
+        head = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=8))
+        head.join(accelerated_iterate(Pinned(), head.z, SolverConfig(tol=1e-10, max_iter=12)), restart=False)
+        assert head.residual_history == whole.residual_history and head.iterations == 20
+        assert head.restart_row is None and np.array_equal(head.z, whole.z)
+        head = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=8))
+        head.join(accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=12)), restart=True)
+        assert head.restart_row == 9 and head.iterations == 20
+        assert head.history_iterations == list(range(9)) + list(range(8, 21))
 
 
 @pytest.fixture(scope="module")

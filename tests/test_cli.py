@@ -230,6 +230,20 @@ class TestSolveCommand:
         header, _ = read_table(os.path.join(out, "solve.csv"))
         assert line in header and "# converged = True" in header
 
+    def test_stalled_coupled_solve_switches_and_records(self, tmp_path, capsys):
+        # from the quadratic seed on (32, 1024) this problem creeps along
+        # its orbit and, untested, runs all 500 iterations (exit 3);
+        # aligned onto the class, it finishes in the half layout
+        text = SOLVE_CONFIG
+        for key, value in {"s": "0.698", "sigma": "2.564", "lambda2": "-0.669",
+                           "kind": "coupled", "mw": "1\ntheta = quadratic"}.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = str(tmp_path / "out")
+        assert main(["--config", write(tmp_path, "run.ini", text), "--out", out]) == 0
+        header, _ = read_table(os.path.join(out, "solve.csv"))
+        assert "# converged = True" in header
+        assert [line for line in header if line.startswith("# class_switch = n=1024 iteration=")]
+
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
         # a speed, a scan speed, an alpha, a decay window, or a value that
         # overflows a derived quantity is rejected before the output

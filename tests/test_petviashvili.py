@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fnlswaves import accel, petviashvili
 from fnlswaves.params import Kind, ProblemParams, limiting_speed, phase_slope
 from fnlswaves.petviashvili import (
+    CLASS_GUARD,
     CLASS_RTOL,
     ProfileIteration,
     SolverConfig,
+    align_to_class,
     fixed_point_spectrum_probe,
     initial_iterate,
     prolong,
@@ -536,6 +538,112 @@ class TestLayouts:
         assert rep.final_residual <= 1e-12
 
 
+# four solve-mix design problems, (s, sigma, c, mw) to three decimals, on
+# which the full-layout run from the quadratic seed on (32, 1024) creeps
+# along the orbit the lattice pins and, untested, ends at max_iter
+STALLED = [(0.698, 2.564, -0.669, 1), (0.668, 2.895, 0.364, 4),
+           (0.646, 2.254, 0.770, 1), (0.617, 2.363, 1.219, 3)]
+
+
+def stalled_solve(s, sigma, c, mw):
+    grid = Grid(32.0, 1024)
+    params = ProblemParams(s=s, sigma=sigma, lambda1=1.0, lambda2=c, kind=Kind.COUPLED)
+    return solve_scalar(params, grid, SolverConfig(mw=mw), seed=initial_iterate(grid, "quadratic"))
+
+
+class TestClassAlignment:
+    """align_to_class puts a translate of a class wave back on the class in
+    closed form, and a full-layout run that stalls finishes in the half
+    layout from its aligned iterate."""
+
+    @pytest.mark.parametrize("shift, phi", [(-0.38, 0.3), (1.7, -1.2), (2.87, 0.9)])
+    def test_recovers_a_known_translate_and_rotation(self, grid64, report_c1, shift, phi):
+        wave = report_c1.envelope
+        moved = ComplexField(grid64, np.exp(1j * phi) * subgrid_shift(wave, shift * grid64.h).samples)
+        z, d, phase, defect = align_to_class(moved)
+        assert abs(d - shift * grid64.h) <= 1e-12 and abs(phase - phi) <= 1e-12
+        assert defect <= 1e-13
+        rolled = (1.0 - 2.0 * (np.arange(grid64.n) % 2)) * wave.spectrum()
+        assert np.linalg.norm(z - rolled.real) <= 1e-12 * np.linalg.norm(rolled)
+
+    def test_class_wave_reads_no_shift(self, report_c1):
+        z, d, phi, defect = align_to_class(report_c1.envelope)
+        assert abs(d) <= 1e-14 and abs(phi) <= 1e-14 and defect <= 1e-14
+
+    def test_two_humps_read_a_defect_above_the_guard(self, grid64):
+        # no translate or rotation makes sech(x + 4) + sech(x - 4) / 2 even
+        x = grid64.x
+        field = ComplexField(grid64, 1.0 / np.cosh(x + 4.0) + 0.5 / np.cosh(x - 4.0))
+        assert align_to_class(field)[3] > CLASS_GUARD
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+c", "-c"])
+    @pytest.mark.parametrize("s, sigma, c, mw", STALLED)
+    def test_stalled_run_finishes_in_the_half_layout(self, s, sigma, c, mw, sign):
+        rep = stalled_solve(s, sigma, sign * c, mw)
+        switch = rep.class_switch
+        assert rep.converged and rep.iterations < 150
+        assert switch.taken and switch.n == 1024 and switch.defect <= CLASS_GUARD
+        # the aligned start is a row of its own, counted with the base
+        # iteration before it, and the answer is on the class
+        counts = rep.history_iterations
+        assert counts[rep.restart_row] == counts[rep.restart_row - 1] == switch.iteration
+        assert counts[-1] == rep.iterations
+        assert reflection_conjugate_defect(rep.z) <= 1e-12
+
+    def test_nested_solve_reports_the_switch_of_a_coarse_level(self, grid64):
+        # design problem #45 to three decimals: its n = 1024 level stalls;
+        # untested, it spends its whole budget of 125 there, and the 2048
+        # level starts cold
+        params = ProblemParams(s=0.818, sigma=1.944, lambda1=1.0, lambda2=0.133, kind=Kind.COUPLED)
+        rep = solve_scalar(params, grid64, SolverConfig(mw=3), seed=initial_iterate(grid64, "quadratic"))
+        assert rep.converged and rep.coarse_iterations < 100
+        assert rep.class_switch.taken and rep.class_switch.n == 1024 and rep.restart_row is None
+        assert rep.resolution_defect < 1e-10
+
+    def test_speed_sign_mirrors_the_switch(self):
+        # T_{-c} = R T_c R, and the quadratic seed is even: the -c run is
+        # the mirrored +c run, so it stalls at the same row, shifted by -d
+        plus, minus = stalled_solve(*STALLED[0]), stalled_solve(0.698, 2.564, 0.669, 1)
+        assert (minus.iterations, minus.restart_row) == (plus.iterations, plus.restart_row)
+        assert minus.residual_history == pytest.approx(plus.residual_history, rel=1e-6)
+        assert minus.class_switch.iteration == plus.class_switch.iteration
+        assert minus.class_switch.d == pytest.approx(-plus.class_switch.d, rel=1e-9)
+        assert minus.class_switch.phi == pytest.approx(plus.class_switch.phi, rel=1e-9)
+
+    def test_a_stall_beyond_the_guard_carries_on_as_before(self, monkeypatch):
+        # with no defect within the guard the run carries on in the full
+        # layout from where it stopped: the untested path, to max_iter
+        monkeypatch.setattr(petviashvili, "CLASS_GUARD", 0.0)
+        refused = stalled_solve(*STALLED[1])
+        assert not refused.converged and refused.iterations == 500
+        assert not refused.class_switch.taken and refused.restart_row is None
+        monkeypatch.setattr(accel, "STALL_WINDOW", 10 ** 6)
+        untested = stalled_solve(*STALLED[1])
+        assert untested.class_switch is None and not untested.stalled
+        assert refused.residual_history == untested.residual_history
+        assert refused.m_history == untested.m_history and refused.cycle_ends == untested.cycle_ends
+        assert refused.mpe_fallbacks == untested.mpe_fallbacks
+        assert np.array_equal(refused.z, untested.z)
+
+    def test_half_layout_runs_are_never_tested(self, monkeypatch, grid64, report_c1):
+        # a window of 0 rows would stop any tested run at its first cycle
+        monkeypatch.setattr(accel, "STALL_WINDOW", 0)
+        rep = solve_scalar(fig1_params(1.0), grid64)
+        assert rep.class_switch is None and not rep.stalled
+        assert rep.residual_history == report_c1.residual_history
+        assert np.array_equal(rep.z, report_c1.z)
+
+    def test_switch_is_a_header_line(self, tmp_path, report_c1):
+        rep = stalled_solve(*STALLED[0])
+        with open(save_report(rep, tmp_path, "stalled")[0]) as fh:
+            header = [line.rstrip("\n") for line in fh if line.startswith("#")]
+        assert f"# class_switch = {rep.class_switch}" in header
+        assert re.fullmatch(r"# class_switch = n=1024 iteration=\d+ d=\S+ phi=\S+ defect=\S+ finished=half",
+                            header[-2])
+        with open(save_report(report_c1, tmp_path, "c1")[0]) as fh:
+            assert not [line for line in fh if line.startswith("# class_switch")]
+
+
 class TestHalfLayoutProperty:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(s=st.floats(0.6, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
@@ -657,7 +765,8 @@ class TestNestedSolve:
 
     def test_seed_the_half_grid_cannot_see_falls_back(self):
         # zero on every other point, the seed is degenerate on (l, n/2): the
-        # coarse solve refuses it, and n starts cold from it, as one grid does
+        # first step there raises on <G(z), z> = 0, and n starts cold from
+        # it, as one grid does
         grid = Grid(64.0, 2048)
         samples = initial_iterate(grid, fig1_params(1.0).A).samples.copy()
         samples[::2] = 0.0
@@ -714,9 +823,9 @@ class TestNestedSolve:
         levels = []
         drive = accel.accelerated_iterate
 
-        def recorded(iteration, z0, cfg):
+        def recorded(iteration, z0, cfg, **stall):
             levels.append((iteration.grid.n, cfg.max_iter, cfg.tol))
-            return drive(iteration, z0, cfg)
+            return drive(iteration, z0, cfg, **stall)
 
         monkeypatch.setattr(accel, "accelerated_iterate", recorded)
         rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(max_iter=200))
