@@ -17,11 +17,12 @@ float64 or complex128 vectors; MPE pairs them as real vectors, a complex
 entry counting as its real and imaginary parts, so the least-squares
 problem stays real.
 
-A run may also test for a stall: when STALL_WINDOW history rows pass
+A run may also be tested for a stall: when STALL_WINDOW history rows pass
 without a residual below STALL_DROP times the residual of the last row
 that made such a drop, the run is creeping, not converging (see
-DECISIONS.md, "Lattice pinning"), and the driver stops it at the end of
-that cycle.
+DECISIONS.md, "Lattice pinning"), and the driver hands its iterate to the
+caller's on_stall hook at the end of that cycle, once, which may restart
+the run from another start.
 """
 
 from __future__ import annotations
@@ -87,9 +88,8 @@ class AccelResult:
     """The record of one solve: a residual and an m row per iterate, the
     rows of the extrapolants (``cycle_ends``), the base ``iterations``, the
     degenerate extrapolations (``mpe_fallbacks``) and the last iterate ``z``.
-    ``stalled`` says the stall test stopped the run (its first part, once
-    joined); a run continued from another start than its last iterate
-    (see ``join``) records that start's row as ``restart_row``."""
+    A run that an on_stall hook restarted from another start than its
+    last iterate records that start's row as ``restart_row``."""
 
     z: np.ndarray
     converged: bool = False
@@ -98,7 +98,6 @@ class AccelResult:
     m_history: list = field(default_factory=list)
     cycle_ends: list = field(default_factory=list)
     mpe_fallbacks: int = 0
-    stalled: bool = False
     restart_row: int | None = None
 
     @property
@@ -113,24 +112,8 @@ class AccelResult:
             counts.append(it)
         return counts
 
-    def join(self, tail: AccelResult, restart: bool) -> None:
-        """Append ``tail``, the run that continued this one under the rest
-        of its budget: from this run's last iterate (``restart`` False;
-        the tail's first row repeats this run's last and is dropped), or
-        from another start (True; the tail's first row is that start's)."""
-        skip = 0 if restart else 1
-        offset = len(self.residual_history) - skip
-        if restart:
-            self.restart_row = offset
-        self.residual_history += tail.residual_history[skip:]
-        self.m_history += tail.m_history[skip:]
-        self.cycle_ends += [offset + row for row in tail.cycle_ends]
-        self.iterations += tail.iterations
-        self.mpe_fallbacks += tail.mpe_fallbacks
-        self.z, self.converged = tail.z, tail.converged
 
-
-def accelerated_iterate(iteration, z0: np.ndarray, cfg, stall: bool = False) -> AccelResult:
+def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelResult:
     """Drive a fixed-point iteration from ``z0`` with restarted-MPE cycles.
 
     ``iteration`` provides step(z) -> (z_next, residual, m), with the
@@ -148,13 +131,15 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, stall: bool = False) -> 
     DivergenceError on one it cannot evaluate, so the driver takes each
     residual as given and checks no iterate itself.
 
-    With ``stall``, the run is tested at the end of every cycle that
+    With ``on_stall``, the run is tested at the end of every cycle that
     leaves it unconverged and within max_iter: once STALL_WINDOW rows
     have passed since the last drop (a residual below STALL_DROP times
-    the previous drop's, the first row being the first drop), it stops
-    there with ``stalled`` set.  Continued from its last iterate, a
-    stopped run takes the path it would have taken; a run that never
-    stalls takes the untested path exactly.
+    the previous drop's, the first row being the first drop), the driver
+    calls on_stall(z, iterations) with that cycle's last iterate, and
+    tests no further.  The hook returns a start, which the driver steps as
+    a row of its own (``restart_row``) and goes on from within the same
+    budget, or None, and the run goes on untouched.  So a run that never
+    stalls, or whose hook returns None, takes the untested path exactly.
     """
     z = z0
     nxt, res, m = iteration.step(z)
@@ -180,15 +165,21 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, stall: bool = False) -> 
                     rec.m_history.append(m)
                     rec.cycle_ends.append(len(rec.residual_history) - 1)
             cycle = [z]
-            if stall and res > cfg.tol and rec.iterations < cfg.max_iter:
+            if on_stall is not None and res > cfg.tol and rec.iterations < cfg.max_iter:
                 hist = rec.residual_history
                 for row in range(seen, len(hist)):
                     if hist[row] < STALL_DROP * hist[drop]:
                         drop = row
                 seen = len(hist)
                 if seen - 1 - drop >= STALL_WINDOW:
-                    rec.stalled = True
-                    break
+                    start, on_stall = on_stall(z, rec.iterations), None
+                    if start is not None:
+                        z = start
+                        nxt, res, m = iteration.step(z)
+                        rec.residual_history.append(res)
+                        rec.m_history.append(m)
+                        rec.restart_row = len(rec.residual_history) - 1
+                        cycle = [z]
     rec.z, rec.converged = z, res <= cfg.tol
     return rec
 

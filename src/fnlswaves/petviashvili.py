@@ -17,11 +17,12 @@ transforms (see ProfileIteration).  Any other seed runs on the full
 spectrum, where the grid pins the wave's translations (the Peierls-Nabarro
 barrier of lattice NLS, P. G. Kevrekidis, The Discrete Nonlinear
 Schroedinger Equation, Springer 2009), and an iterate can creep along
-them instead of converging; such a run is stopped, aligned onto the class
-in closed form (align_to_class) and finished in the half layout.  The
-reported residual is the discrete Euclidean residual of the profile
-equation on the grid samples, taken from the spectrum by Parseval, and
-the real profile rho is the modulus of the converged envelope.  Each step evaluates the stabilizing factor
+them instead of converging; such a run is aligned onto the class in
+closed form (align_to_class) where it stalls, and goes on in the half
+layout.  The reported residual is the discrete Euclidean residual of the
+profile equation on the grid samples, taken from the spectrum by
+Parseval, and the real profile rho is the modulus of the converged
+envelope.  Each step evaluates the stabilizing factor
 
     m = <L z, z> / <G(z), z>,
 
@@ -41,13 +42,14 @@ NEST_MAX_H.  The gap between the answers on n/2 and n is the
 grid-doubling estimate of how well the wave is resolved (J. P. Boyd,
 Chebyshev and Fourier Spectral Methods, 2001), reported as
 ``resolution_defect``.  solve_on_grid is the cold one-grid solve; a
-nested solve builds one ProfileIteration per level and runs it the same way.
+nested solve builds one ProfileIteration per level and runs it the same way,
+each level in the layout of its own start.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +63,7 @@ from .spectral import ComplexField, Grid, RealField, profile_operator, save_fiel
 PROBE_MAX_ITER = 200
 PROBE_TOL = 1e-8
 
-# relative Euclidean distance from u(x) = conj(u(-x)) below which a seed is
+# relative Euclidean distance from u(x) = conj(u(-x)) below which a start is
 # solved in the half layout; the default seed sech e^{iAx} misses the class
 # by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
 CLASS_RTOL = 1e-13
@@ -78,8 +80,8 @@ COARSE_TOL = 1e-9
 COARSE_ITER_SHARE = 4
 
 # a full-layout run that stalls (accel.STALL_WINDOW) is aligned onto the
-# reflection-conjugate class by align_to_class, and finished in the half
-# layout when the class defect of the aligned iterate is at most
+# reflection-conjugate class by align_to_class, and goes on in the half
+# layout from the aligned iterate when its class defect is at most
 # CLASS_GUARD (the choice is argued in DECISIONS.md, "Lattice pinning")
 CLASS_GUARD = 1e-3
 
@@ -123,8 +125,9 @@ class ClassSwitch:
     """A stalled full-layout run on ``n`` points, aligned onto the class
     after ``iteration`` base iterations: the shift ``d`` and phase ``phi``
     of align_to_class and the class ``defect`` of the aligned iterate.
-    ``taken`` when the defect was within CLASS_GUARD and the run finished
-    in the half layout; otherwise it carried on in the full layout."""
+    ``taken`` when the defect was within CLASS_GUARD and the run went on
+    in the half layout from the aligned iterate; otherwise it carried on
+    in the full layout."""
 
     n: int
     iteration: int
@@ -186,9 +189,9 @@ def initial_iterate(grid: Grid, theta=0.0) -> ComplexField:
 
 
 class ProfileIteration:
-    """The Petviashvili map of one problem, grid and layout, acting on the
-    spectrum of the complex envelope u = v + i w; it holds no seed, and
-    ``iterate`` turns a field into the vector its ``step`` maps.
+    """The Petviashvili map of one problem and grid, acting on the spectrum
+    of the complex envelope u = v + i w; it holds no seed, and ``iterate``
+    turns a field into the vector its ``step`` maps.
 
     The iterate is the spectrum u_hat, never the samples: L is diagonal
     there, and Parseval gives the residual and both pairings of m,
@@ -198,14 +201,15 @@ class ProfileIteration:
 
     so a step transforms twice, u from u_hat and G_hat from G(u), and
     returns the residual and m of its input with the next iterate.  Two
-    layouts share every line but that pair:
+    layouts share every line but that pair, and the iterate's dtype says
+    which one it is in:
 
-    * full (default): u_hat = fft(u), a complex vector, with ifft/fft;
-    * half: for an envelope in the reflection-conjugate class
-      u(x) = conj(u(-x)), the spectrum of u rolled so that x = 0 sits at
-      index 0 is real, (-1)^k u_hat_k; that real vector is the iterate,
-      and ihfft/hfft move between it and the n/2 + 1 samples x >= 0 that
-      determine u.
+    * full, a complex iterate: u_hat = fft(u), with ifft/fft;
+    * half, a real iterate: for an envelope in the reflection-conjugate
+      class u(x) = conj(u(-x)), the spectrum of u rolled so that x = 0
+      sits at index 0 is real, (-1)^k u_hat_k; that real vector is the
+      iterate, and ihfft/hfft move between it and the n/2 + 1 samples
+      x >= 0 that determine u.
 
     L has a real symbol and G commutes with u(x) -> conj(u(-x)), so the
     iteration keeps the class and the half layout never leaves it.  MPE
@@ -214,11 +218,10 @@ class ProfileIteration:
     on the layout.
     """
 
-    def __init__(self, params: ProblemParams, grid: Grid, alpha: float, half: bool = False):
+    def __init__(self, params: ProblemParams, grid: Grid, alpha: float):
         self.grid = grid
         self.sigma = params.sigma
         self.alpha = alpha
-        self.half = half
         self.symbol = profile_operator(params, grid)
         if np.any(self.symbol <= 0.0):
             raise ValueError(
@@ -229,14 +232,17 @@ class ProfileIteration:
         self._roll_sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
 
     def iterate(self, field: ComplexField) -> np.ndarray:
-        """The iterate of ``field``: its spectrum, projected onto the class
-        in the half layout."""
+        """The iterate of ``field``: in the half layout, its rolled spectrum
+        projected onto the class, when the field is within CLASS_RTOL of it;
+        in the full layout, a copy of its spectrum, otherwise."""
         spec = field.spectrum()
-        return (self._roll_sign * spec).real if self.half else spec.copy()
+        if reflection_conjugate_defect(field.samples) <= CLASS_RTOL:
+            return (self._roll_sign * spec).real
+        return spec.copy()
 
     def samples(self, spec: np.ndarray) -> np.ndarray:
         """The n envelope samples u on the grid of an iterate ``spec``."""
-        return np.fft.ifft(self._roll_sign * spec if self.half else spec)
+        return np.fft.ifft(self._roll_sign * spec if np.isrealobj(spec) else spec)
 
     def step(self, z: np.ndarray):
         """Next iterate, plus the residual and stabilizing factor of ``z``.
@@ -247,9 +253,10 @@ class ProfileIteration:
         input at no extra transform.  A non-finite residual, <G(z), z> = 0
         or an overflowing m**alpha raises DivergenceError.
         """
-        u = np.fft.ihfft(z) if self.half else np.fft.ifft(z)
+        half = np.isrealobj(z)
+        u = np.fft.ihfft(z) if half else np.fft.ifft(z)
         g = np.abs(u) ** (2.0 * self.sigma) * u
-        g_hat = np.fft.hfft(g, self.grid.n) if self.half else np.fft.fft(g)
+        g_hat = np.fft.hfft(g, self.grid.n) if half else np.fft.fft(g)
         lu_hat = self.symbol * z
         res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
         if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
@@ -332,51 +339,30 @@ def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField
     return seed
 
 
-def _prepare(params, grid: Grid, cfg: SolverConfig, seed: ComplexField | None):
-    """The checked seed and the iteration of a solve: alpha and the layout are chosen here."""
-    seed = _resolve_seed(params, grid, seed)
-    half = reflection_conjugate_defect(seed.samples) <= CLASS_RTOL
-    return seed, ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma), half)
-
-
 def _run(params, iteration: ProfileIteration, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
     """The driver run from the iterate ``z0``, as a solve on the grid of
-    ``iteration``.  A full-layout run is tested for a stall, and a stalled
-    one is finished by _finish_stalled; a half-layout run is not tested."""
+    ``iteration``.  A full-layout run is tested for a stall; where it
+    stalls, its iterate is aligned onto the class (align_to_class) and,
+    within CLASS_GUARD, the run goes on from the aligned iterate in the
+    half layout, where the translation and phase that the lattice pins are
+    gone; beyond it, the run carries on untouched.  A half-layout run is
+    not tested."""
+    grid, switch = iteration.grid, None
+
+    def align(z, iterations):
+        nonlocal switch
+        aligned, d, phi, defect = align_to_class(ComplexField.with_spectrum(grid, iteration.samples(z), z))
+        switch = ClassSwitch(grid.n, iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
+        return aligned if switch.taken else None
+
     # the step raises DivergenceError on an input whose residual is not
     # finite, so the overflow on the way to it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = accel.accelerated_iterate(iteration, z0, cfg, stall=not iteration.half)
-        switch = None
-        if raw.stalled:
-            iteration, switch = _finish_stalled(params, iteration, raw, cfg)
+        raw = accel.accelerated_iterate(iteration, z0, cfg, on_stall=None if np.isrealobj(z0) else align)
     raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
-    envelope = ComplexField(iteration.grid, center_samples(raw.z, iteration.grid))
+    envelope = ComplexField(grid, center_samples(raw.z, grid))
     return SolveReport(**vars(raw), envelope=envelope, meta=meta, class_switch=switch)
-
-
-def _finish_stalled(params, iteration: ProfileIteration, raw: accel.AccelResult, cfg: SolverConfig):
-    """Finish the stalled full-layout run ``raw`` of ``iteration`` within
-    the rest of cfg.max_iter, joined onto ``raw``; returns the iteration
-    that made its last iterate and the ClassSwitch.
-
-    The last iterate is aligned onto the class (align_to_class).  Within
-    CLASS_GUARD, the aligned iterate is solved in the half layout, where
-    the translation and phase that the lattice pins are gone; beyond it,
-    the run carries on from its last iterate, the path it would have
-    taken untested.
-    """
-    grid = iteration.grid
-    z, d, phi, defect = align_to_class(ComplexField.with_spectrum(grid, iteration.samples(raw.z), raw.z))
-    switch = ClassSwitch(grid.n, raw.iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
-    if switch.taken:
-        iteration = ProfileIteration(params, grid, iteration.alpha, half=True)
-    else:
-        z = raw.z
-    raw.join(accel.accelerated_iterate(iteration, z, replace(cfg, max_iter=cfg.max_iter - raw.iterations)),
-             restart=switch.taken)
-    return iteration, switch
 
 
 def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
@@ -393,14 +379,15 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
     any other in the full one; the report reads the same either way.  A
     full-layout run that stalls is aligned onto the class and, within
-    CLASS_GUARD, finished in the half layout (see _finish_stalled); the
-    report's ``class_switch`` records it.
+    CLASS_GUARD, goes on in the half layout (see _run); the report's
+    ``class_switch`` records it.
     A seed on another grid than ``grid`` raises ValueError.  This is the
     iteration itself, cold from its seed: whatever measures the iteration
     (its counts, layouts and transform budget) calls it.
     """
     cfg = cfg or SolverConfig()
-    seed, iteration = _prepare(params, grid, cfg, seed)
+    seed = _resolve_seed(params, grid, seed)
+    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
     return _run(params, iteration, iteration.iterate(seed), cfg)
 
 
@@ -463,7 +450,8 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
-    seed, iteration = _prepare(params, grid, cfg, seed)
+    seed = _resolve_seed(params, grid, seed)
+    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
     coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
     if not _nests(grid) or coarse_iter < 1:
         return _run(params, iteration, iteration.iterate(seed), cfg)
@@ -475,13 +463,14 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
 def _solve_nested(params, iteration: ProfileIteration, cfg: SolverConfig, seed: ComplexField,
                   coarse_cfg: SolverConfig) -> SolveReport:
     """solve_scalar from ``seed`` on the grid of ``iteration``, which nests,
-    every level below it under ``coarse_cfg`` and in the layout of
-    ``iteration``: sampling on n/2 and prolong both keep the class."""
+    every level below it under ``coarse_cfg``.  Each level runs in the
+    layout of its own start: sampling on n/2 and prolong both keep the
+    class, and a level above one that switched to the class starts in it."""
     grid = iteration.grid
     coarse_grid = Grid(grid.l, grid.n // 2)
     try:
         coarse_seed = ComplexField(coarse_grid, seed.samples[::2])
-        coarse_it = ProfileIteration(params, coarse_grid, iteration.alpha, iteration.half)
+        coarse_it = ProfileIteration(params, coarse_grid, iteration.alpha)
         z0 = coarse_it.iterate(coarse_seed)
         # one step of the seed decides whether the level descends
         with np.errstate(over="ignore", invalid="ignore"):
@@ -521,9 +510,9 @@ def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> flo
     naive map alpha = 0.  It reads the wave's grid and envelope from ``report``.
     """
     grid = report.envelope.grid
-    # the full layout: the perturbations leave the reflection-conjugate class
     iteration = ProfileIteration(params, grid, alpha)
-    z0 = iteration.iterate(report.envelope)
+    # the full iterate: the perturbations leave the reflection-conjugate class
+    z0 = report.envelope.spectrum().copy()
 
     # symmetry directions: translation du/dx and phase rotation i*u, as spectra
     d0 = 1j * grid.xi_odd * z0

@@ -53,6 +53,12 @@ class Pinned(LinearIteration):
         self.M, self.b, self.z0 = np.diag([1.0, 0.1]), np.array([1e-6, 1.0]), np.zeros(2)
 
 
+def assert_same_record(rec, other):
+    """Every field of two AccelResults equal, the last iterate bit for bit."""
+    a, b = dict(vars(rec)), dict(vars(other))
+    assert np.array_equal(a.pop("z"), b.pop("z")) and a == b
+
+
 @st.composite
 def contractions(draw):
     """z -> M z + b, real or complex, with M normal and its spectral radius
@@ -236,15 +242,15 @@ class TestContractionProperty:
         # a base step shrinks the residual of a normal contraction at least
         # 0.9-fold, and an extrapolant's is at most that of its cycle's
         # last-but-one base iterate, so every STALL_WINDOW rows hold a drop:
-        # the tested run is the untested one, bit for bit
+        # the hook is never called, and the tested run is the untested one,
+        # bit for bit
         cfg = SolverConfig(tol=1e-10, max_iter=1000, mw=mw)
+        calls = []
         untested = accelerated_iterate(iteration, iteration.z0, cfg)
-        tested = accelerated_iterate(iteration, iteration.z0, cfg, stall=True)
-        assert tested.converged and not tested.stalled and not untested.stalled
-        assert tested.residual_history == untested.residual_history
-        assert tested.m_history == untested.m_history
-        assert tested.cycle_ends == untested.cycle_ends and tested.iterations == untested.iterations
-        assert np.array_equal(tested.z, untested.z)
+        tested = accelerated_iterate(iteration, iteration.z0, cfg,
+                                     on_stall=lambda z, iterations: calls.append(iterations))
+        assert tested.converged and calls == [] and tested.restart_row is None
+        assert_same_record(tested, untested)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(iteration=contractions(), mw=st.integers(1, 6))
@@ -258,36 +264,48 @@ class TestStallStop:
     def test_unit_eigenvalue_stops_one_window_after_its_last_drop(self):
         # sqrt(1e-12 + 0.01^k): rows 1..6 each fall below half of the row
         # before (row 6 reads 1.41e-6 against 1.00e-5), no later row falls
-        # below 0.71e-6, so the run stops STALL_WINDOW rows after row 6, on
-        # the path it would have taken untested
+        # below 0.71e-6, so the hook is called STALL_WINDOW rows after row
+        # 6, once, with that row's iterate; returning None, it leaves the
+        # run on the path it would have taken untested, to max_iter
         cfg = SolverConfig(tol=1e-10, max_iter=500, mw=1)
-        it = Recorder(Pinned())
-        rec = accelerated_iterate(it, np.zeros(2), cfg, stall=True)
-        assert rec.stalled and not rec.converged
-        assert rec.iterations == len(rec.residual_history) - 1 == 6 + accel.STALL_WINDOW
-        assert it.calls == ["step"] * len(rec.residual_history)
         untested = accelerated_iterate(Pinned(), np.zeros(2), cfg)
-        assert not untested.stalled and untested.iterations == 500
-        assert rec.residual_history == untested.residual_history[:len(rec.residual_history)]
+        calls = []
+
+        def hook(z, iterations):
+            calls.append((z.copy(), iterations))
+
+        it = Recorder(Pinned())
+        rec = accelerated_iterate(it, np.zeros(2), cfg, on_stall=hook)
+        assert len(calls) == 1
+        z, iterations = calls[0]
+        assert iterations == 6 + accel.STALL_WINDOW
+        assert np.array_equal(z, accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(
+            tol=1e-10, max_iter=iterations)).z)
+        assert it.calls == ["step"] * len(rec.residual_history)
+        assert not rec.converged and rec.iterations == 500 and rec.restart_row is None
+        assert_same_record(rec, untested)
 
     def test_untested_run_is_not_stopped(self):
         rec = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=100))
-        assert not rec.stalled and rec.iterations == 100
+        assert rec.restart_row is None and rec.iterations == 100
 
-    def test_join_drops_the_repeated_row_or_keeps_the_restart(self):
-        # continued from its last iterate, the tail's first row is the
-        # head's last; restarted elsewhere, it is a row of its own, counted
-        # with the base iteration before it
-        cfg = SolverConfig(tol=1e-10, max_iter=20, mw=1)
+    def test_hook_start_is_a_row_of_its_own(self):
+        # the hook restarts the run from 0 where it stalls: the start is
+        # stepped as a row of its own, counted with the base iteration
+        # before it, and the run goes on from it, untested, within the same
+        # budget
+        cfg = SolverConfig(tol=1e-10, max_iter=100, mw=1)
+        it = Recorder(Pinned())
+        rec = accelerated_iterate(it, np.zeros(2), cfg, on_stall=lambda z, iterations: np.zeros(2))
+        stall = 6 + accel.STALL_WINDOW
         whole = accelerated_iterate(Pinned(), np.zeros(2), cfg)
-        head = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=8))
-        head.join(accelerated_iterate(Pinned(), head.z, SolverConfig(tol=1e-10, max_iter=12)), restart=False)
-        assert head.residual_history == whole.residual_history and head.iterations == 20
-        assert head.restart_row is None and np.array_equal(head.z, whole.z)
-        head = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=8))
-        head.join(accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=12)), restart=True)
-        assert head.restart_row == 9 and head.iterations == 20
-        assert head.history_iterations == list(range(9)) + list(range(8, 21))
+        tail = accelerated_iterate(Pinned(), np.zeros(2), SolverConfig(tol=1e-10, max_iter=100 - stall))
+        assert rec.restart_row == stall + 1 and rec.iterations == 100 and not rec.converged
+        assert rec.residual_history == whole.residual_history[:stall + 1] + tail.residual_history
+        assert rec.m_history == whole.m_history[:stall + 1] + tail.m_history
+        assert rec.history_iterations == list(range(stall + 1)) + list(range(stall, 101))
+        assert np.array_equal(rec.z, tail.z)
+        assert it.calls == ["step"] * len(rec.residual_history)
 
 
 @pytest.fixture(scope="module")

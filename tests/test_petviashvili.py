@@ -56,6 +56,21 @@ def steps_per_n(monkeypatch):
 
 
 @pytest.fixture
+def driver_runs(monkeypatch):
+    """Record (n, layout of the start, cfg) for each driver run while
+    installed; the layout is "real" for the half one, else "complex"."""
+    runs = []
+    drive = accel.accelerated_iterate
+
+    def recorded(iteration, z0, cfg, **hook):
+        runs.append((iteration.grid.n, "real" if np.isrealobj(z0) else "complex", cfg))
+        return drive(iteration, z0, cfg, **hook)
+
+    monkeypatch.setattr(accel, "accelerated_iterate", recorded)
+    return runs
+
+
+@pytest.fixture
 def builds(monkeypatch):
     """Count the ProfileIteration constructions and the layout tests of the
     solves run while installed."""
@@ -301,11 +316,13 @@ class TestSpectrumProbe:
 
 def profile_iteration(lambda2, grid, half=False):
     """The iteration of the fig1 problem at speed lambda2, and the iterate
-    of its default seed."""
+    of its default seed: the real one of the half layout, or its complex
+    spectrum, the full layout's."""
     params = fig1_params(lambda2)
     alpha = SolverConfig().resolved_alpha(params.sigma)
-    iteration = ProfileIteration(params, grid, alpha, half=half)
-    return iteration, iteration.iterate(initial_iterate(grid, params.A))
+    iteration = ProfileIteration(params, grid, alpha)
+    seed = initial_iterate(grid, params.A)
+    return iteration, iteration.iterate(seed) if half else seed.spectrum().copy()
 
 
 class TestFusedResidual:
@@ -456,22 +473,10 @@ class TestLayouts:
     u(x) = conj(u(-x)) to CLASS_RTOL, and the full complex spectrum
     otherwise; the report reads the same either way."""
 
-    @pytest.fixture
-    def layouts(self, monkeypatch):
-        chosen = []
-
-        class Recording(ProfileIteration):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                chosen.append(self.half)
-
-        monkeypatch.setattr(petviashvili, "ProfileIteration", Recording)
-        return chosen
-
     @pytest.mark.parametrize("c, seed, half", [
         (1.0, "default", True), (-1.0, "default", True), (1.0, "real sech", True),
         (1.0, "quadratic", False), (1.0, "random", False), (1.0, "sub-grid shift", False)])
-    def test_seed_picks_the_layout(self, grid64, layouts, c, seed, half):
+    def test_seed_picks_the_layout(self, grid64, driver_runs, c, seed, half):
         params = fig1_params(c)
         rng = np.random.default_rng(3)
         field = {
@@ -483,7 +488,7 @@ class TestLayouts:
             "sub-grid shift": subgrid_shift(initial_iterate(grid64, params.A), 0.3 * grid64.h),
         }[seed]
         solve_on_grid(params, grid64, SolverConfig(max_iter=2), seed=field)
-        assert layouts == [half]
+        assert [layout for _, layout, _ in driver_runs] == ["real" if half else "complex"]
 
     def test_class_tolerance(self):
         # the default seed misses the class by 2 sech(l)|sin(Al)| at x = -l,
@@ -600,6 +605,16 @@ class TestClassAlignment:
         assert rep.class_switch.taken and rep.class_switch.n == 1024 and rep.restart_row is None
         assert rep.resolution_defect < 1e-10
 
+    def test_levels_above_a_switch_start_in_the_class(self, grid64, driver_runs):
+        # the n = 1024 level of design problem #45 switches in its one
+        # driver run; its answer is in the class, so 2048 and 4096 start
+        # from a real iterate and run in the half layout
+        params = ProblemParams(s=0.818, sigma=1.944, lambda1=1.0, lambda2=0.133, kind=Kind.COUPLED)
+        rep = solve_scalar(params, grid64, SolverConfig(mw=3), seed=initial_iterate(grid64, "quadratic"))
+        assert rep.converged and rep.class_switch.n == 1024
+        assert Counter((n, layout) for n, layout, _ in driver_runs) == {
+            (1024, "complex"): 1, (2048, "real"): 1, (4096, "real"): 1}
+
     def test_speed_sign_mirrors_the_switch(self):
         # T_{-c} = R T_c R, and the quadratic seed is even: the -c run is
         # the mirrored +c run, so it stalls at the same row, shifted by -d
@@ -619,7 +634,7 @@ class TestClassAlignment:
         assert not refused.class_switch.taken and refused.restart_row is None
         monkeypatch.setattr(accel, "STALL_WINDOW", 10 ** 6)
         untested = stalled_solve(*STALLED[1])
-        assert untested.class_switch is None and not untested.stalled
+        assert untested.class_switch is None and untested.restart_row is None
         assert refused.residual_history == untested.residual_history
         assert refused.m_history == untested.m_history and refused.cycle_ends == untested.cycle_ends
         assert refused.mpe_fallbacks == untested.mpe_fallbacks
@@ -629,7 +644,7 @@ class TestClassAlignment:
         # a window of 0 rows would stop any tested run at its first cycle
         monkeypatch.setattr(accel, "STALL_WINDOW", 0)
         rep = solve_scalar(fig1_params(1.0), grid64)
-        assert rep.class_switch is None and not rep.stalled
+        assert rep.class_switch is None and rep.restart_row is None
         assert rep.residual_history == report_c1.residual_history
         assert np.array_equal(rep.z, report_c1.z)
 
@@ -657,10 +672,12 @@ class TestHalfLayoutProperty:
         grid = Grid(l=48.0, n=n)
         seed = initial_iterate(grid, params.A)
         alpha = SolverConfig().resolved_alpha(sigma)
-        full, half = (ProfileIteration(params, grid, alpha, half=h) for h in (False, True))
-        nxt_f, res_f, m_f = full.step(full.iterate(seed))
-        nxt_h, res_h, m_h = half.step(half.iterate(seed))
-        u_f, u_h = full.samples(nxt_f), half.samples(nxt_h)
+        iteration = ProfileIteration(params, grid, alpha)
+        z_h = iteration.iterate(seed)
+        assert np.isrealobj(z_h)
+        nxt_f, res_f, m_f = iteration.step(seed.spectrum().copy())
+        nxt_h, res_h, m_h = iteration.step(z_h)
+        u_f, u_h = iteration.samples(nxt_f), iteration.samples(nxt_h)
         assert np.linalg.norm(u_h - u_f) <= 1e-13 * np.linalg.norm(u_f)
         assert res_h == pytest.approx(res_f, rel=1e-13)
         assert m_h == pytest.approx(m_f, rel=1e-13)
@@ -808,36 +825,29 @@ class TestNestedSolve:
         # NEST_MIN_N // 2 points (l = 64: 512) or a spacing above NEST_MAX_H
         # (l = 256: 2048, h = 1/4); no step runs below the last level.  Each
         # level builds one iteration, which checks its seed and solves, and
-        # the layout is chosen once, from the requested grid's seed
+        # each iterate made from a field tests its layout: the seeds of 2048
+        # and 1024, and the prolonged starts of 2048 and 4096
         grid = Grid(l, n)
         nested = solve_scalar(fig1_params(1.0), grid)
         assert sorted(steps_per_n) == levels
-        assert builds == {"iterations": 3, "layout tests": 1}
+        assert builds == {"iterations": 3, "layout tests": 4}
         cold = solve_on_grid(fig1_params(1.0), grid)
         assert nested.converged and cold.converged
         assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
 
-    def test_every_coarse_level_gets_a_share_of_the_requested_budget(self, monkeypatch, grid64):
+    def test_every_coarse_level_gets_a_share_of_the_requested_budget(self, driver_runs, grid64):
         # the share is of the requested max_iter at every level; a share of
         # the share (//16 on n/4) gives up on problems n/4 holds
-        levels = []
-        drive = accel.accelerated_iterate
-
-        def recorded(iteration, z0, cfg, **stall):
-            levels.append((iteration.grid.n, cfg.max_iter, cfg.tol))
-            return drive(iteration, z0, cfg, **stall)
-
-        monkeypatch.setattr(accel, "accelerated_iterate", recorded)
         rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(max_iter=200))
         assert rep.converged
         floor = petviashvili.COARSE_TOL
-        assert levels == [(1024, 50, floor), (2048, 50, floor), (4096, 200, 1e-10)]
+        assert [(n, cfg.max_iter, cfg.tol) for n, _, cfg in driver_runs] == [(1024, 50, floor), (2048, 50, floor), (4096, 200, 1e-10)]
 
     def test_exact_seed_does_not_descend(self, steps_per_n, builds):
         # the seed of n/2 = 8192, sampled from the answer on 16384, meets
         # the coarse tolerance: one step on 8192 decides that, n/4 is never
         # solved, and both levels converge at 0 iterations, each with the
-        # one iteration it built
+        # one iteration it built and its start's one layout test
         grid = Grid(256.0, 16384)
         exact = solve_scalar(fig1_params(1.0), grid).envelope
         steps_per_n.clear()
@@ -845,7 +855,7 @@ class TestNestedSolve:
         rep = solve_scalar(fig1_params(1.0), grid, seed=exact)
         assert rep.converged and rep.iterations == rep.coarse_iterations == 0
         assert steps_per_n == {8192: 2, 16384: 1}
-        assert builds == {"iterations": 2, "layout tests": 1}
+        assert builds == {"iterations": 2, "layout tests": 2}
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
