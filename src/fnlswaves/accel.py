@@ -85,32 +85,23 @@ def mpe_extrapolate(iterates):
 
 @dataclass
 class AccelResult:
-    """The record of one solve: a residual and an m row per iterate, the
-    rows of the extrapolants (``cycle_ends``), the base ``iterations``, the
-    degenerate extrapolations (``mpe_fallbacks``) and the last iterate ``z``.
-    A run that an on_stall hook restarted from another start than its
-    last iterate records that start's row as ``restart_row``."""
+    """The record of one solve: a residual, an m and the base iterations
+    taken so far (``history_iterations``, which an extrapolant's row and a
+    restart row repeat) per iterate, the rows of the extrapolants
+    (``cycle_ends``), the base ``iterations``, the degenerate
+    extrapolations (``mpe_fallbacks``) and the last iterate ``z``.  A run
+    that an on_stall hook restarted from another start than its last
+    iterate records that start's row as ``restart_row``."""
 
     z: np.ndarray
     converged: bool = False
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     m_history: list = field(default_factory=list)
+    history_iterations: list = field(default_factory=list)
     cycle_ends: list = field(default_factory=list)
     mpe_fallbacks: int = 0
     restart_row: int | None = None
-
-    @property
-    def history_iterations(self) -> list:
-        """Base-iteration count of each history row; an extrapolant's row,
-        and the restart row, repeat the count before it."""
-        ends = set(self.cycle_ends) | {self.restart_row}
-        counts, it = [], 0
-        for idx in range(len(self.residual_history)):
-            if idx > 0 and idx not in ends:
-                it += 1
-            counts.append(it)
-        return counts
 
 
 def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelResult:
@@ -118,9 +109,11 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
 
     ``iteration`` provides step(z) -> (z_next, residual, m), with the
     residual and m of its input z; the driver calls nothing else and
-    writes to no iterate.  One AccelResult is filled as the loop runs: it
-    records the residual of every iterate, including each cycle's
-    extrapolant (evaluated on the profile equation itself).
+    writes to no iterate.  One local recorder, the only place that steps
+    an iterate, fills the AccelResult as the loop runs: a row of each
+    iterate's residual, m and the base count at that moment, each cycle's
+    extrapolant included (evaluated on the profile equation itself), and
+    it moves the last drop (below) when a residual makes one.
 
     Every iterate is stepped from exactly once, so one base iteration or
     one extrapolant costs one step.  When an extrapolation is degenerate
@@ -141,18 +134,29 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
     budget, or None, and the run goes on untouched.  So a run that never
     stalls, or whose hook returns None, takes the untested path exactly.
     """
+    rec = AccelResult(z0)
+    hist = rec.residual_history
+    drop = 0  # the row of the last drop
+
+    def record(z):
+        """Step ``z`` and append its row; returns the step and its residual."""
+        nonlocal drop
+        nxt, res, m = iteration.step(z)
+        hist.append(res)
+        rec.m_history.append(m)
+        rec.history_iterations.append(rec.iterations)
+        if res < STALL_DROP * hist[drop]:
+            drop = len(hist) - 1
+        return nxt, res
+
     z = z0
-    nxt, res, m = iteration.step(z)
-    rec = AccelResult(z, residual_history=[res], m_history=[m])
+    nxt, res = record(z)
     cycle = [z]
-    drop = seen = 0  # the row of the last drop, and the rows scanned for one
     while res > cfg.tol and rec.iterations < cfg.max_iter:
         z = nxt
         rec.iterations += 1
         cycle.append(z)
-        nxt, res, m = iteration.step(z)
-        rec.residual_history.append(res)
-        rec.m_history.append(m)
+        nxt, res = record(z)
         if len(cycle) > cfg.mw:
             if cfg.mw > 1 and not (res <= cfg.tol or rec.iterations >= cfg.max_iter):
                 y = mpe_extrapolate(cycle)
@@ -160,26 +164,17 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
                     rec.mpe_fallbacks += 1
                 else:
                     z = y
-                    nxt, res, m = iteration.step(z)
-                    rec.residual_history.append(res)
-                    rec.m_history.append(m)
-                    rec.cycle_ends.append(len(rec.residual_history) - 1)
+                    nxt, res = record(z)
+                    rec.cycle_ends.append(len(hist) - 1)
             cycle = [z]
-            if on_stall is not None and res > cfg.tol and rec.iterations < cfg.max_iter:
-                hist = rec.residual_history
-                for row in range(seen, len(hist)):
-                    if hist[row] < STALL_DROP * hist[drop]:
-                        drop = row
-                seen = len(hist)
-                if seen - 1 - drop >= STALL_WINDOW:
-                    start, on_stall = on_stall(z, rec.iterations), None
-                    if start is not None:
-                        z = start
-                        nxt, res, m = iteration.step(z)
-                        rec.residual_history.append(res)
-                        rec.m_history.append(m)
-                        rec.restart_row = len(rec.residual_history) - 1
-                        cycle = [z]
+            if (on_stall is not None and res > cfg.tol and rec.iterations < cfg.max_iter
+                    and len(hist) - 1 - drop >= STALL_WINDOW):
+                start, on_stall = on_stall(z, rec.iterations), None
+                if start is not None:
+                    z = start
+                    nxt, res = record(z)
+                    rec.restart_row = len(hist) - 1
+                    cycle = [z]
     rec.z, rec.converged = z, res <= cfg.tol
     return rec
 

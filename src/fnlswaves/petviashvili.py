@@ -545,8 +545,8 @@ def save_report(report: SolveReport, directory, stem: str):
     """Write <stem>.csv (iter, residual, m_nu) and <stem>_profile.dat.
 
     The iter column is ``report.history_iterations``, so an extrapolant's
-    row repeats the base-iteration count before it; the profile snapshot
-    stores the complex envelope with full metadata.
+    row, and a restart row, repeat the base-iteration count before them;
+    the profile snapshot stores the complex envelope with full metadata.
     """
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")

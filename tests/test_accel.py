@@ -308,6 +308,36 @@ class TestStallStop:
         assert it.calls == ["step"] * len(rec.residual_history)
 
 
+def assert_counts_follow_rows(rec):
+    """The rule of ``history_iterations``: one count per row, from 0; an
+    extrapolant's row and the restart row repeat the count before them,
+    every other row adds one, and the last count is the run's iterations."""
+    counts, repeats = rec.history_iterations, set(rec.cycle_ends) | {rec.restart_row}
+    assert len(counts) == len(rec.residual_history) and counts[0] == 0
+    for row in range(1, len(counts)):
+        assert counts[row] == counts[row - 1] + (row not in repeats)
+    assert counts[-1] == rec.iterations
+
+
+class TestRecordedCounts:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(iteration=contractions(), mw=st.integers(1, 6))
+    def test_counts_of_a_contraction(self, iteration, mw):
+        cfg = SolverConfig(tol=1e-10, max_iter=1000, mw=mw)
+        rec = accelerated_iterate(iteration, iteration.z0, cfg)
+        assert rec.converged
+        assert_counts_follow_rows(rec)
+
+    @pytest.mark.parametrize("mw", range(1, 7))
+    def test_counts_of_a_restarted_run(self, mw):
+        # the unit-eigenvalue map stalls and the hook restarts it from 0;
+        # with mw > 1 extrapolants' rows come before and after the restart
+        cfg = SolverConfig(tol=1e-10, max_iter=300, mw=mw)
+        rec = accelerated_iterate(Pinned(), np.zeros(2), cfg, on_stall=lambda z, iterations: np.zeros(2))
+        assert rec.restart_row is not None and rec.iterations == 300
+        assert_counts_follow_rows(rec)
+
+
 @pytest.fixture(scope="module")
 def fig1_setting():
     params = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)

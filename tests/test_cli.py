@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fnlswaves.evolve import EvolveConfig
 from fnlswaves.params import ProblemParams
 from fnlswaves.petviashvili import SolverConfig, initial_iterate, solve_scalar
 from fnlswaves.spectral import Grid, load_field
+from test_spectral import TestSnapshots as _Snapshots
 
 SOLVE_CONFIG = """
 [run]
@@ -377,6 +379,27 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: I/O failure: ") and "missing.dat" in err
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_Snapshots._snapshot_text())
+    def test_generated_seed_profile_exits_0_2_or_3(self, tmp_path, capsys, text):
+        # every snapshot the spectral fuzz draws, handed to an evolve run on
+        # its usual grid (l = 8, n = 8): read and evolved (0), refused before
+        # --out is created (2) or evolved until it aborts (3), never a traceback
+        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
+            "l = 32.0", "l = 8.0").replace("n = 1024", "n = 8") + (
+            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
+        snap, out = tmp_path / "gen.dat", tmp_path / "out"
+        snap.unlink(missing_ok=True)  # a new file: some filesystems flush one rewritten in place
+        snap.write_text(text)
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["--config", write(tmp_path, "evolve.ini", evolve_text), "--out", str(out),
+                     "--seed-profile", str(snap)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 2:
+            assert not out.exists()
 
     def test_seed_profile_on_another_grid_exits_2(self, tmp_path, capsys):
         solved = str(tmp_path / "solved")

@@ -685,6 +685,31 @@ class TestHalfLayoutProperty:
         assert reflection_conjugate_defect(u_f) <= CLASS_RTOL
 
 
+class TestReflectionProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(s=st.floats(0.55, 1.0), sigma=st.floats(0.5, 3.0),
+           speed=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+           n=st.sampled_from([64, 128, 256, 512, 1024]), l=st.sampled_from([8.0, 16.0, 48.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_at_minus_c_is_the_reflected_step(self, s, sigma, speed, n, l, seed):
+        # T_{-c} = R T_c R for the reflection R: u(x) -> u(-x), which on the
+        # full layout's spectra is the same index reflection; u is a random
+        # envelope times sech(x/3), outside the class
+        grid = Grid(l=l, n=n)
+        rng = np.random.default_rng(seed)
+        u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.cosh(grid.x / 3.0)
+        z = np.fft.fft(u)
+        alpha = SolverConfig().resolved_alpha(sigma)
+        c = speed * limiting_speed(s, 1.0)
+        plus, minus = (ProfileIteration(ProblemParams(s=s, sigma=sigma, lambda1=1.0, lambda2=v),
+                                        grid, alpha) for v in (c, -c))
+        nxt_p, res_p, m_p = plus.step(z)
+        nxt_m, res_m, m_m = minus.step(reflect_samples(z))
+        assert np.linalg.norm(nxt_m - reflect_samples(nxt_p)) <= 1e-13 * np.linalg.norm(nxt_p)
+        assert res_m == pytest.approx(res_p, rel=1e-13)
+        assert m_m == pytest.approx(m_p, rel=1e-13)
+
+
 class TestNestedSolve:
     """On a grid that nests solve_scalar solves on (l, n/2) first, nesting
     again there, and starts the n grid from the prolonged coarse answer;
