@@ -274,9 +274,10 @@ def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None)
 
 
 # --------------------------------------------------------------------------
-# Figure recipes; the README lists each one's parameter set.  A recipe
-# writes its CSVs through ``write``, which records their names, and appends
-# to ``solved`` whether each solve it ran converged.
+# Figure recipes; the README lists each one's parameter set.  A recipe is
+# handed two recorders: ``solve`` runs solve_scalar and records whether it
+# converged, and ``write`` writes a CSV, records its name and records ``ok``
+# for a result that is not one nested solve.
 # --------------------------------------------------------------------------
 
 # Every recipe works around s = 3/4, the cubic nonlinearity and lambda1 = 1.
@@ -297,72 +298,60 @@ def _header(*drop, **extra) -> dict:
     return {**{k: v for k, v in _RECIPE.items() if k not in drop}, **extra}
 
 
-def _profile_table(write, solved: list, name: str, meta: dict, columns: dict):
-    """x, then the profile rho for each {column name: params} entry."""
-    grid = Grid()
-    reports = [solve_scalar(p, grid) for p in columns.values()]
-    solved.extend(r.converged for r in reports)
-    rows = zip(grid.x.tolist(), *[r.profile.samples.tolist() for r in reports])
-    write(name, meta, ["x", *columns], rows)
+def _profile_table(write, name: str, meta: dict, reports: dict):
+    """x, then the profile rho of each {column name: report} entry."""
+    rows = zip(Grid().x.tolist(), *[r.profile.samples.tolist() for r in reports.values()])
+    write(name, meta, ["x", *reports], rows)
 
 
-def _fig1(write, solved: list):
-    _profile_table(write, solved, "fig1a.csv", _header(speeds=list(_FIG1_SPEEDS)),
-                   {f"rho_c{c}": _params(c) for c in _FIG1_SPEEDS})
-    rows = []
-    for mw in (1, 3, 4, 6):
-        # the residual history of the iteration itself, cold on one grid
-        rep = solve_on_grid(_params(1.0), Grid(), SolverConfig(mw=mw))
-        rows += [(mw, it, float(r))
-                 for it, r in zip(rep.history_iterations, rep.residual_history)]
-        solved.append(rep.converged)
-    write("fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows)
+def _fig1(write, solve):
+    _profile_table(write, "fig1a.csv", _header(speeds=list(_FIG1_SPEEDS)),
+                   {f"rho_c{c}": solve(_params(c)) for c in _FIG1_SPEEDS})
+    # the residual history of the iteration itself, cold on one grid
+    reports = {mw: solve_on_grid(_params(1.0), Grid(), SolverConfig(mw=mw)) for mw in (1, 3, 4, 6)}
+    rows = [(mw, it, float(r)) for mw, rep in reports.items()
+            for it, r in zip(rep.history_iterations, rep.residual_history)]
+    write("fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows,
+          ok=all(rep.converged for rep in reports.values()))
 
 
-def _fig2(write, solved: list):
+def _fig2(write, solve):
     params = _params(1.0)
     # h = 6.25e-2 on the default l = 64; the default dt = 0.01 up to t = 10
-    rep = solve_scalar(params, Grid(n=2048), SolverConfig(tol=1e-12, max_iter=600))
-    solved.append(rep.converged)
+    rep = solve(params, Grid(n=2048), SolverConfig(tol=1e-12, max_iter=600))
     if not rep.converged:
         return
     evo = evolve_run(rep.envelope, params, EvolveConfig(nl_tol=1e-13))
-    solved.append(not evo.aborted)
     amp_err = np.abs(evo.amplitude - evo.amplitude[0])
     ham_err = np.abs(evo.hamiltonian - evo.hamiltonian[0])
     rows = zip(evo.times.tolist(), amp_err.tolist(), ham_err.tolist())
-    write("fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows)
+    write("fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows,
+          ok=not evo.aborted)
 
 
-def _fig3(write, solved: list):
+def _fig3(write, solve):
     _profile_table(
-        write, solved, "fig3a.csv", _header("s", lambda2=0.75, s_values=list(_FIG3_S)),
-        {f"rho_s{s}": _params(0.75, s=s) for s in _FIG3_S})
+        write, "fig3a.csv", _header("s", lambda2=0.75, s_values=list(_FIG3_S)),
+        {f"rho_s{s}": solve(_params(0.75, s=s)) for s in _FIG3_S})
     _profile_table(
-        write, solved, "fig3b.csv", _header("sigma", lambda2=1.0, sigma_values=list(_FIG3_SIGMAS)),
-        {f"rho_sigma{sigma}": _params(1.0, sigma=sigma) for sigma in _FIG3_SIGMAS})
+        write, "fig3b.csv", _header("sigma", lambda2=1.0, sigma_values=list(_FIG3_SIGMAS)),
+        {f"rho_sigma{sigma}": solve(_params(1.0, sigma=sigma)) for sigma in _FIG3_SIGMAS})
 
 
-def _fig4(write, solved: list):
-    grid = Grid()
-    rep_q = solve_scalar(_params(1.0), grid, seed=initial_iterate(grid, "quadratic"))
-    rep_l = solve_scalar(_params(1.0), grid)
-    solved.extend((rep_q.converged, rep_l.converged))
-    rows = zip(grid.x.tolist(), rep_q.profile.samples.tolist(), rep_l.profile.samples.tolist())
+def _fig4(write, solve):
+    quadratic = solve(_params(1.0), seed=initial_iterate(Grid(), "quadratic"))
+    linear = solve(_params(1.0))
     meta = _header(lambda2=1.0,
-                   evenness_defect_quadratic=reflection_conjugate_defect(rep_q.profile.samples),
-                   evenness_defect_linear=reflection_conjugate_defect(rep_l.profile.samples))
-    write("fig4.csv", meta, ["x", "rho_theta_x2", "rho_theta_Ax"], rows)
+                   evenness_defect_quadratic=reflection_conjugate_defect(quadratic.profile.samples),
+                   evenness_defect_linear=reflection_conjugate_defect(linear.profile.samples))
+    _profile_table(write, "fig4.csv", meta, {"rho_theta_x2": quadratic, "rho_theta_Ax": linear})
 
 
-def _fig5(write, solved: list):
-    grid = Grid()
-    x = grid.x
+def _fig5(write, solve):
+    x = Grid().x
     rows = []
     for c in _FIG1_SPEEDS:
-        rep = solve_scalar(_params(c), grid)
-        solved.append(rep.converged)
-        vals = rep.profile.samples
+        vals = solve(_params(c)).profile.samples
         mask = (x > 0.0) & (vals > 0.0)
         logs = zip(np.log(x[mask]).tolist(), np.log(vals[mask]).tolist())
         rows += [(c, lx, lr) for lx, lr in logs]
@@ -370,28 +359,24 @@ def _fig5(write, solved: list):
     write("fig5.csv", meta, ["lambda2", "log_x", "log_rho"], rows)
 
 
-def _fig6(write, solved: list):
-    grid = Grid()
+def _fig6(write, solve):
     rows, osc = [], {}
     for c in _FIG6_SPEEDS:
-        rep = solve_scalar(_params(c), grid)
-        solved.append(rep.converged)
-        plane = phase_plane(rep.profile)
+        plane = phase_plane(solve(_params(c)).profile)
         osc[str(c)] = plane.tail_oscillations
         rows += [(c, r, rx) for r, rx in zip(plane.rho.tolist(), plane.rho_x.tolist())]
     write("fig6.csv", _header(tail_oscillations=osc), ["lambda2", "rho", "rho_x"], rows)
 
 
-def _fig7(write, solved: list):
-    grid = Grid()
+def _fig7(write, solve):
     for tag, kind, seed in (("a", Kind.LINEAR_PHASE, None),
-                            ("b", Kind.COUPLED, initial_iterate(grid, "quadratic"))):
-        result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0]), _FIG7_SPEEDS, grid, seed=seed)
+                            ("b", Kind.COUPLED, initial_iterate(Grid(), "quadratic"))):
+        result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0]), _FIG7_SPEEDS, Grid(), seed=seed)
         rows = [(r.speed_gap, r.amplitude, r.lambda2, r.iterations, r.converged)
                 for r in result.rows]
         write(f"fig7{tag}.csv", _header(kind=kind.value),
-              ["speed_gap", "amplitude", "lambda2", "iterations", "converged"], rows)
-        solved.append(result.all_converged)
+              ["speed_gap", "amplitude", "lambda2", "iterations", "converged"], rows,
+              ok=result.all_converged)
 
 
 _RECIPES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
@@ -402,16 +387,22 @@ def reproduce_figures(recipe: str, out_dir) -> int:
     if recipe not in _RECIPES:
         raise ValueError(f"unknown recipe '{recipe}' (have {sorted(_RECIPES)})")
     os.makedirs(out_dir, exist_ok=True)
-    files, solved = [], []
+    files, outcomes = [], []
 
-    def write(name: str, meta: dict, columns, rows) -> None:
+    def write(name: str, meta: dict, columns, rows, ok: bool = True) -> None:
         write_csv(os.path.join(out_dir, name), meta, columns, rows)
         files.append(name)
+        outcomes.append(ok)
 
-    _RECIPES[recipe](write, solved)
+    def solve(params, grid=Grid(), cfg=None, seed=None):
+        report = solve_scalar(params, grid, cfg, seed=seed)
+        outcomes.append(report.converged)
+        return report
+
+    _RECIPES[recipe](write, solve)
     if files:
         print(f"{recipe}: wrote {', '.join(files)}")
-    return 0 if all(solved) else 3
+    return 0 if all(outcomes) else 3
 
 
 def main(argv=None) -> int:

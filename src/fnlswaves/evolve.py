@@ -262,26 +262,29 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     inv, kick = _step_symbols(grid, cfg.dt, s)
     predictor = _resume(u0, (grid, cfg.dt, s, sigma))
 
-    rows = [invariants(u0, s, sigma)]
     sweeps = []
     snaps = [(0.0, u0)] if cfg.snapshot_stride else []
     aborted = None
 
     fld = u0
-    for k in range(1, cfg.steps + 1):
-        try:
-            fld, used, dropped = _step(fld, inv, kick, sigma, cfg, predictor.start())
-        except StepError as err:
-            aborted = str(err)
-            break
-        predictor.push(fld.samples, dropped)
-        rows.append(invariants(fld, s, sigma))
-        sweeps.append(used)
-        if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
-            snaps.append((k * cfg.dt, fld))
-    else:
-        # private, like the cached spectrum: equality reads the samples only
-        vars(fld)["_predictor"] = predictor
+    # a non-finite state ends the run through StepError, so the overflow
+    # on the way to it needs no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [invariants(u0, s, sigma)]
+        for k in range(1, cfg.steps + 1):
+            try:
+                fld, used, dropped = _step(fld, inv, kick, sigma, cfg, predictor.start())
+            except StepError as err:
+                aborted = str(err)
+                break
+            predictor.push(fld.samples, dropped)
+            rows.append(invariants(fld, s, sigma))
+            sweeps.append(used)
+            if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
+                snaps.append((k * cfg.dt, fld))
+        else:
+            # private, like the cached spectrum: equality reads the samples only
+            vars(fld)["_predictor"] = predictor
 
     meta = metadata(params)
     meta.update(

@@ -239,7 +239,8 @@ def apply_multiplier(op: MultiplierOp, f):
     The output of a RealField input is re-projected onto real samples
     (Hermitian part of the symbol); a ComplexField comes back complex.
     """
-    _require_same_grid(op.grid, f.grid)
+    if op.grid != f.grid:
+        raise ValueError(f"grid mismatch: {op.grid} vs {f.grid}")
     out = np.fft.ifft(op.values * f.spectrum())
     if isinstance(f, RealField):
         return RealField(f.grid, out.real)
@@ -250,12 +251,6 @@ def derivative_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Spectral first derivative; Nyquist zeroed to keep real data real."""
     out = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(samples))
     return out.real if np.isrealobj(samples) else out
-
-
-# apply_multiplier's check, kept with it for bench/run.py (ROADMAP direction 13)
-def _require_same_grid(g1: Grid, g2: Grid) -> None:
-    if g1 != g2:
-        raise ValueError(f"grid mismatch: {g1} vs {g2}")
 
 
 class Invariants(NamedTuple):

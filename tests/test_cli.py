@@ -1,12 +1,14 @@
 import os
 import re
 import shutil
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fnlswaves import __version__
+from fnlswaves import __version__, cli
 from fnlswaves.analysis import decay_slope
 from fnlswaves.cli import _COMMANDS, _KEYS, main, parse_config
 from fnlswaves.evolve import EvolveConfig
@@ -401,6 +403,23 @@ class TestOtherCommands:
         if code == 2:
             assert not out.exists()
 
+    def test_huge_seed_profile_aborts_with_one_line(self, tmp_path, capsys):
+        # samples of 1e308 overflow the invariants and the first sweep: the
+        # run aborts through its step (exit 3) with its one error line and
+        # no numpy warning on the way
+        snap = write(tmp_path, "huge.dat", "# fnlswaves-field 1\n# field_type = complex\n"
+                     "# l = 8.0\n# n = 8\n" + "1e308 0\n" * 8)
+        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
+            "l = 32.0", "l = 8.0").replace("n = 1024", "n = 8") + (
+            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", write(tmp_path, "evolve.ini", evolve_text),
+                         "--out", str(tmp_path / "out"), "--seed-profile", snap])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: evolution aborted: ") and err.count("\n") == 1
+
     def test_seed_profile_on_another_grid_exits_2(self, tmp_path, capsys):
         solved = str(tmp_path / "solved")
         assert main(["--config", write(tmp_path, "solve.ini", SOLVE_CONFIG), "--out", solved]) == 0
@@ -571,6 +590,43 @@ class TestRecipes:
             assert header[0] == f"# fnlswaves {__version__}"
             assert [line[2:].split(" = ")[0] for line in header[1:]] == keys
             assert column_row == columns
+
+    @pytest.mark.parametrize("recipe, failing, files", [
+        ("fig1", "solve_scalar", None),
+        ("fig1", "solve_on_grid", None),
+        ("fig2", "solve_scalar", {}),
+        ("fig2", "evolve_run", None),
+        ("fig3", "solve_scalar", None),
+        ("fig4", "solve_scalar", None),
+        ("fig5", "solve_scalar", None),
+        ("fig6", "solve_scalar", None),
+        ("fig7", "speed_amplitude_scan", None),
+    ])
+    def test_recipe_failure_exits_3_and_keeps_its_files(self, tmp_path, capsys, monkeypatch,
+                                                        recipe, failing, files):
+        # the first result of ``failing`` reports a failure: the recipe exits
+        # 3 and still writes what it computed (RECIPE_FILES, unless ``files``
+        # says otherwise), fig2 nothing when its solve failed
+        fail = {
+            "solve_scalar": lambda rep: replace(rep, converged=False),
+            "solve_on_grid": lambda rep: replace(rep, converged=False),
+            "evolve_run": lambda evo: replace(evo, aborted="injected abort"),
+            "speed_amplitude_scan": lambda result: replace(
+                result, rows=(replace(result.rows[0], converged=False), *result.rows[1:])),
+        }[failing]
+        original, calls = getattr(cli, failing), []
+
+        def failing_once(*args, **kwargs):
+            calls.append(failing)
+            result = original(*args, **kwargs)
+            return fail(result) if len(calls) == 1 else result
+
+        monkeypatch.setattr(cli, failing, failing_once)
+        out = str(tmp_path / "figs")
+        assert main(["--recipe", recipe, "--out", out]) == 3
+        files = RECIPE_FILES[recipe] if files is None else files
+        assert sorted(os.listdir(out)) == sorted(files)
+        assert capsys.readouterr().out == (f"{recipe}: wrote {', '.join(files)}\n" if files else "")
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
