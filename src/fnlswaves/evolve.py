@@ -41,7 +41,7 @@ import copy
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -253,9 +253,10 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     Each step's inner sweep starts from the predicted midpoint (see the
     module docstring).  A completed run leaves its predictor on its final
     state, so a run from that state under the same grid, dt, s and sigma
-    goes on as if the two were one run.  A step failure terminates the run
-    and returns the partial report with ``aborted`` set to the failure
-    message; its last state carries no predictor.
+    goes on as if the two were one run.  A step failure, or a state whose
+    invariants overflow, terminates the run and returns the partial report
+    with ``aborted`` set to the failure message; its last state carries no
+    predictor.
     """
     grid = u0.grid
     s, sigma = params.s, params.sigma
@@ -267,21 +268,26 @@ def run(u0: ComplexField, params, cfg: EvolveConfig) -> EvolutionReport:
     aborted = None
 
     fld = u0
-    # a non-finite state ends the run through StepError, so the overflow
-    # on the way to it needs no warning of its own
+    rows = []
+    # a non-finite state ends the run through StepError and a non-finite
+    # row of invariants ends it below, so the overflow on the way to either
+    # needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [invariants(u0, s, sigma)]
-        for k in range(1, cfg.steps + 1):
-            try:
-                fld, used, dropped = _step(fld, inv, kick, sigma, cfg, predictor.start())
-            except StepError as err:
-                aborted = str(err)
-                break
-            predictor.push(fld.samples, dropped)
+        for k in range(cfg.steps + 1):
+            if k:
+                try:
+                    fld, used, dropped = _step(fld, inv, kick, sigma, cfg, predictor.start())
+                except StepError as err:
+                    aborted = str(err)
+                    break
+                predictor.push(fld.samples, dropped)
+                sweeps.append(used)
+                if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
+                    snaps.append((k * cfg.dt, fld))
             rows.append(invariants(fld, s, sigma))
-            sweeps.append(used)
-            if cfg.snapshot_stride and k % cfg.snapshot_stride == 0:
-                snaps.append((k * cfg.dt, fld))
+            if not all(map(isfinite, rows[-1])):
+                aborted = f"invariants overflowed at t={k * cfg.dt:.6g}"
+                break
         else:
             # private, like the cached spectrum: equality reads the samples only
             vars(fld)["_predictor"] = predictor

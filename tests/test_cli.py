@@ -39,6 +39,10 @@ max_iter = 500
 mw = 3
 """
 
+# an evolve run on the grid of the spectral snapshot fuzz (l = 8, n = 8)
+EVOLVE_8_CONFIG = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
+    "l = 32.0", "l = 8.0").replace("n = 1024", "n = 8") + "\n[evolve]\ndt = 0.02\nt_end = 0.2\n"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -389,36 +393,34 @@ class TestOtherCommands:
         # every snapshot the spectral fuzz draws, handed to an evolve run on
         # its usual grid (l = 8, n = 8): read and evolved (0), refused before
         # --out is created (2) or evolved until it aborts (3), never a traceback
-        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
-            "l = 32.0", "l = 8.0").replace("n = 1024", "n = 8") + (
-            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
         snap, out = tmp_path / "gen.dat", tmp_path / "out"
         snap.unlink(missing_ok=True)  # a new file: some filesystems flush one rewritten in place
         snap.write_text(text)
         shutil.rmtree(out, ignore_errors=True)
-        code = main(["--config", write(tmp_path, "evolve.ini", evolve_text), "--out", str(out),
+        code = main(["--config", write(tmp_path, "evolve.ini", EVOLVE_8_CONFIG), "--out", str(out),
                      "--seed-profile", str(snap)])
         assert code in (0, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
         if code == 2:
             assert not out.exists()
 
-    def test_huge_seed_profile_aborts_with_one_line(self, tmp_path, capsys):
-        # samples of 1e308 overflow the invariants and the first sweep: the
-        # run aborts through its step (exit 3) with its one error line and
-        # no numpy warning on the way
+    @pytest.mark.parametrize("sample, cause", [
+        ("1e308", "invariants overflowed at t=0"),
+        ("1e60", "midpoint inner iteration stalled at delta=nan"),
+    ])
+    def test_huge_seed_profile_aborts_with_one_line(self, tmp_path, capsys, sample, cause):
+        # samples of 1e308 overflow the invariants of the seed, samples of
+        # 1e60 only the first sweep: either run aborts (exit 3) with its one
+        # error line and no numpy warning on the way
         snap = write(tmp_path, "huge.dat", "# fnlswaves-field 1\n# field_type = complex\n"
-                     "# l = 8.0\n# n = 8\n" + "1e308 0\n" * 8)
-        evolve_text = SOLVE_CONFIG.replace("command = solve", "command = evolve").replace(
-            "l = 32.0", "l = 8.0").replace("n = 1024", "n = 8") + (
-            "\n[evolve]\ndt = 0.02\nt_end = 0.2\n")
+                     "# l = 8.0\n# n = 8\n" + f"{sample} 0\n" * 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = main(["--config", write(tmp_path, "evolve.ini", evolve_text),
+            code = main(["--config", write(tmp_path, "evolve.ini", EVOLVE_8_CONFIG),
                          "--out", str(tmp_path / "out"), "--seed-profile", snap])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: evolution aborted: ") and err.count("\n") == 1
+        assert err.startswith(f"error: evolution aborted: {cause}") and err.count("\n") == 1
 
     def test_seed_profile_on_another_grid_exits_2(self, tmp_path, capsys):
         solved = str(tmp_path / "solved")
