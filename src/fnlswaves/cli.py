@@ -204,6 +204,11 @@ def _solve(cfg: RunConfig):
     return solve_scalar(cfg.params, cfg.grid, cfg.solver_cfg, seed=cfg.seed)
 
 
+def _scan_table(result, *names) -> dict:
+    """The named ScanRow fields of a scan as columns, one row per speed."""
+    return {name: [getattr(r, name) for r in result.rows] for name in names}
+
+
 def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None) -> int:
     """Execute one command; outputs are deterministic given the config.
 
@@ -237,14 +242,10 @@ def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None)
     if cfg.command == "scan":
         result = speed_amplitude_scan(cfg.params, cfg.speeds, cfg.grid, cfg.solver_cfg,
                                       seed=cfg.seed)
-        rows = [
-            (r.lambda2, r.speed_gap, r.amplitude, r.iterations, r.residual, r.converged)
-            for r in result.rows
-        ]
         write_csv(os.path.join(out, "scan.csv"), metadata(cfg.params),
-                  ["lambda2", "speed_gap", "amplitude", "iterations",
-                   "residual", "converged"], rows)
-        print(f"scan: {len(rows)} rows, all_converged={result.all_converged}")
+                  _scan_table(result, "lambda2", "speed_gap", "amplitude", "iterations",
+                              "residual", "converged"))
+        print(f"scan: {len(result.rows)} rows, all_converged={result.all_converged}")
         return 0 if result.all_converged else 3
 
     # analyze and probe read the solved profile and write nothing without it
@@ -260,15 +261,15 @@ def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None)
                 "decay_slope": fit.slope, "decay_model_ok": fit.model_ok,
                 "evenness_defect": defect,
                 "tail_oscillations": plane.tail_oscillations}
-        rows = zip(cfg.grid.x.tolist(), plane.rho.tolist(), plane.rho_x.tolist())
-        write_csv(os.path.join(out, "analyze.csv"), meta, ["x", "rho", "rho_x"], rows)
+        write_csv(os.path.join(out, "analyze.csv"), meta,
+                  {"x": cfg.grid.x, "rho": plane.rho, "rho_x": plane.rho_x})
         print(f"analyze: slope={fit.slope:.4f} model_ok={fit.model_ok} "
               f"evenness={defect:.3e} oscillations={plane.tail_oscillations}")
         return 0
 
     est = fixed_point_spectrum_probe(cfg.params, report, cfg.probe_alpha)
     write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": cfg.probe_alpha},
-              ["alpha", "dominant_multiplier"], [(float(cfg.probe_alpha), float(est))])
+              {"alpha": [float(cfg.probe_alpha)], "dominant_multiplier": [float(est)]})
     print(f"probe: alpha={cfg.probe_alpha} dominant multiplier={est:.6f}")
     return 0
 
@@ -300,8 +301,15 @@ def _header(*drop, **extra) -> dict:
 
 def _profile_table(write, name: str, meta: dict, reports: dict):
     """x, then the profile rho of each {column name: report} entry."""
-    rows = zip(Grid().x.tolist(), *[r.profile.samples.tolist() for r in reports.values()])
-    write(name, meta, ["x", *reports], rows)
+    write(name, meta, {"x": Grid().x, **{k: r.profile.samples for k, r in reports.items()}})
+
+
+def _stacked(key: str, groups: dict) -> dict:
+    """One table from {key value: {column: values}} groups of equal columns:
+    a ``key`` column repeating each group's key value, then the columns."""
+    tables = list(groups.values())
+    return {key: np.repeat(list(groups), [len(next(iter(t.values()))) for t in tables]),
+            **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}
 
 
 def _fig1(write, solve):
@@ -309,9 +317,9 @@ def _fig1(write, solve):
                    {f"rho_c{c}": solve(_params(c)) for c in _FIG1_SPEEDS})
     # the residual history of the iteration itself, cold on one grid
     reports = {mw: solve_on_grid(_params(1.0), Grid(), SolverConfig(mw=mw)) for mw in (1, 3, 4, 6)}
-    rows = [(mw, it, float(r)) for mw, rep in reports.items()
-            for it, r in zip(rep.history_iterations, rep.residual_history)]
-    write("fig1b.csv", _header(lambda2=1.0), ["mw", "iter", "residual"], rows,
+    table = _stacked("mw", {mw: {"iter": rep.history_iterations, "residual": rep.residual_history}
+                            for mw, rep in reports.items()})
+    write("fig1b.csv", _header(lambda2=1.0), table,
           ok=all(rep.converged for rep in reports.values()))
 
 
@@ -324,8 +332,8 @@ def _fig2(write, solve):
     evo = evolve_run(rep.envelope, params, EvolveConfig(nl_tol=1e-13))
     amp_err = np.abs(evo.amplitude - evo.amplitude[0])
     ham_err = np.abs(evo.hamiltonian - evo.hamiltonian[0])
-    rows = zip(evo.times.tolist(), amp_err.tolist(), ham_err.tolist())
-    write("fig2.csv", evo.meta, ["t", "amplitude_error", "hamiltonian_error"], rows,
+    write("fig2.csv", evo.meta,
+          {"t": evo.times, "amplitude_error": amp_err, "hamiltonian_error": ham_err},
           ok=not evo.aborted)
 
 
@@ -349,33 +357,29 @@ def _fig4(write, solve):
 
 def _fig5(write, solve):
     x = Grid().x
-    rows = []
+    groups = {}
     for c in _FIG1_SPEEDS:
         vals = solve(_params(c)).profile.samples
         mask = (x > 0.0) & (vals > 0.0)
-        logs = zip(np.log(x[mask]).tolist(), np.log(vals[mask]).tolist())
-        rows += [(c, lx, lr) for lx, lr in logs]
+        groups[c] = {"log_x": np.log(x[mask]), "log_rho": np.log(vals[mask])}
     meta = _header(reference_slope=-(2 * _RECIPE["s"] + 1))
-    write("fig5.csv", meta, ["lambda2", "log_x", "log_rho"], rows)
+    write("fig5.csv", meta, _stacked("lambda2", groups))
 
 
 def _fig6(write, solve):
-    rows, osc = [], {}
-    for c in _FIG6_SPEEDS:
-        plane = phase_plane(solve(_params(c)).profile)
-        osc[str(c)] = plane.tail_oscillations
-        rows += [(c, r, rx) for r, rx in zip(plane.rho.tolist(), plane.rho_x.tolist())]
-    write("fig6.csv", _header(tail_oscillations=osc), ["lambda2", "rho", "rho_x"], rows)
+    planes = {c: phase_plane(solve(_params(c)).profile) for c in _FIG6_SPEEDS}
+    osc = {str(c): plane.tail_oscillations for c, plane in planes.items()}
+    write("fig6.csv", _header(tail_oscillations=osc),
+          _stacked("lambda2", {c: {"rho": plane.rho, "rho_x": plane.rho_x}
+                               for c, plane in planes.items()}))
 
 
 def _fig7(write, solve):
     for tag, kind, seed in (("a", Kind.LINEAR_PHASE, None),
                             ("b", Kind.COUPLED, initial_iterate(Grid(), "quadratic"))):
         result = speed_amplitude_scan(_params(_FIG7_SPEEDS[0]), _FIG7_SPEEDS, Grid(), seed=seed)
-        rows = [(r.speed_gap, r.amplitude, r.lambda2, r.iterations, r.converged)
-                for r in result.rows]
         write(f"fig7{tag}.csv", _header(kind=kind.value),
-              ["speed_gap", "amplitude", "lambda2", "iterations", "converged"], rows,
+              _scan_table(result, "speed_gap", "amplitude", "lambda2", "iterations", "converged"),
               ok=result.all_converged)
 
 
@@ -389,8 +393,8 @@ def reproduce_figures(recipe: str, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     files, outcomes = [], []
 
-    def write(name: str, meta: dict, columns, rows, ok: bool = True) -> None:
-        write_csv(os.path.join(out_dir, name), meta, columns, rows)
+    def write(name: str, meta: dict, table: dict, ok: bool = True) -> None:
+        write_csv(os.path.join(out_dir, name), meta, table)
         files.append(name)
         outcomes.append(ok)
 

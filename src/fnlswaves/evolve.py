@@ -322,9 +322,9 @@ def save_evolution(report: EvolutionReport, directory, stem: str):
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta = {**report.meta, "aborted": report.aborted} if report.aborted else report.meta
-    rows = zip(report.times, report.mass, report.momentum,
-               report.hamiltonian, report.amplitude, report.peak_x)
-    write_csv(csv_path, meta, ["t", "I1", "I2", "H", "amplitude", "peak_x"], rows)
+    write_csv(csv_path, meta, {"t": report.times, "I1": report.mass, "I2": report.momentum,
+                               "H": report.hamiltonian, "amplitude": report.amplitude,
+                               "peak_x": report.peak_x})
     paths = [csv_path]
     for t, fld in report.snapshots:
         snap_path = os.path.join(directory, f"{stem}_t{t:.6f}.dat")

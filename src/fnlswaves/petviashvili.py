@@ -557,8 +557,8 @@ def save_report(report: SolveReport, directory, stem: str):
     if report.class_switch is not None:
         meta["class_switch"] = str(report.class_switch)
     meta["profile_file"] = os.path.basename(prof_path)
-    rows = zip(report.history_iterations, report.residual_history, report.m_history)
-    write_csv(csv_path, meta, ["iter", "residual", "m_nu"], rows)
+    write_csv(csv_path, meta, {"iter": report.history_iterations,
+                               "residual": report.residual_history, "m_nu": report.m_history})
     save_field(prof_path, report.envelope, metadata=report.meta)
     return csv_path, prof_path
 

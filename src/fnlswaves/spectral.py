@@ -30,9 +30,9 @@ it transform nothing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -308,88 +308,109 @@ def _peak(u: ComplexField, dens: np.ndarray):
 # --------------------------------------------------------------------------
 # Output files.  Layouts (documented in the README, stable):
 # CSV tables: "# fnlswaves <version>", "# key = value" header lines, then
-#   csv-module rows ("\r\n" ends): the column names, then the records with
-#   floats as "%.17e".
+#   rows ending in "\r\n": the column names joined by ",", then the records,
+#   floats as "%.17e" and ints and bools as str.
 # Field snapshots:
 #   line 1          : "# fnlswaves-field <version>"
-#   header lines    : "# key = value"  (must include field_type, l, n; the
-#                     caller's metadata dict is echoed verbatim)
+#   header lines    : "# key = value"  (field_type, l and n, then the
+#                     caller's metadata dict verbatim; it may not redefine them)
 #   sample lines    : one per grid point, "%.17e" columns; one column for
 #                     real fields, two (re, im) for complex fields.
-# %.17e round-trips float64 exactly, so parse(serialize(f)) == f.
+# %.17e round-trips float64 exactly, so parse(serialize(f)) == f.  No header
+# key or value may hold a line break, which would add a line of its own.
 # --------------------------------------------------------------------------
 
 SNAPSHOT_VERSION = 1
+_SNAPSHOT_KEYS = ("field_type", "l", "n")
+# Rows formatted by one % over a flat tuple.  The %.17e conversions are the
+# cost; a block this long amortizes the loop around them, and only one
+# block's values and text are held at a time.
+_BLOCK_ROWS = 512
+# A column's record format, by numpy dtype kind.
+_FORMATS = {"f": "%.17e", "i": "%s", "u": "%s", "b": "%s"}
 
 
-def write_csv(path, meta: dict, columns, rows) -> None:
-    """Write one table in the CSV layout above."""
+def _header_lines(meta: dict) -> list:
+    """The "# key = value" lines of ``meta``; a line break in one raises."""
+    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"header line {line!r} holds a line break")
+    return lines
+
+
+def _write_records(fh, row: str, columns: list) -> None:
+    """Write ``row`` formatted with each row of the equal-length ``columns``."""
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+        fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+
+def write_csv(path, meta: dict, table: dict) -> None:
+    """Write one table in the CSV layout above.  ``table`` maps each column
+    name to its values: a sequence or 1-D array of one kind, floats, ints or
+    bools, as long as every other column."""
+    lines = [f"# fnlswaves {__version__}", *_header_lines(meta)]
+    columns = [np.asarray(values) for values in table.values()]
+    for name, col in zip(table, columns):
+        if not name or any(ch in name for ch in ',"\r\n'):
+            raise ValueError(f"column name {name!r} is empty or needs quoting")
+        if col.ndim != 1 or col.dtype.kind not in _FORMATS or len(col) != len(columns[0]):
+            raise ValueError(f"column {name!r} is not {len(columns[0])} floats, ints or bools")
+    row = ",".join(_FORMATS[col.dtype.kind] for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# fnlswaves {__version__}\n")
-        for k, v in meta.items():
-            fh.write(f"# {k} = {v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["%.17e" % v if isinstance(v, float) else v for v in row])
+        fh.write("\n".join(lines) + "\n" + ",".join(table) + "\r\n")
+        _write_records(fh, row, columns)
 
 
 def save_field(path, f: Field, metadata: dict | None = None) -> None:
+    """Write ``f`` in the snapshot layout above, its header echoing
+    ``metadata``, which may not redefine field_type, l or n."""
+    metadata = metadata or {}
+    clash = [k for k in metadata if str(k).strip() in _SNAPSHOT_KEYS]
+    if clash:
+        raise ValueError(f"snapshot metadata may not redefine {clash}")
     is_complex = isinstance(f, ComplexField)
-    lines = [f"# fnlswaves-field {SNAPSHOT_VERSION}"]
     header = {"field_type": "complex" if is_complex else "real",
-              "l": repr(f.grid.l), "n": f.grid.n}
-    if metadata:
-        header.update(metadata)
-    for k, v in header.items():
-        lines.append(f"# {k} = {v}")
-    if is_complex:
-        for z in f.samples:
-            lines.append("%.17e %.17e" % (z.real, z.imag))
-    else:
-        for v in f.samples:
-            lines.append("%.17e" % v)
+              "l": repr(f.grid.l), "n": f.grid.n, **metadata}
+    lines = [f"# fnlswaves-field {SNAPSHOT_VERSION}", *_header_lines(header)]
+    columns = [f.samples.real, f.samples.imag] if is_complex else [f.samples]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        _write_records(fh, " ".join(["%.17e"] * len(columns)) + "\n", columns)
 
 
 def load_field(path):
     """Read a snapshot back; returns (field, metadata dict).  A malformed
     snapshot, a non-finite sample included, raises ValueError naming it."""
-    meta: dict[str, str] = {}
-    rows = []
     try:
         with open(path) as fh:
-            first = fh.readline().strip()
-            if not first.startswith("# fnlswaves-field"):
+            if not fh.readline().strip().startswith("# fnlswaves-field"):
                 raise ValueError("not a field snapshot")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    meta[key.strip()] = val.strip()
-                else:
-                    rows.append([float(tok) for tok in line.split()])
-        missing = [k for k in ("field_type", "l", "n") if k not in meta]
+            lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
+        entries = [line[1:].partition("=") for line in lines if line[0] == "#"]
+        meta = {key.strip(): val.strip() for key, _, val in entries}
+        rows = [line.split() for line in lines if line[0] != "#"]
+        values = np.array(list(map(float, chain.from_iterable(rows))))
+        missing = [k for k in _SNAPSHOT_KEYS if k not in meta]
         if missing:
             raise ValueError(f"snapshot header lacks {', '.join(missing)}")
-        columns = {"real": 1, "complex": 2}.get(meta["field_type"])
-        if columns is None:
+        kind = {"real": (1, RealField), "complex": (2, ComplexField)}.get(meta["field_type"])
+        if kind is None:
             raise ValueError(f"unknown field_type {meta['field_type']!r}")
+        columns, cls = kind
         if not rows:
             raise ValueError("snapshot has no sample rows")
-        data = np.asarray(rows)
-        if data.ndim != 2 or data.shape[1] < columns:
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("snapshot rows differ in length")
+        data = values.reshape(len(rows), -1)
+        if data.shape[1] < columns:
             raise ValueError(f"{meta['field_type']} snapshot needs {columns} columns per row")
         if not np.all(np.isfinite(data[:, :columns])):
             raise ValueError("snapshot has a non-finite sample")
         grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
-        if columns == 2:
-            fld: Field = ComplexField(grid, data[:, 0] + 1j * data[:, 1])
-        else:
-            fld = RealField(grid, data[:, 0])
+        # a (re, im) row viewed as one complex sample keeps every bit, -0.0 too
+        fld = cls(grid, np.ascontiguousarray(data[:, :columns]).view(cls._dtype)[:, 0])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
     return fld, meta

@@ -1,7 +1,11 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fnlswaves import __version__
 from fnlswaves.params import ProblemParams, linear_phase_params
 from fnlswaves.petviashvili import initial_iterate
 from fnlswaves.spectral import (
@@ -17,7 +21,9 @@ from fnlswaves.spectral import (
     mass,
     profile_operator,
     save_field,
+    write_csv,
 )
+from fnlswaves.spectral import _BLOCK_ROWS
 
 
 def fig1_params(lambda2=1.0, s=0.75):
@@ -464,6 +470,114 @@ class TestInvariants:
         assert rec.amplitude >= np.max(np.abs(u.samples))
 
 
+# --------------------------------------------------------------------------
+# Reference implementations of the file layer, one value and one line at a
+# time: the csv-module table writer, the line-by-line snapshot writer and the
+# line-by-line snapshot reader.  The bulk writers must write their bytes, and
+# the bulk reader must accept, return and reject as the line reader does.
+# --------------------------------------------------------------------------
+
+def oracle_write_csv(path, meta: dict, columns, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# fnlswaves {__version__}\n")
+        for k, v in meta.items():
+            fh.write(f"# {k} = {v}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["%.17e" % v if isinstance(v, float) else v for v in row])
+
+
+def oracle_save_field(path, f, metadata: dict | None = None) -> None:
+    is_complex = isinstance(f, ComplexField)
+    lines = ["# fnlswaves-field 1"]
+    header = {"field_type": "complex" if is_complex else "real",
+              "l": repr(f.grid.l), "n": f.grid.n}
+    if metadata:
+        header.update(metadata)
+    for k, v in header.items():
+        lines.append(f"# {k} = {v}")
+    if is_complex:
+        for z in f.samples:
+            lines.append("%.17e %.17e" % (z.real, z.imag))
+    else:
+        for v in f.samples:
+            lines.append("%.17e" % v)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_load_field(path):
+    meta: dict[str, str] = {}
+    rows = []
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            if not first.startswith("# fnlswaves-field"):
+                raise ValueError("not a field snapshot")
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    meta[key.strip()] = val.strip()
+                else:
+                    rows.append([float(tok) for tok in line.split()])
+        missing = [k for k in ("field_type", "l", "n") if k not in meta]
+        if missing:
+            raise ValueError(f"snapshot header lacks {', '.join(missing)}")
+        columns = {"real": 1, "complex": 2}.get(meta["field_type"])
+        if columns is None:
+            raise ValueError(f"unknown field_type {meta['field_type']!r}")
+        if not rows:
+            raise ValueError("snapshot has no sample rows")
+        data = np.asarray(rows)
+        if data.ndim != 2 or data.shape[1] < columns:
+            raise ValueError(f"{meta['field_type']} snapshot needs {columns} columns per row")
+        if not np.all(np.isfinite(data[:, :columns])):
+            raise ValueError("snapshot has a non-finite sample")
+        grid = Grid(l=float(meta["l"]), n=int(meta["n"]))
+        if columns == 2:
+            fld = ComplexField(grid, data[:, 0] + 1j * data[:, 1])
+        else:
+            fld = RealField(grid, data[:, 0])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    return fld, meta
+
+
+# Floats whose text is easy to get wrong: signed zero, nan, infinities, the
+# smallest subnormal and the largest finite double.
+SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308)
+# Row counts around the writers' block size.
+ROW_COUNTS = (0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 4096)
+
+
+def drawn_floats(rng, n: int) -> np.ndarray:
+    """n doubles over the whole exponent range, a quarter of them special."""
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+    special = rng.random(n) < 0.25
+    vals[special] = rng.choice(SPECIAL_FLOATS, int(special.sum()))
+    return vals
+
+
+def drawn_column(kind: str, rng, n: int):
+    """A column of one kind, as a caller might hold it."""
+    if kind in ("int", "np.int64"):
+        ints = rng.integers(-2 ** 63, 2 ** 63 - 1, n)
+        return ints.tolist() if kind == "int" else list(ints)
+    if kind == "bool":
+        return (rng.random(n) < 0.5).tolist()
+    vals = drawn_floats(rng, n)
+    return {"float": vals.tolist(), "np.float64": list(vals), "array": vals}[kind]
+
+
+header_values = st.one_of(st.floats(), st.integers(), st.booleans(),
+                          st.text(alphabet="ab =#,\"\tλ", max_size=6))
+
+
 class TestSnapshots:
     def test_complex_round_trip(self, tmp_path):
         g = Grid(l=8.0, n=64)
@@ -520,19 +634,127 @@ class TestSnapshots:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_snapshot_text())
     def test_generated_snapshot_loads_finite_or_fails_with_value_error(self, tmp_path, text):
+        # ... and exactly as the line-by-line reader does
         path = tmp_path / "gen.dat"
         path.unlink(missing_ok=True)  # a new file: some filesystems flush one rewritten in place
         path.write_text(text)
         try:
-            fld, _ = load_field(path)
+            expected = oracle_load_field(path)
+        except ValueError as err:
+            expected = err
+        try:
+            fld, meta = load_field(path)
         except ValueError as err:
             assert str(err).startswith(f"{path}: ")
+            assert isinstance(expected, ValueError), f"the line reader loads it: {err}"
             return
+        assert not isinstance(expected, ValueError), f"the line reader rejects it: {expected}"
+        assert (fld, meta) == expected
         assert isinstance(fld.grid, Grid) and fld.samples.shape == (fld.grid.n,)
         assert np.all(np.isfinite(fld.samples))
+
+    @pytest.mark.parametrize("body", [
+        "1.0 2.0\n" * 7 + "1.0 2.0 3.0\n",  # rows of unequal length
+        "1.0 2.0\n" * 7 + "1.0\n",
+        "1.0 2.0 nan\n" * 8,  # a non-finite token past the sample columns
+        "1.0 2.0\r\n" * 8,
+        "1.0 2.0\r" * 8,
+        "1.0 2.0\n" * 4 + "# s = 0.5\n" + "-0.0 -0.0\n" * 4,  # a header line among the rows
+        "1_0 2.0\n" * 8,
+        "1.0 2.0\x0b\n" * 8,
+        "1.0\x1c2.0\n" * 8,
+    ])
+    def test_edge_texts_load_as_the_line_reader_loads_them(self, tmp_path, body):
+        path = tmp_path / "edge.dat"
+        path.write_bytes(("# fnlswaves-field 1\n# field_type = complex\n# l = 8.0\n# n = 8\n"
+                          + body).encode())
+        try:
+            expected = oracle_load_field(path)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^{path}: "):
+                load_field(path)
+            return
+        assert load_field(path) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(complex_=st.booleans(), l=st.floats(1e-6, 1e6), n=st.integers(4, 40).map(lambda k: 2 * k),
+           data=st.data())
+    def test_snapshot_round_trip_is_bit_exact(self, tmp_path, complex_, l, n, data):
+        grid = Grid(l=l, n=n)
+        values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=2 * n, max_size=2 * n)))
+        f = ComplexField(grid, values.view(complex)) if complex_ else RealField(grid, values[:n])
+        path = tmp_path / "f.dat"
+        save_field(path, f)
+        back, meta = load_field(path)
+        assert back == f
+        assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))  # -0.0 too
+        assert meta == {"field_type": "complex" if complex_ else "real", "l": repr(l), "n": str(n)}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(complex_=st.booleans(), l=st.floats(1e-3, 1e3),
+           n=st.sampled_from([8, _BLOCK_ROWS - 2, _BLOCK_ROWS, _BLOCK_ROWS + 2, 4096]),
+           metadata=st.dictionaries(st.text(alphabet="abst_λ", min_size=1, max_size=4),
+                                    header_values, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_writer_bytes_match_the_line_writer(self, tmp_path, complex_, l, n, metadata, seed):
+        rng = np.random.default_rng(seed)
+        vals = drawn_floats(rng, 2 * n)
+        grid = Grid(l=l, n=n)
+        f = ComplexField(grid, vals.view(complex)) if complex_ else RealField(grid, vals[:n])
+        save_field(tmp_path / "new.dat", f, metadata=metadata)
+        oracle_save_field(tmp_path / "ref.dat", f, metadata=metadata)
+        assert (tmp_path / "new.dat").read_bytes() == (tmp_path / "ref.dat").read_bytes()
+
+    @pytest.mark.parametrize("metadata", [{"l": 2.0}, {"n": 16}, {" field_type ": "real"},
+                                          {"s": "\n1.0 2.0"}, {"s": "0.75\r"}, {"a\nb": 1}])
+    def test_metadata_that_would_corrupt_the_header_raises(self, tmp_path, metadata):
+        # a redefined l or n would load on another grid, and a line break
+        # would add a line of its own: a sample row, say
+        path = tmp_path / "f.dat"
+        with pytest.raises(ValueError):
+            save_field(path, RealField(Grid(l=8.0, n=8), np.ones(8)), metadata=metadata)
+        assert not path.exists()
 
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "junk.dat"
         path.write_text("not a snapshot\n")
         with pytest.raises(ValueError, match="not a field snapshot"):
             load_field(path)
+
+
+class TestCsvTables:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kinds=st.lists(st.sampled_from(["float", "np.float64", "array", "int", "np.int64", "bool"]),
+                          min_size=1, max_size=4),
+           rows=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2 ** 32 - 1),
+           meta=st.dictionaries(st.text(alphabet="abs_λ", min_size=1, max_size=4),
+                                header_values, max_size=3),
+           data=st.data())
+    def test_bytes_match_the_csv_module_writer(self, tmp_path, kinds, rows, seed, meta, data):
+        names = data.draw(st.lists(st.text(alphabet="xyz_ 0λ", min_size=1, max_size=4),
+                                   min_size=len(kinds), max_size=len(kinds), unique=True))
+        rng = np.random.default_rng(seed)
+        columns = [drawn_column(kind, rng, rows) for kind in kinds]
+        write_csv(tmp_path / "new.csv", meta, dict(zip(names, columns)))
+        oracle_write_csv(tmp_path / "ref.csv", meta, names, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("meta, table", [
+        ({"note": "a\n1.0,2.0"}, {"x": [1.0]}),  # would inject a record
+        ({"a\rb": 1}, {"x": [1.0]}),
+        ({}, {"x,y": [1.0]}),  # names the csv module would quote
+        ({}, {'x"': [1.0]}),
+        ({}, {"": [1.0]}),
+        ({}, {"x": [1.0], "y": [1.0, 2.0]}),  # columns of unequal length
+        ({}, {"x": ["a"]}),  # neither floats, ints nor bools
+        ({}, {"x": [[1.0, 2.0]]}),
+    ])
+    def test_a_table_the_layout_cannot_hold_raises(self, tmp_path, meta, table):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, meta, table)
+        assert not path.exists()
