@@ -41,15 +41,15 @@ again by the same rule, down to NEST_MIN_N // 2 points or the spacing
 NEST_MAX_H.  The gap between the answers on n/2 and n is the
 grid-doubling estimate of how well the wave is resolved (J. P. Boyd,
 Chebyshev and Fourier Spectral Methods, 2001), reported as
-``resolution_defect``.  solve_on_grid is the cold one-grid solve; a
-nested solve builds one ProfileIteration per level and runs it the same way,
-each level in the layout of its own start.
+``resolution_defect``.  Each level is one call of _solve, which solves
+the level below first where there is one; solve_on_grid gives it none,
+so it is the cold one-grid solve.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -317,12 +317,6 @@ def align_to_class(field: ComplexField):
     return aligned.real, d, phi, defect
 
 
-def center_samples(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Circularly shift so the modulus peak sits at the grid point x = 0."""
-    j = int(np.argmax(np.abs(u)))
-    return np.roll(u, grid.zero_index() - j)
-
-
 def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField:
     """``seed``, or the sech e^{iAx} seed on ``grid`` for None; a seed that
     is not a ComplexField on ``grid``, or on which <G(z), z> vanishes, is
@@ -339,15 +333,41 @@ def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField
     return seed
 
 
-def _run(params, iteration: ProfileIteration, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
-    """The driver run from the iterate ``z0``, as a solve on the grid of
-    ``iteration``.  A full-layout run is tested for a stall; where it
-    stalls, its iterate is aligned onto the class (align_to_class) and,
-    within CLASS_GUARD, the run goes on from the aligned iterate in the
-    half layout, where the translation and phase that the lattice pins are
-    gone; beyond it, the run carries on untouched.  A half-layout run is
-    not tested."""
-    grid, switch = iteration.grid, None
+def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None,
+           below: bool = False) -> SolveReport:
+    """The solve of one level, the grid of ``seed``, under ``cfg``.
+
+    Given a ``coarse_cfg`` on a grid that nests, the level first solves
+    (l, n/2) from the seed sampled there, under ``coarse_cfg``, and starts
+    from that answer, prolonged, if it converged, else from ``seed``.  The
+    requested level always descends, a level ``below`` it only when one
+    step of its own seed misses its tol.  Each level runs in the layout of
+    its own start: sampling on n/2 and prolong both keep the class.  A
+    full-layout run that stalls is aligned onto the class (align_to_class)
+    and, within CLASS_GUARD, goes on from there in the half layout, where
+    the translation and phase that the lattice pins are gone; beyond it,
+    the run carries on untouched.  A half-layout run is not tested."""
+    grid, switch = seed.grid, None
+    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
+    descend = coarse_cfg is not None and _nests(grid)
+    # the requested level descends unchecked, and starts where the levels below leave it
+    z0 = iteration.iterate(seed) if below or not descend else None
+    if descend and below:
+        with np.errstate(over="ignore", invalid="ignore"):
+            descend = iteration.step(z0)[1] > cfg.tol
+    coarse, nested = None, False
+    if descend:
+        coarse_grid = Grid(grid.l, grid.n // 2)
+        try:
+            coarse = _solve(params, ComplexField(coarse_grid, seed.samples[::2]), coarse_cfg, coarse_cfg,
+                            below=True)
+        except accel.DivergenceError:
+            # n then starts from its own seed, and raises again if the problem is
+            # bad there too; a seed degenerate on (l, n/2) raises at its first step
+            pass
+        nested = coarse is not None and coarse.converged
+        start = prolong(ComplexField(coarse_grid, coarse.z), grid) if nested else seed
+        z0 = iteration.iterate(start)
 
     def align(z, iterations):
         nonlocal switch
@@ -359,10 +379,19 @@ def _run(params, iteration: ProfileIteration, z0: np.ndarray, cfg: SolverConfig)
     # finite, so the overflow on the way to it needs no warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         raw = accel.accelerated_iterate(iteration, z0, cfg, on_stall=None if np.isrealobj(z0) else align)
-    raw.z = iteration.samples(raw.z)
+    z = raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
-    envelope = ComplexField(grid, center_samples(raw.z, grid))
-    return SolveReport(**vars(raw), envelope=envelope, meta=meta, class_switch=switch)
+    # the envelope is z centred: its modulus peak on the grid point x = 0
+    envelope = ComplexField(grid, np.roll(z, grid.zero_index() - int(np.argmax(np.abs(z)))))
+    report = SolveReport(**vars(raw), envelope=envelope, meta=meta, class_switch=switch)
+    if coarse is not None:
+        report.coarse_iterations = coarse.iterations + coarse.coarse_iterations
+        report.class_switch = coarse.class_switch if switch is None else switch
+    if nested:
+        # z is uncentred on both grids, and this level starts where P u_{n/2} is
+        report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(z))
+                                         / np.linalg.norm(z))
+    return report
 
 
 def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
@@ -379,16 +408,14 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
     any other in the full one; the report reads the same either way.  A
     full-layout run that stalls is aligned onto the class and, within
-    CLASS_GUARD, goes on in the half layout (see _run); the report's
-    ``class_switch`` records it.
+    CLASS_GUARD, goes on in the half layout; the report's ``class_switch``
+    records it.
     A seed on another grid than ``grid`` raises ValueError.  This is the
-    iteration itself, cold from its seed: whatever measures the iteration
-    (its counts, layouts and transform budget) calls it.
+    iteration itself, cold from its seed: the level solve of solve_scalar
+    with no level below it.  Whatever measures the iteration (its counts,
+    layouts and transform budget) calls it.
     """
-    cfg = cfg or SolverConfig()
-    seed = _resolve_seed(params, grid, seed)
-    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-    return _run(params, iteration, iteration.iterate(seed), cfg)
+    return _solve(params, _resolve_seed(params, grid, seed), cfg or SolverConfig())
 
 
 def prolong(field: ComplexField, grid: Grid) -> ComplexField:
@@ -437,9 +464,11 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     (l, n/2) nests again by the same rule, with the same tolerance and
     budget, unless its seed already meets that tolerance, which one step
     on (l, n/2) decides; so on (256, 16384) the levels are 4096, 8192 and
-    16384.  A level whose coarse solve does not converge starts from its
-    own seed instead, exactly as solve_on_grid.  ``iterations`` and the
-    histories are those of the requested grid either way.
+    16384.  Every level is one call of the same level solve as
+    solve_on_grid, which first solves the level below it, if any; a level
+    whose coarse solve does not converge starts from its own seed instead,
+    exactly as solve_on_grid.  ``iterations`` and the histories are those
+    of the requested grid either way.
     ``coarse_iterations`` sums the iterations of every level below n, also
     of those that did not converge (0 on a grid that does not nest), and
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
@@ -450,48 +479,9 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
-    seed = _resolve_seed(params, grid, seed)
-    iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-    coarse_iter = cfg.max_iter // COARSE_ITER_SHARE
-    if not _nests(grid) or coarse_iter < 1:
-        return _run(params, iteration, iteration.iterate(seed), cfg)
-    coarse_cfg = SolverConfig(alpha=cfg.alpha, tol=max(cfg.tol, COARSE_TOL),
-                              max_iter=coarse_iter, mw=cfg.mw)
-    return _solve_nested(params, iteration, cfg, seed, coarse_cfg)
-
-
-def _solve_nested(params, iteration: ProfileIteration, cfg: SolverConfig, seed: ComplexField,
-                  coarse_cfg: SolverConfig) -> SolveReport:
-    """solve_scalar from ``seed`` on the grid of ``iteration``, which nests,
-    every level below it under ``coarse_cfg``.  Each level runs in the
-    layout of its own start: sampling on n/2 and prolong both keep the
-    class, and a level above one that switched to the class starts in it."""
-    grid = iteration.grid
-    coarse_grid = Grid(grid.l, grid.n // 2)
-    try:
-        coarse_seed = ComplexField(coarse_grid, seed.samples[::2])
-        coarse_it = ProfileIteration(params, coarse_grid, iteration.alpha)
-        z0 = coarse_it.iterate(coarse_seed)
-        # one step of the seed decides whether the level descends
-        with np.errstate(over="ignore", invalid="ignore"):
-            descend = _nests(coarse_grid) and coarse_it.step(z0)[1] > coarse_cfg.tol
-        coarse = (_solve_nested(params, coarse_it, coarse_cfg, coarse_seed, coarse_cfg) if descend
-                  else _run(params, coarse_it, z0, coarse_cfg))
-    except accel.DivergenceError:
-        # n then starts from its own seed, and raises again if the problem is
-        # bad there too; a seed degenerate on (l, n/2) raises at its first step
-        coarse = None
-    nested = coarse is not None and coarse.converged
-    start = prolong(ComplexField(coarse_grid, coarse.z), grid) if nested else seed
-    report = _run(params, iteration, iteration.iterate(start), cfg)
-    report.coarse_iterations = 0 if coarse is None else coarse.iterations + coarse.coarse_iterations
-    if report.class_switch is None and coarse is not None:
-        report.class_switch = coarse.class_switch
-    if nested:
-        # z is uncentred on both grids, and the fine solve starts where P u_{n/2} is
-        report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(report.z))
-                                         / np.linalg.norm(report.z))
-    return report
+    share = cfg.max_iter // COARSE_ITER_SHARE
+    coarse_cfg = replace(cfg, tol=max(cfg.tol, COARSE_TOL), max_iter=share) if share else None
+    return _solve(params, _resolve_seed(params, grid, seed), cfg, coarse_cfg)
 
 
 # The coupled system needs no solve of its own; bench/workloads.py calls and

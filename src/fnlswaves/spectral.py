@@ -313,7 +313,9 @@ def _peak(u: ComplexField, dens: np.ndarray):
 # Field snapshots:
 #   line 1          : "# fnlswaves-field <version>"
 #   header lines    : "# key = value"  (field_type, l and n, then the
-#                     caller's metadata dict verbatim; it may not redefine them)
+#                     caller's metadata dict verbatim; it may not redefine
+#                     them, a key holds no "=", and no key or value starts
+#                     or ends with whitespace)
 #   sample lines    : one per grid point, "%.17e" columns; one column for
 #                     real fields, two (re, im) for complex fields.
 # %.17e round-trips float64 exactly, so parse(serialize(f)) == f.  No header
@@ -365,11 +367,14 @@ def write_csv(path, meta: dict, table: dict) -> None:
 
 def save_field(path, f: Field, metadata: dict | None = None) -> None:
     """Write ``f`` in the snapshot layout above, its header echoing
-    ``metadata``, which may not redefine field_type, l or n."""
+    ``metadata``, which must read back as written: load_field splits a
+    line at its first "=" and strips both sides."""
     metadata = metadata or {}
-    clash = [k for k in metadata if str(k).strip() in _SNAPSHOT_KEYS]
-    if clash:
-        raise ValueError(f"snapshot metadata may not redefine {clash}")
+    refused = [k for k, v in metadata.items() if str(k) in _SNAPSHOT_KEYS or "=" in str(k)
+               or any(str(x) != str(x).strip() for x in (k, v))]
+    if refused:
+        raise ValueError(f"snapshot metadata {refused} would redefine field_type, l or n, "
+                         "or not read back as written")
     is_complex = isinstance(f, ComplexField)
     header = {"field_type": "complex" if is_complex else "real",
               "l": repr(f.grid.l), "n": f.grid.n, **metadata}

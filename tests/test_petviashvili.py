@@ -882,6 +882,21 @@ class TestNestedSolve:
         assert steps_per_n == {8192: 2, 16384: 1}
         assert builds == {"iterations": 2, "layout tests": 2}
 
+    def test_five_levels_nest(self, steps_per_n, builds):
+        # (256, 65536) nests down to 4096, whose half grid has the spacing
+        # 1/4 > NEST_MAX_H.  A run of k iterations takes k + 1 steps, and
+        # each of 8192, 16384 and 32768 one more, the step of its seed that
+        # sends it down: 38 steps on 4096 are its run of 37 iterations, and
+        # 39 coarse iterations plus 4 coarse runs plus 3 checks are the 46
+        # steps below n.  Each level builds one iteration; the seeds of the
+        # four levels below n and the prolonged starts of the four above
+        # 4096 each test their layout
+        rep = solve_scalar(fig1_params(1.0), Grid(256.0, 65536))
+        assert rep.converged and rep.iterations == 5 and rep.coarse_iterations == 39
+        assert steps_per_n == {4096: 38, 8192: 3, 16384: 2, 32768: 3, 65536: 6}
+        assert sum(steps_per_n.values()) - steps_per_n[65536] == rep.coarse_iterations + 4 + 3
+        assert builds == {"iterations": 5, "layout tests": 8}
+
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
         # T_{-c} = R T_c R holds for the nested solve: sampling on n/2 and
