@@ -49,6 +49,7 @@ so it is the cold one-grid solve.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -328,46 +329,36 @@ def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     if seed.grid != grid:
         raise ValueError(f"seed is on {seed.grid}, the solve on {grid}")
-    if np.sum(np.abs(seed.samples) ** (2.0 * params.sigma + 2.0)) == 0.0:
-        raise ValueError("degenerate seed: <G(z), z> vanishes")
+    with np.errstate(over="ignore"):  # a huge sample overflows to inf, which is not 0
+        if np.sum(np.abs(seed.samples) ** (2.0 * params.sigma + 2.0)) == 0.0:
+            raise ValueError("degenerate seed: <G(z), z> vanishes")
     return seed
 
 
-def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None,
-           below: bool = False) -> SolveReport:
+def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None) -> SolveReport:
     """The solve of one level, the grid of ``seed``, under ``cfg``.
 
     Given a ``coarse_cfg`` on a grid that nests, the level first solves
     (l, n/2) from the seed sampled there, under ``coarse_cfg``, and starts
-    from that answer, prolonged, if it converged, else from ``seed``.  The
-    requested level always descends, a level ``below`` it only when one
-    step of its own seed misses its tol.  Each level runs in the layout of
-    its own start: sampling on n/2 and prolong both keep the class.  A
-    full-layout run that stalls is aligned onto the class (align_to_class)
-    and, within CLASS_GUARD, goes on from there in the half layout, where
-    the translation and phase that the lattice pins are gone; beyond it,
-    the run carries on untouched.  A half-layout run is not tested."""
-    grid, switch = seed.grid, None
+    from that answer, prolonged, if it converged, else from ``seed``.
+    Each level runs in the layout of its own start: sampling on n/2 and
+    prolong both keep the class.  A full-layout run that stalls is aligned
+    onto the class (align_to_class) and, within CLASS_GUARD, goes on from
+    there in the half layout, where the translation and phase that the
+    lattice pins are gone; beyond it, the run carries on untouched.  A
+    half-layout run is not tested."""
+    grid, switch, coarse = seed.grid, None, None
     iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-    descend = coarse_cfg is not None and _nests(grid)
-    # the requested level descends unchecked, and starts where the levels below leave it
-    z0 = iteration.iterate(seed) if below or not descend else None
-    if descend and below:
-        with np.errstate(over="ignore", invalid="ignore"):
-            descend = iteration.step(z0)[1] > cfg.tol
-    coarse, nested = None, False
-    if descend:
-        coarse_grid = Grid(grid.l, grid.n // 2)
+    if coarse_cfg is not None and _nests(grid):
         try:
-            coarse = _solve(params, ComplexField(coarse_grid, seed.samples[::2]), coarse_cfg, coarse_cfg,
-                            below=True)
+            coarse = _solve(params, ComplexField(Grid(grid.l, grid.n // 2), seed.samples[::2]),
+                            coarse_cfg, coarse_cfg)
         except accel.DivergenceError:
             # n then starts from its own seed, and raises again if the problem is
             # bad there too; a seed degenerate on (l, n/2) raises at its first step
             pass
-        nested = coarse is not None and coarse.converged
-        start = prolong(ComplexField(coarse_grid, coarse.z), grid) if nested else seed
-        z0 = iteration.iterate(start)
+    nested = coarse is not None and coarse.converged
+    start = prolong(ComplexField(coarse.envelope.grid, coarse.z), grid) if nested else seed
 
     def align(z, iterations):
         nonlocal switch
@@ -375,9 +366,10 @@ def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConf
         switch = ClassSwitch(grid.n, iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
         return aligned if switch.taken else None
 
-    # the step raises DivergenceError on an input whose residual is not
-    # finite, so the overflow on the way to it needs no warning of its own
+    # the layout test of a huge start overflows to the full layout, where the step raises
+    # DivergenceError on a residual that is not finite: no overflow needs a warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
+        z0 = iteration.iterate(start)
         raw = accel.accelerated_iterate(iteration, z0, cfg, on_stall=None if np.isrealobj(z0) else align)
     z = raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
@@ -462,13 +454,15 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     prolonged onto n, seeds the solve on n.  The fine grid then only
     polishes the coarse answer, in a handful of iterations.  The solve on
     (l, n/2) nests again by the same rule, with the same tolerance and
-    budget, unless its seed already meets that tolerance, which one step
-    on (l, n/2) decides; so on (256, 16384) the levels are 4096, 8192 and
-    16384.  Every level is one call of the same level solve as
-    solve_on_grid, which first solves the level below it, if any; a level
-    whose coarse solve does not converge starts from its own seed instead,
-    exactly as solve_on_grid.  ``iterations`` and the histories are those
-    of the requested grid either way.
+    budget, so on (256, 16384) the levels are 4096, 8192 and 16384.  Every
+    level is one call of the same level solve as solve_on_grid, which
+    first solves the level below it, if any; a level whose coarse solve
+    does not converge starts from its own seed instead, exactly as
+    solve_on_grid.  ``iterations`` and the histories are those of the
+    requested grid either way.
+    A passed ``seed`` that meets tol at one step on a grid that nests (a
+    converged envelope passed back) is solved there alone; a step raising
+    DivergenceError is a miss, and the default seed is never stepped.
     ``coarse_iterations`` sums the iterations of every level below n, also
     of those that did not converge (0 on a grid that does not nest), and
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
@@ -480,8 +474,14 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     share = cfg.max_iter // COARSE_ITER_SHARE
+    start = _resolve_seed(params, grid, seed)
+    if share and seed is not None and _nests(grid):
+        iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
+        with np.errstate(over="ignore", invalid="ignore"), suppress(accel.DivergenceError):
+            share = 0 if iteration.step(iteration.iterate(start))[1] <= cfg.tol else share
+        del iteration  # its n-point arrays would otherwise live through the solve
     coarse_cfg = replace(cfg, tol=max(cfg.tol, COARSE_TOL), max_iter=share) if share else None
-    return _solve(params, _resolve_seed(params, grid, seed), cfg, coarse_cfg)
+    return _solve(params, start, cfg, coarse_cfg)
 
 
 # The coupled system needs no solve of its own; bench/workloads.py calls and

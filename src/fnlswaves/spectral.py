@@ -119,7 +119,8 @@ class _Field:
 class RealField(_Field):
     """Real samples on a grid."""
 
-    # read only through apply_multiplier, for bench/run.py (ROADMAP direction 13)
+    # read only by tests/test_spectral.py, directly and through apply_multiplier;
+    # bench/run.py applies its multiplier to a ComplexField (ROADMAP direction 13)
     def spectrum(self) -> np.ndarray:
         return np.fft.fft(self.samples)
 

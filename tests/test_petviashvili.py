@@ -849,13 +849,13 @@ class TestNestedSolve:
         # every level nests again until its half grid would have fewer than
         # NEST_MIN_N // 2 points (l = 64: 512) or a spacing above NEST_MAX_H
         # (l = 256: 2048, h = 1/4); no step runs below the last level.  Each
-        # level builds one iteration, which checks its seed and solves, and
-        # each iterate made from a field tests its layout: the seeds of 2048
-        # and 1024, and the prolonged starts of 2048 and 4096
+        # level builds one iteration and solves, no seed is checked, and
+        # each iterate made from a field tests its layout: the seed of the
+        # last level, 1024, and the prolonged starts of 2048 and 4096
         grid = Grid(l, n)
         nested = solve_scalar(fig1_params(1.0), grid)
         assert sorted(steps_per_n) == levels
-        assert builds == {"iterations": 3, "layout tests": 4}
+        assert builds == {"iterations": 3, "layout tests": 3}
         cold = solve_on_grid(fig1_params(1.0), grid)
         assert nested.converged and cold.converged
         assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
@@ -869,33 +869,76 @@ class TestNestedSolve:
         assert [(n, cfg.max_iter, cfg.tol) for n, _, cfg in driver_runs] == [(1024, 50, floor), (2048, 50, floor), (4096, 200, 1e-10)]
 
     def test_exact_seed_does_not_descend(self, steps_per_n, builds):
-        # the seed of n/2 = 8192, sampled from the answer on 16384, meets
-        # the coarse tolerance: one step on 8192 decides that, n/4 is never
-        # solved, and both levels converge at 0 iterations, each with the
-        # one iteration it built and its start's one layout test
+        # the answer on 16384, passed back as the seed, meets tol there:
+        # one step on 16384 decides that, no level below it is solved, and
+        # the solve converges at 0 iterations in one more step; the check
+        # and the solve each build one iteration and test one layout
         grid = Grid(256.0, 16384)
         exact = solve_scalar(fig1_params(1.0), grid).envelope
         steps_per_n.clear()
         builds.clear()
         rep = solve_scalar(fig1_params(1.0), grid, seed=exact)
         assert rep.converged and rep.iterations == rep.coarse_iterations == 0
-        assert steps_per_n == {8192: 2, 16384: 1}
+        assert steps_per_n == {16384: 2}
         assert builds == {"iterations": 2, "layout tests": 2}
+
+    @pytest.mark.parametrize("params", [ProblemParams(s=0.55, sigma=1.0, lambda1=1.0, lambda2=0.75),
+                                        fig1_params(1.0, sigma=3.0)], ids=["s055", "sigma3"])
+    def test_converged_envelope_returns_at_once(self, grid64, steps_per_n, params):
+        # n/2 holds neither wave to COARSE_TOL: levels below n that solved
+        # again would iterate away from the sampled answer (9 + 61 and
+        # 13 + 50 iterations), so the check on n returns it before any descent
+        exact = solve_scalar(params, grid64).envelope
+        steps_per_n.clear()
+        rep = solve_scalar(params, grid64, seed=exact)
+        assert rep.converged and rep.iterations == rep.coarse_iterations == 0
+        assert set(steps_per_n) == {grid64.n}
+
+    @pytest.mark.parametrize("l, n", [(64.0, 4096), (256.0, 16384)])
+    def test_a_missed_check_changes_nothing(self, l, n):
+        # the default seed passed in misses tol at its check, and the solve
+        # then descends exactly as from seed=None
+        grid, params = Grid(l, n), fig1_params(1.0)
+        passed = solve_scalar(params, grid, seed=initial_iterate(grid, params.A))
+        default = solve_scalar(params, grid)
+        assert passed.converged and passed.coarse_iterations > 0
+        for name, value in vars(default).items():
+            if name == "envelope":
+                assert np.array_equal(passed.envelope.samples, value.samples)
+            elif isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(passed, name), value)
+            else:
+                assert getattr(passed, name) == value, name
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_check_that_diverges_is_a_miss(self, grid64):
+        # 1e200 at one odd point overflows the check's step on n, a miss;
+        # n/2 never samples that point, so the levels below solve a clean
+        # seed and n polishes their answer.  One grid starts from that
+        # point and diverges.  Neither the degenerate-seed test nor the
+        # layout test of the seed warns on the overflow
+        params = fig1_params(1.0)
+        samples = initial_iterate(grid64, params.A).samples.copy()
+        samples[2049] = 1e200
+        seed = ComplexField(grid64, samples)
+        rep = solve_scalar(params, grid64, seed=seed)
+        assert rep.converged and (rep.iterations, rep.coarse_iterations) == (4, 38)
+        with pytest.raises(accel.DivergenceError):
+            solve_on_grid(params, grid64, seed=seed)
 
     def test_five_levels_nest(self, steps_per_n, builds):
         # (256, 65536) nests down to 4096, whose half grid has the spacing
         # 1/4 > NEST_MAX_H.  A run of k iterations takes k + 1 steps, and
-        # each of 8192, 16384 and 32768 one more, the step of its seed that
-        # sends it down: 38 steps on 4096 are its run of 37 iterations, and
-        # 39 coarse iterations plus 4 coarse runs plus 3 checks are the 46
-        # steps below n.  Each level builds one iteration; the seeds of the
-        # four levels below n and the prolonged starts of the four above
-        # 4096 each test their layout
+        # the default seed is never checked: 38 steps on 4096 are its run
+        # of 37 iterations, and 39 coarse iterations plus 4 coarse runs are
+        # the 43 steps below n.  Each level builds one iteration; the seed
+        # of 4096 and the prolonged starts of the four levels above it each
+        # test their layout
         rep = solve_scalar(fig1_params(1.0), Grid(256.0, 65536))
         assert rep.converged and rep.iterations == 5 and rep.coarse_iterations == 39
-        assert steps_per_n == {4096: 38, 8192: 3, 16384: 2, 32768: 3, 65536: 6}
-        assert sum(steps_per_n.values()) - steps_per_n[65536] == rep.coarse_iterations + 4 + 3
-        assert builds == {"iterations": 5, "layout tests": 8}
+        assert steps_per_n == {4096: 38, 8192: 2, 16384: 1, 32768: 2, 65536: 6}
+        assert sum(steps_per_n.values()) - steps_per_n[65536] == rep.coarse_iterations + 4
+        assert builds == {"iterations": 5, "layout tests": 5}
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
