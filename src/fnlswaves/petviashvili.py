@@ -35,15 +35,15 @@ J. Alvarez and A. Duran, J. Comput. Appl. Math. 266 (2014).
 
 solve_scalar nests (nested iteration, A. Brandt, Math. Comp. 31 (1977)):
 on a grid that nests, see _nests, it solves on the half grid (l, n/2)
-first and starts the n grid from that answer, prolonged by zero-padding
-its spectrum, so the fine grid only polishes it.  The half grid nests
+first and starts the n grid from that answer's spectrum, zero-padded
+(prolong), so the fine grid only polishes it.  The half grid nests
 again by the same rule, down to NEST_MIN_N // 2 points or the spacing
-NEST_MAX_H.  The gap between the answers on n/2 and n is the
-grid-doubling estimate of how well the wave is resolved (J. P. Boyd,
-Chebyshev and Fourier Spectral Methods, 2001), reported as
-``resolution_defect``.  Each level is one call of _solve, which solves
-the level below first where there is one; solve_on_grid gives it none,
-so it is the cold one-grid solve.
+NEST_MAX_H; those levels only make a start, and make no samples.  The
+gap between the answers on n/2 and n is the grid-doubling estimate of
+how well the wave is resolved (J. P. Boyd, Chebyshev and Fourier
+Spectral Methods, 2001), reported as ``resolution_defect``.  Each level
+is one call of _level, which solves the level below first; solve_on_grid
+gives it none, so it is the cold one-grid solve.
 """
 
 from __future__ import annotations
@@ -73,12 +73,14 @@ CLASS_RTOL = 1e-13
 # whose spacing 2l/(n/2) is at most NEST_MAX_H, which keeps the quadratic
 # seed e^{ix^2} from aliasing there; every level below the requested one
 # is solved to max(tol, COARSE_TOL) within the requested
-# max_iter // COARSE_ITER_SHARE iterations (the choice is argued in
-# DECISIONS.md, "Nested solves")
+# max_iter // COARSE_ITER_SHARE iterations, at the width COARSE_MW whatever
+# the requested mw when it starts in the half layout (the choices are
+# argued in DECISIONS.md, "Nested solves")
 NEST_MIN_N = 2048
 NEST_MAX_H = 1.0 / 8.0
 COARSE_TOL = 1e-9
 COARSE_ITER_SHARE = 4
+COARSE_MW = 6
 
 # a full-layout run that stalls (accel.STALL_WINDOW) is aligned onto the
 # reflection-conjugate class by align_to_class, and goes on in the half
@@ -147,8 +149,8 @@ class SolveReport(accel.AccelResult):
     """The driver's record, whose ``z`` stays the uncentred last iterate,
     plus ``envelope``, that iterate centred, and its modulus ``profile``.
     A nested solve (see solve_scalar) adds its ``coarse_iterations`` and
-    ``resolution_defect``, which reads 0 to roundoff, bounding nothing
-    beyond tol, when n took no iteration; a one-grid solve leaves 0 and NaN.
+    ``resolution_defect`` (0, bounding nothing, when n took no iteration),
+    and its ``meta["mw"]`` and histories are n's; one grid leaves 0 and NaN.
     ``class_switch`` is the ClassSwitch of the stalled run on the
     requested grid or, failing that, of the finest level below it whose
     run stalled; None when no run stalled."""
@@ -209,8 +211,8 @@ class ProfileIteration:
     * half, a real iterate: for an envelope in the reflection-conjugate
       class u(x) = conj(u(-x)), the spectrum of u rolled so that x = 0
       sits at index 0 is real, (-1)^k u_hat_k; that real vector is the
-      iterate, and ihfft/hfft move between it and the n/2 + 1 samples
-      x >= 0 that determine u.
+      iterate, and rfft/irfft move between it and conj(u) at the n/2 + 1
+      points x >= 0 that determine u, where G acts as on u itself.
 
     L has a real symbol and G commutes with u(x) -> conj(u(-x)), so the
     iteration keeps the class and the half layout never leaves it.  MPE
@@ -235,11 +237,11 @@ class ProfileIteration:
     def iterate(self, field: ComplexField) -> np.ndarray:
         """The iterate of ``field``: in the half layout, its rolled spectrum
         projected onto the class, when the field is within CLASS_RTOL of it;
-        in the full layout, a copy of its spectrum, otherwise."""
+        in the full layout, its read-only spectrum itself, otherwise."""
         spec = field.spectrum()
         if reflection_conjugate_defect(field.samples) <= CLASS_RTOL:
             return (self._roll_sign * spec).real
-        return spec.copy()
+        return spec
 
     def samples(self, spec: np.ndarray) -> np.ndarray:
         """The n envelope samples u on the grid of an iterate ``spec``."""
@@ -255,9 +257,9 @@ class ProfileIteration:
         or an overflowing m**alpha raises DivergenceError.
         """
         half = np.isrealobj(z)
-        u = np.fft.ihfft(z) if half else np.fft.ifft(z)
+        u = np.fft.rfft(z, norm="forward") if half else np.fft.ifft(z)
         g = np.abs(u) ** (2.0 * self.sigma) * u
-        g_hat = np.fft.hfft(g, self.grid.n) if half else np.fft.fft(g)
+        g_hat = np.fft.irfft(g, self.grid.n, norm="forward") if half else np.fft.fft(g)
         lu_hat = self.symbol * z
         res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
         if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
@@ -335,30 +337,30 @@ def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField
     return seed
 
 
-def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None) -> SolveReport:
-    """The solve of one level, the grid of ``seed``, under ``cfg``.
+def _level(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None, below=False):
+    """One level of a solve, on the grid of ``seed``, under ``cfg``.
 
     Given a ``coarse_cfg`` on a grid that nests, the level first solves
     (l, n/2) from the seed sampled there, under ``coarse_cfg``, and starts
-    from that answer, prolonged, if it converged, else from ``seed``.
-    Each level runs in the layout of its own start: sampling on n/2 and
-    prolong both keep the class.  A full-layout run that stalls is aligned
-    onto the class (align_to_class) and, within CLASS_GUARD, goes on from
-    there in the half layout, where the translation and phase that the
-    lattice pins are gone; beyond it, the run carries on untouched.  A
-    half-layout run is not tested."""
-    grid, switch, coarse = seed.grid, None, None
+    from that answer's iterate padded by prolong if it converged, else
+    from ``seed``, in the layout of that start; only a padded complex start
+    is transformed, for its layout test.  A level ``below`` n that starts
+    in the half layout runs at width COARSE_MW.  Returns the iteration,
+    the driver record (``z`` a spectrum), the padded start or None, the
+    ClassSwitch of this run (see solve_on_grid) or else of the finest
+    level below, and the iterations of the levels below."""
+    grid, switch, coarse_iterations, coarse, start = seed.grid, None, 0, None, None
     iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
     if coarse_cfg is not None and _nests(grid):
+        half = Grid(grid.l, grid.n // 2)
         try:
-            coarse = _solve(params, ComplexField(Grid(grid.l, grid.n // 2), seed.samples[::2]),
-                            coarse_cfg, coarse_cfg)
+            _, coarse, _, switch, coarse_iterations = _level(
+                params, ComplexField(half, seed.samples[::2]), coarse_cfg, coarse_cfg, below=True)
+            coarse_iterations += coarse.iterations
         except accel.DivergenceError:
             # n then starts from its own seed, and raises again if the problem is
             # bad there too; a seed degenerate on (l, n/2) raises at its first step
             pass
-    nested = coarse is not None and coarse.converged
-    start = prolong(ComplexField(coarse.envelope.grid, coarse.z), grid) if nested else seed
 
     def align(z, iterations):
         nonlocal switch
@@ -369,19 +371,29 @@ def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConf
     # the layout test of a huge start overflows to the full layout, where the step raises
     # DivergenceError on a residual that is not finite: no overflow needs a warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        z0 = iteration.iterate(start)
-        raw = accel.accelerated_iterate(iteration, z0, cfg, on_stall=None if np.isrealobj(z0) else align)
+        if coarse is not None and coarse.converged:
+            start = z0 = prolong(coarse.z, half, grid)
+            if not np.isrealobj(z0):
+                z0 = iteration.iterate(ComplexField.with_spectrum(grid, np.fft.ifft(z0), z0))
+        else:
+            z0 = iteration.iterate(seed)
+        real = np.isrealobj(z0)
+        run_cfg = replace(cfg, mw=COARSE_MW) if below and real else cfg
+        raw = accel.accelerated_iterate(iteration, z0, run_cfg, on_stall=None if real else align)
+    return iteration, raw, start, switch, coarse_iterations
+
+
+def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None) -> SolveReport:
+    """The _level on the grid of ``seed``, whose iterate alone becomes samples and a report."""
+    iteration, raw, start, switch, coarse_its = _level(params, seed, cfg, coarse_cfg)
     z = raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
     # the envelope is z centred: its modulus peak on the grid point x = 0
-    envelope = ComplexField(grid, np.roll(z, grid.zero_index() - int(np.argmax(np.abs(z)))))
-    report = SolveReport(**vars(raw), envelope=envelope, meta=meta, class_switch=switch)
-    if coarse is not None:
-        report.coarse_iterations = coarse.iterations + coarse.coarse_iterations
-        report.class_switch = coarse.class_switch if switch is None else switch
-    if nested:
-        # z is uncentred on both grids, and this level starts where P u_{n/2} is
-        report.resolution_defect = float(np.linalg.norm(np.abs(start.samples) - np.abs(z))
+    envelope = ComplexField(seed.grid, np.roll(z, seed.grid.zero_index() - int(np.argmax(np.abs(z)))))
+    report = SolveReport(**vars(raw), envelope=envelope, meta=meta, coarse_iterations=coarse_its, class_switch=switch)
+    if start is not None:
+        # z is uncentred on both grids, and n starts where P u_{n/2} is
+        report.resolution_defect = float(np.linalg.norm(np.abs(iteration.samples(start)) - np.abs(z))
                                          / np.linalg.norm(z))
     return report
 
@@ -410,27 +422,22 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     return _solve(params, _resolve_seed(params, grid, seed), cfg or SolverConfig())
 
 
-def prolong(field: ComplexField, grid: Grid) -> ComplexField:
-    """Trigonometric interpolant of ``field`` sampled on ``grid``, the same
-    domain with more points.
-
-    The spectrum is zero-padded and its unpaired Nyquist mode split evenly
-    between +-n/2 of the coarse grid, so a field band-limited below that
-    mode comes back exactly, a real spectrum stays real, and a field in
-    the class u(x) = conj(u(-x)) stays in it.  One transform each way; the
-    result carries its spectrum.
+def prolong(z: np.ndarray, coarse: Grid, grid: Grid) -> np.ndarray:
+    """The iterate on ``grid`` of the trigonometric interpolant of the
+    iterate ``z`` on ``coarse``, of an even number of points on the same l:
+    its spectrum zero-padded, the unpaired Nyquist mode split evenly
+    between +-m/2, so a field band-limited below that mode comes back
+    exactly.  A rolled spectrum pads the same way, (-1)^k being the same on
+    both grids for each mode, so a real one stays real, at no transform.
     """
-    m, n = field.grid.n, grid.n
-    if grid.l != field.grid.l or n <= m:
-        raise ValueError(f"cannot prolong from (l={field.grid.l}, n={m}) to (l={grid.l}, n={n})")
-    coarse = field.spectrum()
-    spec = np.zeros(n, dtype=complex)
-    k = m // 2
-    spec[:k] = coarse[:k]
-    spec[n - k + 1:] = coarse[k + 1:]
-    spec[k] = spec[n - k] = 0.5 * coarse[k]
+    m, n = coarse.n, grid.n
+    if grid.l != coarse.l or n <= m:
+        raise ValueError(f"cannot prolong from (l={coarse.l}, n={m}) to (l={grid.l}, n={n})")
+    spec, k = np.zeros(n, dtype=z.dtype), m // 2
+    spec[:k], spec[n - k + 1:] = z[:k], z[k + 1:]
+    spec[k] = spec[n - k] = 0.5 * z[k]
     spec *= n / m
-    return ComplexField.with_spectrum(grid, np.fft.ifft(spec), spec)
+    return spec
 
 
 def _nests(grid: Grid) -> bool:
@@ -450,27 +457,23 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     (l, n/2) at most NEST_MAX_H), the solve is nested: the seed sampled on
     (l, n/2) (every other point; for the formula seeds that is the same
     seed built there) is solved to max(tol, COARSE_TOL) within
-    max_iter // COARSE_ITER_SHARE iterations, and its last iterate,
-    prolonged onto n, seeds the solve on n.  The fine grid then only
-    polishes the coarse answer, in a handful of iterations.  The solve on
-    (l, n/2) nests again by the same rule, with the same tolerance and
-    budget, so on (256, 16384) the levels are 4096, 8192 and 16384.  Every
-    level is one call of the same level solve as solve_on_grid, which
-    first solves the level below it, if any; a level whose coarse solve
-    does not converge starts from its own seed instead, exactly as
-    solve_on_grid.  ``iterations`` and the histories are those of the
-    requested grid either way.
+    max_iter // COARSE_ITER_SHARE iterations, at width COARSE_MW if it
+    starts in the half layout, and its last iterate, padded onto n,
+    starts the solve on n, which then only polishes it.  (l, n/2) nests
+    again by the same rule, so on (256, 16384) the levels are 4096, 8192
+    and 16384; a level whose coarse solve does not converge starts from
+    its own seed instead, exactly as solve_on_grid.  ``mw``,
+    ``iterations`` and the histories are those of the requested grid.
     A passed ``seed`` that meets tol at one step on a grid that nests (a
     converged envelope passed back) is solved there alone; a step raising
     DivergenceError is a miss, and the default seed is never stepped.
     ``coarse_iterations`` sums the iterations of every level below n, also
     of those that did not converge (0 on a grid that does not nest), and
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
-    prolongation P, the grid-doubling estimate of how well n/2 resolves
-    the wave (NaN when the solve was not nested or fell back).  It costs
-    no transform: both sample vectors are at hand.  When n takes no
-    iteration it reads 0 to roundoff (exactly 0 in the full layout),
-    which bounds nothing beyond tol.
+    padding P, the grid-doubling estimate of how well n/2 resolves the
+    wave (NaN when the solve was not nested or fell back), at one
+    transform of the padded start.  When n takes no iteration it reads
+    0, which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
     share = cfg.max_iter // COARSE_ITER_SHARE

@@ -341,7 +341,7 @@ class TestFusedResidual:
                 lu = np.fft.ifft(it.symbol * np.fft.fft(u))
                 g = np.abs(u) ** (2.0 * it.sigma) * u
                 with monkeypatch.context() as mp:
-                    if half:  # its transforms are the half-size ihfft and hfft
+                    if half:  # its transforms are the half-size rfft and irfft
                         mp.setattr(np.fft, "fft", None)
                         mp.setattr(np.fft, "ifft", None)
                     before = fft_calls[0]
@@ -659,7 +659,37 @@ class TestClassAlignment:
             assert not [line for line in fh if line.startswith("# class_switch")]
 
 
+def hfft_half_step(iteration, z):
+    """The half-layout step with ihfft and hfft, which form u and G(u)
+    themselves on x >= 0, and the step's own arithmetic after them: the
+    oracle of the conjugate-domain step."""
+    u = np.fft.ihfft(z)
+    g = np.abs(u) ** (2.0 * iteration.sigma) * u
+    g_hat = np.fft.hfft(g, iteration.grid.n)
+    lu_hat = iteration.symbol * z
+    res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(iteration.grid.n)
+    m = float(np.vdot(z, lu_hat).real) / float(np.vdot(z, g_hat).real)
+    return m ** iteration.alpha * g_hat / iteration.symbol, res, m
+
+
 class TestHalfLayoutProperty:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.779, 3.0])
+    def test_conjugate_domain_step_is_the_hfft_step(self, sigma):
+        # the step transforms with rfft and irfft, on conj(u): G commutes
+        # with conjugation exactly, so it is the ihfft/hfft step bit for bit
+        rng = np.random.default_rng(int(1000 * sigma))
+        params = ProblemParams(s=0.75, sigma=sigma, lambda1=1.0, lambda2=0.5)
+        for n in (64, 256, 1024):
+            grid = Grid(l=32.0, n=n)
+            iteration = ProfileIteration(params, grid, SolverConfig().resolved_alpha(sigma))
+            for _ in range(5):
+                z = rng.standard_normal(n) * np.exp(-np.abs(grid.xi_odd))
+                nxt, res, m = iteration.step(z)
+                want, res_want, m_want = hfft_half_step(iteration, z)
+                assert np.isrealobj(nxt) and np.array_equal(nxt, want)
+                assert (res, m) == (res_want, m_want)
+
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(s=st.floats(0.6, 1.0), sigma=st.floats(0.5, 3.0), speed=st.floats(-0.95, 0.95),
            n=st.sampled_from([64, 128, 256, 512, 1024]))
@@ -717,8 +747,9 @@ class TestNestedSolve:
 
     def test_prolongation_is_exact_on_band_limited_fields(self):
         # a trigonometric polynomial below the coarse Nyquist mode, plus the
-        # real cosine that mode carries, sampled on (l, m) and prolonged onto
-        # (l, 2m) and (l, 4m), is that polynomial sampled there
+        # real cosine that mode carries, sampled on (l, m) and its spectrum
+        # prolonged onto (l, 2m) and (l, 4m), is the spectrum of that
+        # polynomial sampled there, in either layout
         l, m = 8.0, 64
         rng = np.random.default_rng(11)
         k = np.arange(-m // 2 + 1, m // 2)
@@ -729,27 +760,41 @@ class TestNestedSolve:
             waves = np.exp(1j * np.pi * k * x / l) @ a
             return waves + 0.7 * np.cos(np.pi * (m // 2) * (grid.x + l) / l)
 
+        def rolled(spec):
+            return (1.0 - 2.0 * (np.arange(spec.size) % 2)) * spec
+
         coarse = Grid(l, m)
         for n in (2 * m, 4 * m):
             fine = Grid(l, n)
-            out = prolong(ComplexField(coarse, poly(coarse)), fine)
-            exact = poly(fine)
-            assert np.linalg.norm(out.samples - exact) <= 1e-13 * np.linalg.norm(exact)
-            assert np.allclose(out.spectrum(), np.fft.fft(out.samples), rtol=0, atol=1e-11)
+            spec, exact = np.fft.fft(poly(coarse)), np.fft.fft(poly(fine))
+            for z, want in ((spec, exact), (rolled(spec), rolled(exact))):
+                out = prolong(z, coarse, fine)
+                assert out.dtype == z.dtype and out.shape == (n,)
+                assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_prolongation_keeps_the_class(self):
-        # u(x) = conj(u(-x)) on the coarse grid stays so on the fine one, so
-        # the fine solve of a class seed runs in the half layout
+        # u(x) = conj(u(-x)) on the coarse grid has a real rolled spectrum,
+        # which pads to a real one: the rolled spectrum of the padded field,
+        # so the fine solve of a class start runs in the half layout
         coarse, fine = Grid(32.0, 256), Grid(32.0, 512)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(coarse.n) + 1j * rng.standard_normal(coarse.n)
         u = 0.5 * (u + np.conj(reflect_samples(u)))
+        alpha = SolverConfig().resolved_alpha(1.0)
+        below, above = (ProfileIteration(fig1_params(1.0), grid, alpha) for grid in (coarse, fine))
         for field in (ComplexField(coarse, u), initial_iterate(coarse, fig1_params(1.0).A)):
             assert reflection_conjugate_defect(field.samples) <= CLASS_RTOL
-            assert reflection_conjugate_defect(prolong(field, fine).samples) <= CLASS_RTOL
+            z = below.iterate(field)
+            assert np.isrealobj(z)
+            padded = prolong(z, coarse, fine)
+            assert np.isrealobj(padded)
+            full = prolong(field.spectrum(), coarse, fine)
+            roll = 1.0 - 2.0 * (np.arange(fine.n) % 2)
+            assert np.linalg.norm(padded - roll * full) <= 1e-13 * np.linalg.norm(full)
+            assert reflection_conjugate_defect(above.samples(padded)) <= CLASS_RTOL
         for target in (coarse, fine, Grid(16.0, 1024)):
             with pytest.raises(ValueError, match="cannot prolong"):
-                prolong(ComplexField(fine, np.ones(fine.n)), target)
+                prolong(np.ones(fine.n), fine, target)
 
     @pytest.mark.parametrize("mw, fine_max", [(1, 9), (4, 4)])
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
@@ -777,7 +822,7 @@ class TestNestedSolve:
 
     def test_resolution_defect(self, grid64):
         # n/2 = 2048 resolves the c = 1 wave on l = 64, whose defect reads
-        # 4.7e-11; at s = 0.55 the tail decays as |x|^-2.1 and the n/2 = 1024
+        # 3.5e-11; at s = 0.55 the tail decays as |x|^-2.1 and the n/2 = 1024
         # answer differs from the n = 2048 one by 2.3e-4
         resolved = solve_scalar(fig1_params(1.0), grid64)
         assert resolved.resolution_defect <= 1e-7
@@ -849,16 +894,44 @@ class TestNestedSolve:
         # every level nests again until its half grid would have fewer than
         # NEST_MIN_N // 2 points (l = 64: 512) or a spacing above NEST_MAX_H
         # (l = 256: 2048, h = 1/4); no step runs below the last level.  Each
-        # level builds one iteration and solves, no seed is checked, and
-        # each iterate made from a field tests its layout: the seed of the
-        # last level, 1024, and the prolonged starts of 2048 and 4096
+        # level builds one iteration and solves, and no seed is checked.
+        # Only the seed of the last level tests its layout: the answers
+        # passed up are real rolled spectra, padded in the half layout
         grid = Grid(l, n)
         nested = solve_scalar(fig1_params(1.0), grid)
         assert sorted(steps_per_n) == levels
-        assert builds == {"iterations": 3, "layout tests": 3}
+        assert builds == {"iterations": 3, "layout tests": 1}
         cold = solve_on_grid(fig1_params(1.0), grid)
         assert nested.converged and cold.converged
         assert np.max(np.abs(nested.envelope.samples - cold.envelope.samples)) <= 1e-10
+
+    @pytest.mark.parametrize("mw", [1, 3])
+    def test_class_levels_below_n_extrapolate_at_the_coarse_width(self, grid64, driver_runs, mw):
+        # a level below n whose start is in the half layout runs at
+        # COARSE_MW whatever the requested mw; n runs at the requested one.
+        # The quadratic seed's levels are all full-layout and keep it
+        coarse = petviashvili.COARSE_MW
+        rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(mw=mw))
+        assert rep.converged and rep.meta["mw"] == mw and coarse == 6
+        assert [(n, layout, cfg.mw) for n, layout, cfg in driver_runs] == [
+            (1024, "real", coarse), (2048, "real", coarse), (4096, "real", mw)]
+        driver_runs.clear()
+        rep = solve_scalar(fig1_params(1.0), grid64, SolverConfig(mw=mw),
+                           seed=initial_iterate(grid64, "quadratic"))
+        assert rep.converged and rep.class_switch is None
+        assert [(n, layout, cfg.mw) for n, layout, cfg in driver_runs] == [
+            (1024, "complex", mw), (2048, "complex", mw), (4096, "complex", mw)]
+
+    @pytest.mark.parametrize("l, n", [(64.0, 4096), (256.0, 65536)], ids=["3 levels", "5 levels"])
+    def test_transform_budget_of_a_nested_solve(self, steps_per_n, fft_calls, l, n):
+        # two transforms a step; besides them, the default seed of the last
+        # level is transformed once, and on n the last iterate and the
+        # padded start each once, for z and resolution_defect.  Nothing
+        # below n makes samples, so the count does not grow with the levels
+        fft_calls[0] = 0
+        rep = solve_scalar(fig1_params(1.0), Grid(l, n))
+        assert rep.converged and len(steps_per_n) == (3 if n == 4096 else 5)
+        assert fft_calls[0] == 2 * sum(steps_per_n.values()) + 3
 
     def test_every_coarse_level_gets_a_share_of_the_requested_budget(self, driver_runs, grid64):
         # the share is of the requested max_iter at every level; a share of
@@ -922,23 +995,34 @@ class TestNestedSolve:
         samples[2049] = 1e200
         seed = ComplexField(grid64, samples)
         rep = solve_scalar(params, grid64, seed=seed)
-        assert rep.converged and (rep.iterations, rep.coarse_iterations) == (4, 38)
+        assert rep.converged and (rep.iterations, rep.coarse_iterations) == (4, 19)
         with pytest.raises(accel.DivergenceError):
             solve_on_grid(params, grid64, seed=seed)
 
-    def test_five_levels_nest(self, steps_per_n, builds):
+    def test_five_levels_nest(self, steps_per_n, builds, monkeypatch):
         # (256, 65536) nests down to 4096, whose half grid has the spacing
-        # 1/4 > NEST_MAX_H.  A run of k iterations takes k + 1 steps, and
-        # the default seed is never checked: 38 steps on 4096 are its run
-        # of 37 iterations, and 39 coarse iterations plus 4 coarse runs are
-        # the 43 steps below n.  Each level builds one iteration; the seed
-        # of 4096 and the prolonged starts of the four levels above it each
-        # test their layout
+        # 1/4 > NEST_MAX_H.  A run of k iterations and e extrapolants takes
+        # k + e + 1 steps, and the default seed is never checked: 21 steps
+        # on 4096 are its run of 18 iterations at width COARSE_MW, with 2
+        # extrapolants, and 19 coarse iterations plus 2 extrapolants and 4
+        # coarse runs are the 25 steps below n.  Each level builds one
+        # iteration; only the seed of 4096 tests its layout
+        extrapolants = Counter()
+        drive = accel.accelerated_iterate
+
+        def counted(iteration, z0, cfg, **hook):
+            rec = drive(iteration, z0, cfg, **hook)
+            extrapolants[iteration.grid.n] += len(rec.cycle_ends)
+            return rec
+
+        monkeypatch.setattr(accel, "accelerated_iterate", counted)
         rep = solve_scalar(fig1_params(1.0), Grid(256.0, 65536))
-        assert rep.converged and rep.iterations == 5 and rep.coarse_iterations == 39
-        assert steps_per_n == {4096: 38, 8192: 2, 16384: 1, 32768: 2, 65536: 6}
-        assert sum(steps_per_n.values()) - steps_per_n[65536] == rep.coarse_iterations + 4
-        assert builds == {"iterations": 5, "layout tests": 5}
+        assert rep.converged and rep.iterations == 5 and rep.coarse_iterations == 19
+        assert steps_per_n == {4096: 21, 8192: 2, 16384: 1, 32768: 1, 65536: 6}
+        assert extrapolants == {4096: 2, 8192: 0, 16384: 0, 32768: 0, 65536: 0}
+        below = sum(steps_per_n.values()) - steps_per_n[65536]
+        assert below == rep.coarse_iterations + sum(extrapolants.values()) + 4
+        assert builds == {"iterations": 5, "layout tests": 1}
 
     @pytest.mark.parametrize("theta", [None, "quadratic"], ids=["default", "quadratic"])
     def test_speed_sign_is_the_reflection(self, grid64, theta):
