@@ -51,10 +51,11 @@ def mpe_coefficients(diffs: np.ndarray):
     U = diffs[:, :-1]
     rhs = -diffs[:, -1]
     gram = U.T @ U
-    gramian_scale = np.trace(gram)
-    use_fallback = gramian_scale == 0.0
+    use_fallback = np.trace(gram) == 0.0
     if not use_fallback:
-        use_fallback = np.linalg.cond(gram) > _COND_LIMIT
+        # the 2-norm condition number, as np.linalg.cond takes it, without its checks
+        sv = np.linalg.svd(gram, compute_uv=False)
+        use_fallback = sv[-1] == 0.0 or float(sv[0]) / float(sv[-1]) > _COND_LIMIT
     if use_fallback:
         c, *_ = np.linalg.lstsq(U, rhs, rcond=None)
     else:

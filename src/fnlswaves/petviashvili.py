@@ -44,12 +44,18 @@ how well the wave is resolved (J. P. Boyd, Chebyshev and Fourier
 Spectral Methods, 2001), reported as ``resolution_defect``.  Each level
 is one call of _level, which solves the level below first; solve_on_grid
 gives it none, so it is the cold one-grid solve.
+
+A solve transforms in its steps and, outside them, only its seed, once,
+on the level that starts from it, a passed seed's G(u) once for its
+check, and a nested solve's padded start on n once, for
+``resolution_defect``: layout tests read spectra, and the samples of the
+answer are those the last step made of it.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -194,7 +200,7 @@ def initial_iterate(grid: Grid, theta=0.0) -> ComplexField:
 class ProfileIteration:
     """The Petviashvili map of one problem and grid, acting on the spectrum
     of the complex envelope u = v + i w; it holds no seed, and ``iterate``
-    turns a field into the vector its ``step`` maps.
+    turns a field's spectrum into the vector its ``step`` maps.
 
     The iterate is the spectrum u_hat, never the samples: L is diagonal
     there, and Parseval gives the residual and both pairings of m,
@@ -231,21 +237,43 @@ class ProfileIteration:
                 "profile operator loses positivity on the grid modes; "
                 "the speed is outside the admissible window"
             )
-        # (-1)^k: the spectrum of u rolled by n/2 is (-1)^k u_hat_k
-        self._roll_sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
+        self._last = None  # (z, u): the last step's input and its transform, see samples
 
-    def iterate(self, field: ComplexField) -> np.ndarray:
-        """The iterate of ``field``: in the half layout, its rolled spectrum
-        projected onto the class, when the field is within CLASS_RTOL of it;
-        in the full layout, its read-only spectrum itself, otherwise."""
-        spec = field.spectrum()
-        if reflection_conjugate_defect(field.samples) <= CLASS_RTOL:
-            return (self._roll_sign * spec).real
+    def iterate(self, spec: np.ndarray) -> np.ndarray:
+        """The iterate of the field whose spectrum is ``spec``: in the half
+        layout, its rolled spectrum projected onto the class, when the field
+        is within CLASS_RTOL of it (_class_defect, no transform); ``spec``
+        itself, in the full layout, otherwise."""
+        if _class_defect(spec) <= CLASS_RTOL:
+            return _rolled(spec).real
         return spec
 
-    def samples(self, spec: np.ndarray) -> np.ndarray:
-        """The n envelope samples u on the grid of an iterate ``spec``."""
-        return np.fft.ifft(self._roll_sign * spec if np.isrealobj(spec) else spec)
+    def samples(self, z: np.ndarray) -> np.ndarray:
+        """The n envelope samples u on the grid of an iterate ``z``.
+
+        When z is the last iterate stepped, that step's transform of it is
+        used, and released; otherwise z is transformed once, at half size
+        in the half layout.  There rfft(z, norm="forward") is conj(u) at the
+        n/2 + 1 points x >= 0, and u(-x) = conj(u(x)) mirrors it onto x < 0.
+        """
+        last, self._last = self._last, None
+        u = last[1] if last is not None and last[0] is z else None
+        if z.dtype.kind == "c":
+            return np.fft.ifft(z) if u is None else u
+        if u is None:
+            u = np.fft.rfft(z, norm="forward")
+        k = self.grid.zero_index()
+        out = np.empty(self.grid.n, dtype=complex)
+        np.conjugate(u[:k], out=out[k:])
+        out[0] = u[k].conjugate()  # x = l, the point x = -l
+        out[1:k] = u[k - 1:0:-1]
+        return out
+
+    def _nonlinearity(self, u: np.ndarray) -> np.ndarray:
+        """G(u) = |u|^{2 sigma} u of samples u."""
+        g = np.abs(u)
+        g **= 2.0 * self.sigma
+        return g * u
 
     def step(self, z: np.ndarray):
         """Next iterate, plus the residual and stabilizing factor of ``z``.
@@ -253,19 +281,24 @@ class ProfileIteration:
         The residual |L u - G(u)| and the pairings <L u, u> and <G(u), u>
         (both times n, which cancels in m) come by Parseval from the G_hat
         the step forms anyway, so a step transforms twice and evaluates its
-        input at no extra transform.  A non-finite residual, <G(z), z> = 0
-        or an overflowing m**alpha raises DivergenceError.
+        input at no extra transform.  It keeps its transform u of z until
+        the next step or a call of samples.  A non-finite residual,
+        <G(z), z> = 0 or an overflowing m**alpha raises DivergenceError.
         """
-        half = np.isrealobj(z)
+        self._last = None  # the previous u goes before this one is made
+        half = z.dtype.kind != "c"
         u = np.fft.rfft(z, norm="forward") if half else np.fft.ifft(z)
-        g = np.abs(u) ** (2.0 * self.sigma) * u
+        self._last = z, u
+        g = self._nonlinearity(u)
         g_hat = np.fft.irfft(g, self.grid.n, norm="forward") if half else np.fft.fft(g)
+        del g
         lu_hat = self.symbol * z
-        res = float(np.linalg.norm(lu_hat - g_hat)) / np.sqrt(self.grid.n)
-        if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
-            raise accel.DivergenceError(f"residual {res}; check the parameters and the seed")
         num = float(np.vdot(z, lu_hat).real)
         den = float(np.vdot(z, g_hat).real)
+        lu_hat -= g_hat
+        res = _norm(lu_hat) / math.sqrt(self.grid.n)
+        if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
+            raise accel.DivergenceError(f"residual {res}; check the parameters and the seed")
         if den == 0.0:
             raise accel.DivergenceError("stabilizing factor undefined: <G(z), z> = 0")
         m = num / den
@@ -273,7 +306,32 @@ class ProfileIteration:
             scale = m ** self.alpha
         except OverflowError:
             raise accel.DivergenceError(f"m**alpha overflows at m={m}, alpha={self.alpha}") from None
-        return scale * g_hat / self.symbol, res, m
+        g_hat *= scale
+        g_hat /= self.symbol
+        return g_hat, res, m
+
+
+def _rolled(spec: np.ndarray) -> np.ndarray:
+    """(-1)^k spec_k, a new array: the spectrum of u rolled by n/2 when
+    ``spec`` is that of u, and the other way round."""
+    w = spec.copy()
+    w[1::2] *= -1.0
+    return w
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bit for bit, without its per-call checks."""
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def _class_defect(w: np.ndarray) -> float:
+    """2 |Im w| / |w| of a spectrum w, rolled or not: by Parseval the
+    reflection_conjugate_defect of the samples, since u(x) = conj(u(-x))
+    holds exactly when the spectrum of u is real."""
+    norm = np.linalg.norm(w)
+    return 2.0 * float(np.linalg.norm(w.imag) / norm) if norm else 0.0
 
 
 def reflect_samples(samples: np.ndarray) -> np.ndarray:
@@ -290,9 +348,10 @@ def reflection_conjugate_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u - np.conj(reflect_samples(u))) / norm) if norm else 0.0
 
 
-def align_to_class(field: ComplexField):
-    """The translate and rotation of ``field`` nearest the
-    reflection-conjugate class, in closed form.
+def align_to_class(z: np.ndarray, grid: Grid):
+    """The translate and rotation nearest the reflection-conjugate class of
+    the field on ``grid`` whose spectrum is ``z``, a full-layout iterate,
+    in closed form.
 
     The rolled spectrum w_k = (-1)^k u_hat_k of a class envelope is real,
     so its translate by d, rotated by phi, has w_k = e^{i phi}
@@ -306,27 +365,25 @@ def align_to_class(field: ComplexField):
     iterate of the aligned envelope, the real part of
     e^{-i phi} e^{i xi d} w (its projection onto the class), with d, phi
     and the class defect of the aligned envelope (its
-    reflection_conjugate_defect, 2 |Im| / |.| of the aligned w by
-    Parseval).  It costs the field's spectrum and O(n) work.
+    reflection_conjugate_defect, _class_defect of the aligned w).  It
+    transforms nothing, and writes to no input: O(n) work.
     """
-    grid = field.grid
-    w = field.spectrum().copy()
-    w[1::2] *= -1.0
+    w = _rolled(z)
     w2 = np.fft.fftshift(w) ** 2
     d = -float(np.angle(np.vdot(w2[:-1], w2[1:]))) / (2.0 * np.pi / grid.l)
     phi = 0.5 * float(np.angle(np.sum(w ** 2 * np.exp(2j * d * grid.xi_odd))))
     aligned = w * np.exp(1j * (d * grid.xi_odd - phi))
-    defect = 2.0 * float(np.linalg.norm(aligned.imag) / np.linalg.norm(aligned))
-    return aligned.real, d, phi, defect
+    return aligned.real, d, phi, _class_defect(aligned)
 
 
-def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField:
-    """``seed``, or the sech e^{iAx} seed on ``grid`` for None; a seed that
-    is not a ComplexField on ``grid``, or on which <G(z), z> vanishes, is
-    refused.  Only the requested grid's seed is checked: on a coarse level
-    the first step raises DivergenceError on <G(z), z> = 0."""
+def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField | None:
+    """``seed``, or None for the sech e^{iAx} seed, which the level that
+    starts from it builds on its own grid; a seed that is not a
+    ComplexField on ``grid``, or on which <G(z), z> vanishes, is refused.
+    Only the requested grid's seed is checked: on a coarse level the first
+    step raises DivergenceError on <G(z), z> = 0."""
     if seed is None:
-        return initial_iterate(grid, params.A)
+        return None
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     if seed.grid != grid:
@@ -337,59 +394,86 @@ def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField
     return seed
 
 
-def _level(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None, below=False):
-    """One level of a solve, on the grid of ``seed``, under ``cfg``.
+def _checked(iteration: ProfileIteration, seed: ComplexField, tol: float) -> np.ndarray | None:
+    """The seed check of solve_scalar: the iterate of ``seed`` when the
+    residual |L u - G(u)| of its samples u meets ``tol``, else None.  It
+    takes two transforms, of u and of G(u), and keeps neither on a miss."""
+    spec = np.fft.fft(seed.samples)
+    diff = iteration.symbol * spec
+    diff -= np.fft.fft(iteration._nonlinearity(seed.samples))
+    return iteration.iterate(spec) if _norm(diff) / math.sqrt(iteration.grid.n) <= tol else None
+
+
+def _level(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
+           coarse_cfg: SolverConfig | None, below=False):
+    """One level of a solve on ``grid`` from ``seed`` (None for the default
+    seed, built on ``grid`` only if this level starts from it), under ``cfg``.
 
     Given a ``coarse_cfg`` on a grid that nests, the level first solves
     (l, n/2) from the seed sampled there, under ``coarse_cfg``, and starts
     from that answer's iterate padded by prolong if it converged, else
-    from ``seed``, in the layout of that start; only a padded complex start
-    is transformed, for its layout test.  A level ``below`` n that starts
-    in the half layout runs at width COARSE_MW.  Returns the iteration,
-    the driver record (``z`` a spectrum), the padded start or None, the
-    ClassSwitch of this run (see solve_on_grid) or else of the finest
-    level below, and the iterations of the levels below."""
-    grid, switch, coarse_iterations, coarse, start = seed.grid, None, 0, None, None
+    from the seed, in the layout of that start; each layout test reads a
+    spectrum, so a padded start is not transformed.  Before that, the
+    requested level (not ``below``) checks a passed seed (_checked): if
+    the residual of its samples meets tol it solves from it at once, on
+    this level alone; on a miss the seed is transformed again only if the
+    level falls back to it.  A level ``below`` n that starts in the half
+    layout runs at width COARSE_MW.  Returns the iteration, the driver
+    record (``z`` a spectrum), the padded start or None, the ClassSwitch
+    of this run (see solve_on_grid) or else of the finest level below,
+    and the iterations of the levels below."""
     iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-    if coarse_cfg is not None and _nests(grid):
-        half = Grid(grid.l, grid.n // 2)
-        try:
-            _, coarse, _, switch, coarse_iterations = _level(
-                params, ComplexField(half, seed.samples[::2]), coarse_cfg, coarse_cfg, below=True)
-            coarse_iterations += coarse.iterations
-        except accel.DivergenceError:
-            # n then starts from its own seed, and raises again if the problem is
-            # bad there too; a seed degenerate on (l, n/2) raises at its first step
-            pass
+    switch = start = z0 = None
+    coarse_iterations = 0
+    descend = coarse_cfg is not None and _nests(grid)
 
     def align(z, iterations):
         nonlocal switch
-        aligned, d, phi, defect = align_to_class(ComplexField.with_spectrum(grid, iteration.samples(z), z))
+        aligned, d, phi, defect = align_to_class(z, grid)
         switch = ClassSwitch(grid.n, iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
         return aligned if switch.taken else None
 
-    # the layout test of a huge start overflows to the full layout, where the step raises
-    # DivergenceError on a residual that is not finite: no overflow needs a warning of its own
+    # the check and the layout test of a huge seed overflow: the check misses, the layout
+    # is the full one, where the step raises DivergenceError on a residual that is not
+    # finite; no overflow needs a warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
-        if coarse is not None and coarse.converged:
-            start = z0 = prolong(coarse.z, half, grid)
-            if not np.isrealobj(z0):
-                z0 = iteration.iterate(ComplexField.with_spectrum(grid, np.fft.ifft(z0), z0))
-        else:
-            z0 = iteration.iterate(seed)
+        if descend and seed is not None and not below:
+            z0 = _checked(iteration, seed, cfg.tol)
+            descend = z0 is None
+        if descend:
+            half = Grid(grid.l, grid.n // 2)
+            try:
+                _, coarse, _, switch, coarse_iterations = _level(
+                    params, half, None if seed is None else ComplexField(half, seed.samples[::2]),
+                    coarse_cfg, coarse_cfg, below=True)
+            except accel.DivergenceError:
+                # n then starts from its own seed, and raises again if the problem is
+                # bad there too; a seed degenerate on (l, n/2) raises at its first step
+                pass
+            else:
+                coarse_iterations += coarse.iterations
+                if coarse.converged:
+                    start = prolong(coarse.z, half, grid)
+                del coarse  # the run on n holds no array of (l, n/2)
+        if start is not None:
+            z0 = start if np.isrealobj(start) else iteration.iterate(start)
+        elif z0 is None:
+            z0 = iteration.iterate((initial_iterate(grid, params.A) if seed is None else seed).spectrum())
         real = np.isrealobj(z0)
         run_cfg = replace(cfg, mw=COARSE_MW) if below and real else cfg
         raw = accel.accelerated_iterate(iteration, z0, run_cfg, on_stall=None if real else align)
     return iteration, raw, start, switch, coarse_iterations
 
 
-def _solve(params, seed: ComplexField, cfg: SolverConfig, coarse_cfg: SolverConfig | None = None) -> SolveReport:
-    """The _level on the grid of ``seed``, whose iterate alone becomes samples and a report."""
-    iteration, raw, start, switch, coarse_its = _level(params, seed, cfg, coarse_cfg)
+def _solve(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
+           coarse_cfg: SolverConfig | None = None) -> SolveReport:
+    """The _level on ``grid``, whose iterate alone becomes samples and a
+    report: those the last step made, and one transform of a padded start."""
+    iteration, raw, start, switch, coarse_its = _level(params, grid, seed, cfg, coarse_cfg)
     z = raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
-    # the envelope is z centred: its modulus peak on the grid point x = 0
-    envelope = ComplexField(seed.grid, np.roll(z, seed.grid.zero_index() - int(np.argmax(np.abs(z)))))
+    # the envelope is z centred, its modulus peak on the grid point x = 0: one copy of z
+    envelope = ComplexField._adopt(grid, np.roll(z, grid.zero_index() - int(np.argmax(np.abs(z)))))
     report = SolveReport(**vars(raw), envelope=envelope, meta=meta, coarse_iterations=coarse_its, class_switch=switch)
     if start is not None:
         # z is uncentred on both grids, and n starts where P u_{n/2} is
@@ -419,7 +503,7 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     with no level below it.  Whatever measures the iteration (its counts,
     layouts and transform budget) calls it.
     """
-    return _solve(params, _resolve_seed(params, grid, seed), cfg or SolverConfig())
+    return _solve(params, grid, _resolve_seed(params, grid, seed), cfg or SolverConfig())
 
 
 def prolong(z: np.ndarray, coarse: Grid, grid: Grid) -> np.ndarray:
@@ -464,27 +548,23 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     and 16384; a level whose coarse solve does not converge starts from
     its own seed instead, exactly as solve_on_grid.  ``mw``,
     ``iterations`` and the histories are those of the requested grid.
-    A passed ``seed`` that meets tol at one step on a grid that nests (a
-    converged envelope passed back) is solved there alone; a step raising
-    DivergenceError is a miss, and the default seed is never stepped.
+    A passed ``seed`` on a grid that nests is checked first, from its
+    samples at two transforms, on the iteration n then uses: one that
+    meets tol there (a converged envelope passed back) is solved on n
+    alone, and a residual that is not finite is a miss.  The default seed
+    is never checked, and is built only on the level that starts from it.
     ``coarse_iterations`` sums the iterations of every level below n, also
     of those that did not converge (0 on a grid that does not nest), and
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
     padding P, the grid-doubling estimate of how well n/2 resolves the
     wave (NaN when the solve was not nested or fell back), at one
-    transform of the padded start.  When n takes no iteration it reads
-    0, which bounds nothing beyond tol.
+    transform of the padded start, half-size in the half layout.  When n
+    takes no iteration it reads 0, which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
     share = cfg.max_iter // COARSE_ITER_SHARE
-    start = _resolve_seed(params, grid, seed)
-    if share and seed is not None and _nests(grid):
-        iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-        with np.errstate(over="ignore", invalid="ignore"), suppress(accel.DivergenceError):
-            share = 0 if iteration.step(iteration.iterate(start))[1] <= cfg.tol else share
-        del iteration  # its n-point arrays would otherwise live through the solve
     coarse_cfg = replace(cfg, tol=max(cfg.tol, COARSE_TOL), max_iter=share) if share else None
-    return _solve(params, start, cfg, coarse_cfg)
+    return _solve(params, grid, _resolve_seed(params, grid, seed), cfg, coarse_cfg)
 
 
 # The coupled system needs no solve of its own; bench/workloads.py calls and

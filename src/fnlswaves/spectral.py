@@ -142,14 +142,22 @@ class ComplexField(_Field):
         through another reference afterwards.  The field equals
         ``ComplexField(grid, samples)``.
         """
+        fld = cls._adopt(grid, samples)
+        spectrum.flags.writeable = False
+        fld.__dict__["_spectrum"] = spectrum
+        return fld
+
+    @classmethod
+    def _adopt(cls, grid: Grid, samples: np.ndarray) -> ComplexField:
+        """A field that takes ownership of the complex array ``samples``:
+        it freezes them in place and does not copy them, so the caller must
+        not write to them through another reference afterwards."""
         if samples.dtype != complex or samples.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} complex samples, got {samples.dtype} {samples.shape}")
         fld = cls.__new__(cls)
         samples.flags.writeable = False
-        spectrum.flags.writeable = False
         object.__setattr__(fld, "grid", grid)
         object.__setattr__(fld, "samples", samples)
-        fld.__dict__["_spectrum"] = spectrum
         return fld
 
     def spectrum(self) -> np.ndarray:
@@ -190,12 +198,16 @@ class MultiplierOp:
     values: np.ndarray
 
 
-@lru_cache(maxsize=2)
+# maxsize: a nested profile solve builds one operator on each of its levels,
+# and a grid of up to 2^17 points has at most 8 (petviashvili._nests)
+@lru_cache(maxsize=8)
 def fractional_symbol(grid: Grid, s: float) -> np.ndarray:
     """|xi|^{2s} on the grid modes, the symbol of (-d_xx)^s, built once per
     (grid, s) and shared read-only.  The cache serves an evolution, whose
-    step and the invariants of every state read one entry; a nested profile
-    solve reads 2 to 5 grids, each once, in that grid's ProfileIteration."""
+    step and the invariants of every state read one entry, and the profile
+    solves at one s: a solve reads each of its levels once, in that level's
+    ProfileIteration, and the cache holds every level, so the next solve at
+    that s, at another speed say, builds none."""
     sym = np.abs(grid.xi) ** (2.0 * s)
     sym.flags.writeable = False
     return sym
@@ -211,12 +223,10 @@ def profile_operator(params: ProblemParams, grid: Grid) -> np.ndarray:
     positive on every mode inside the speed window.  The drift is odd, so
     it is zeroed at the Nyquist mode.
     """
-    values = (
-        fractional_symbol(grid, params.s)
-        + params.lambda1
-        - params.lambda2 * grid.xi_odd
-    )
-    return _freeze(values)
+    values = fractional_symbol(grid, params.s) + params.lambda1
+    values -= params.lambda2 * grid.xi_odd
+    values.flags.writeable = False
+    return values
 
 
 # bench/run.py builds its timed multiplier with this (ROADMAP direction 13)
