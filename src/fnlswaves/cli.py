@@ -268,7 +268,9 @@ def run_command(cfg: RunConfig, out_dir=None, start: ComplexField | None = None)
         return 0
 
     est = fixed_point_spectrum_probe(cfg.params, report, cfg.probe_alpha)
-    write_csv(os.path.join(out, "probe.csv"), {**metadata(cfg.params), "alpha": cfg.probe_alpha},
+    meta = {**metadata(cfg.params), "alpha": cfg.probe_alpha,
+            "krylov_dim": est.krylov_dim, "ritz_residual": est.ritz_residual}
+    write_csv(os.path.join(out, "probe.csv"), meta,
               {"alpha": [float(cfg.probe_alpha)], "dominant_multiplier": [float(est)]})
     print(f"probe: alpha={cfg.probe_alpha} dominant multiplier={est:.6f}")
     return 0

@@ -50,6 +50,15 @@ on the level that starts from it, a passed seed's G(u) once for its
 check, and a nested solve's padded start on n once, for
 ``resolution_defect``: layout tests read spectra, and the samples of the
 answer are those the last step made of it.
+
+How fast the iteration contracts near its answer, and so what MPE can
+gain (A. Sidi, Vector Extrapolation Methods, SIAM 2017), is set by the
+spectrum of the linearized map.  fixed_point_spectrum_probe measures its
+dominant multiplier by Arnoldi on the exact derivative of the
+full-layout map at the wave (ProfileIteration.derivative): G_hat, m and
+the two factors of DG(u) are made once, and each product then takes two
+transforms, with the translation and phase directions of the wave's
+orbit, multiplier one, deflated.
 """
 
 from __future__ import annotations
@@ -65,10 +74,11 @@ from . import accel
 from .params import ProblemParams, metadata
 from .spectral import ComplexField, Grid, RealField, profile_operator, save_field, write_csv
 
-# fixed_point_spectrum_probe: power-iteration cap, and the change of the
-# estimate below which it stops
-PROBE_MAX_ITER = 200
+# fixed_point_spectrum_probe: the Ritz residual |h_{k+1,k} y_k| of the
+# dominant Ritz pair at which the Arnoldi run stops, and the Krylov
+# dimension at which it stops in any case
 PROBE_TOL = 1e-8
+PROBE_MAX_DIM = 60
 
 # relative Euclidean distance from u(x) = conj(u(-x)) below which a start is
 # solved in the half layout; the default seed sech e^{iAx} misses the class
@@ -309,6 +319,48 @@ class ProfileIteration:
         g_hat *= scale
         g_hat /= self.symbol
         return g_hat, res, m
+
+    def derivative(self, field: ComplexField):
+        """The derivative DT of the full-layout map T(z) = m(z)^alpha
+        G_hat(z) / L at the iterate z of ``field``, as a function h -> DT h
+        of a complex spectrum h; it writes to no input.
+
+        With u the samples of ``field`` and v = ifft(h),
+
+            DG(u) v = (sigma + 1) |u|^{2 sigma} v + sigma |u|^{2 sigma - 2} u^2 conj(v),
+            DT h = [m^alpha fft(DG(u) v) + alpha m^{alpha - 1} dm(h) G_hat] / L,
+
+        where dm(h) = (d<L z, z> - m d<G(z), z>) / <G(z), z> comes from the
+        two Parseval pairings of step.  G_hat, m and both factors of DG(u)
+        are made once, at one transform (and that of the field's spectrum,
+        which it caches), so a product takes two: ifft(h) and
+        fft(DG(u) v).  A zero sample gives the second factor 0 at any
+        sigma > 0.  The map is real-linear, not complex-linear, because of
+        conj(v).
+        """
+        u, z = field.samples, field.spectrum()
+        r = np.abs(u)
+        power = r ** (2.0 * self.sigma)
+        g_hat = np.fft.fft(power * u)
+        lz = self.symbol * z
+        den = float(np.vdot(z, g_hat).real)
+        m = float(np.vdot(z, lz).real) / den
+        scale, dscale = m ** self.alpha, self.alpha * m ** (self.alpha - 1.0)
+        direct = (self.sigma + 1.0) * power
+        phase = np.divide(u, r, out=np.zeros_like(u), where=r > 0.0)
+        conjugate = self.sigma * power * phase ** 2
+
+        def product(h: np.ndarray) -> np.ndarray:
+            v = np.fft.ifft(h)
+            dg_hat = np.fft.fft(direct * v + conjugate * v.conj())
+            dnum = 2.0 * float(np.vdot(h, lz).real)
+            dden = float(np.vdot(h, g_hat).real) + float(np.vdot(z, dg_hat).real)
+            dg_hat *= scale
+            dg_hat += (dscale * (dnum - m * dden) / den) * g_hat
+            dg_hat /= self.symbol
+            return dg_hat
+
+        return product
 
 
 def _rolled(spec: np.ndarray) -> np.ndarray:
@@ -572,20 +624,36 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
 solve_coupled = solve_scalar
 
 
+class ProbeEstimate(float):
+    """The dominant multiplier of fixed_point_spectrum_probe, a float that
+    also carries the Krylov dimension the Arnoldi run reached and the Ritz
+    residual |h_{k+1,k} y_k| of the dominant Ritz pair there."""
+
+    def __new__(cls, value: float, krylov_dim: int, ritz_residual: float):
+        self = super().__new__(cls, value)
+        self.krylov_dim = krylov_dim
+        self.ritz_residual = ritz_residual
+        return self
+
+
 def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> float:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
-    Finite-difference Jacobian-vector products of ``ProfileIteration.step``
-    drive a power iteration.  The translation and phase-rotation directions
-    carry multiplier exactly one (the symmetry orbit of the wave) and are
-    deflated, so the estimate measures the convergence rate transverse to
-    the orbit: below one for a stabilized iteration, 2 sigma + 1 for the
-    naive map alpha = 0.  It reads the wave's grid and envelope from ``report``.
+    Arnoldi on the exact derivative DT of the full-layout map
+    (ProfileIteration.derivative, two transforms a product) at the wave
+    builds a real Krylov basis of the spectra, paired by Re <a, b>, which
+    is kept orthogonal to the translation and phase-rotation directions.
+    Those carry multiplier exactly one (the symmetry orbit of the wave) and
+    are deflated, so the estimate measures the convergence rate transverse
+    to the orbit: below one for a stabilized iteration, 2 sigma + 1 for the
+    naive map alpha = 0.  The estimate is the real part of the Ritz value
+    of largest modulus; the run stops once that pair's Ritz residual is at
+    most PROBE_TOL, or at PROBE_MAX_DIM products.  It reads the wave's grid
+    and envelope from ``report``, and returns a ProbeEstimate.
     """
     grid = report.envelope.grid
-    iteration = ProfileIteration(params, grid, alpha)
-    # the full iterate: the perturbations leave the reflection-conjugate class
-    z0 = report.envelope.spectrum().copy()
+    product = ProfileIteration(params, grid, alpha).derivative(report.envelope)
+    z0 = report.envelope.spectrum()
 
     # symmetry directions: translation du/dx and phase rotation i*u, as spectra
     d0 = 1j * grid.xi_odd * z0
@@ -593,25 +661,34 @@ def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> flo
     d1 = 1j * z0
     d1 -= np.vdot(d1, d0).real * d0
     d1 /= np.linalg.norm(d1)
+    sym = (d0.view(float), d1.view(float))  # orthonormal, as real vectors
 
-    eps = 1e-7 * np.linalg.norm(z0)
-    # the start is drawn on the samples and transformed, which keeps the
-    # estimates of the sample iteration
-    rng = np.random.default_rng(0)
-    h = np.fft.fft(rng.standard_normal(2 * grid.n).view(np.complex128))
-    estimate = 0.0
-    for k in range(PROBE_MAX_ITER):
-        h -= np.vdot(h, d0).real * d0
-        h -= np.vdot(h, d1).real * d1
-        h /= np.linalg.norm(h)
-        jv = (iteration.step(z0 + eps * h)[0] - iteration.step(z0 - eps * h)[0]) / (2.0 * eps)
-        new = float(np.vdot(jv, h).real)
-        done = k > 10 and abs(new - estimate) < PROBE_TOL
-        estimate = new
-        h = jv
-        if done:
+    # the Krylov basis, real views of spectra, one array each: one block of
+    # PROBE_MAX_DIM + 1 rows (4 MB at n = 4096) raised the peak RSS of a CLI
+    # process by 1.4 MB, since freeing it raises glibc's mmap threshold for
+    # the rest of the process and the heap then keeps more memory
+    hess = np.zeros((PROBE_MAX_DIM + 1, PROBE_MAX_DIM))
+    v = np.random.default_rng(0).standard_normal(2 * grid.n)
+    for q in sym:
+        v -= q.dot(v) * q
+    basis = [v / np.linalg.norm(v)]
+    for k in range(PROBE_MAX_DIM):
+        w = product(basis[k].view(complex)).view(float)
+        for _ in range(2):  # modified Gram-Schmidt, repeated once to keep the basis orthogonal
+            for q in sym:
+                w -= q.dot(w) * q
+            for i, q in enumerate(basis):
+                c = q.dot(w)
+                w -= c * q
+                hess[i, k] += c
+        hess[k + 1, k] = np.linalg.norm(w)
+        theta, y = np.linalg.eig(hess[:k + 1, :k + 1])
+        j = int(np.argmax(np.abs(theta)))
+        residual = float(hess[k + 1, k] * abs(y[k, j]))
+        if residual <= PROBE_TOL:
             break
-    return estimate
+        basis.append(w / hess[k + 1, k])
+    return ProbeEstimate(theta[j].real, k + 1, residual)
 
 
 def save_report(report: SolveReport, directory, stem: str):

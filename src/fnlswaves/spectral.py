@@ -58,28 +58,57 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.l / self.n
 
-    # The coordinate arrays are built once per grid and shared read-only;
-    # cached_property stores them outside the dataclass fields, so equality
-    # and hashing still see only (l, n).
+    # The coordinate arrays are built once per (l, n) by _axes and shared
+    # read-only by every grid of that (l, n); cached_property stores them
+    # outside the dataclass fields, so equality and hashing still see only
+    # (l, n).
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _axes(self.l, self.n).x
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Wavenumbers pi*k/l in fft order; single unpaired mode at -n/2."""
+        return _axes(self.l, self.n).xi
+
+    @cached_property
+    def xi_odd(self) -> np.ndarray:
+        """Wavenumbers with the Nyquist entry zeroed, for odd symbols."""
+        return _axes(self.l, self.n).xi_odd
+
+    def zero_index(self) -> int:
+        """Index of the grid point x = 0."""
+        return self.n // 2
+
+
+class _Axes:
+    """The coordinate arrays of the grid (l, n), each built on first use."""
+
+    def __init__(self, l: float, n: int):
+        self.h = 2.0 * l / n
+        self.l, self.n = l, n
+
     @cached_property
     def x(self) -> np.ndarray:
         return _freeze(-self.l + self.h * np.arange(self.n))
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Wavenumbers pi*k/l in fft order; single unpaired mode at -n/2."""
         return _freeze(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h))
 
     @cached_property
     def xi_odd(self) -> np.ndarray:
-        """Wavenumbers with the Nyquist entry zeroed, for odd symbols."""
         xi = self.xi.copy()
         xi[self.n // 2] = 0.0
         return _freeze(xi)
 
-    def zero_index(self) -> int:
-        """Index of the grid point x = 0."""
-        return self.n // 2
+
+# maxsize: as fractional_symbol's, which holds every level of a nested
+# solve; a solve builds a new Grid for each level below the requested one,
+# and those share the arrays of the last solve on the same (l, n)
+@lru_cache(maxsize=8)
+def _axes(l: float, n: int) -> _Axes:
+    return _Axes(l, n)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

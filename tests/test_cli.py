@@ -550,6 +550,13 @@ class TestOtherCommands:
         out = str(tmp_path / "out")
         assert main(["--config", write(tmp_path, "p.ini", text), "--out", out]) == 0
         assert "dominant multiplier=3.0" in capsys.readouterr().out.replace("multiplier=3.00", "multiplier=3.0")
+        # the Arnoldi run's Krylov dimension and final Ritz residual are
+        # header lines; the column row is unchanged
+        header, columns = read_table(os.path.join(out, "probe.csv"))
+        assert columns == "alpha,dominant_multiplier"
+        values = dict(line[2:].split(" = ", 1) for line in header if " = " in line)
+        assert int(values["krylov_dim"]) >= 1
+        assert 0.0 <= float(values["ritz_residual"]) <= 1e-8
 
 
 # Every file each recipe writes: its column row and its header keys.

@@ -85,6 +85,14 @@ class TestGrid:
         assert g.xi_odd[g.n // 2] == 0.0
         assert g.xi[g.n // 2] != 0.0
 
+    def test_equal_grids_share_their_arrays(self):
+        # a nested solve builds a new Grid for each level, and the levels of
+        # the next solve on the same (l, n) build no coordinate array
+        first, again = Grid(l=5.0, n=32), Grid(l=5.0, n=32)
+        for name in ("x", "xi", "xi_odd"):
+            assert getattr(again, name) is getattr(first, name)
+        assert Grid(l=5.0, n=64).xi is not first.xi
+
     def test_cache_leaves_equality_and_hash_alone(self):
         cold, warm = Grid(l=5.0, n=32), Grid(l=5.0, n=32)
         _ = (warm.x, warm.xi, warm.xi_odd)
