@@ -16,13 +16,18 @@ lagged; a sweep takes two FFTs, and inv and kick are built once per run.
 ``run`` starts the sweep from the average of u^n and the polynomial
 extrapolation of the last ``PREDICT_ORDER`` states to t_{n+1}, the usual
 starting approximation for implicit Runge-Kutta iterations (Hairer,
-Lubich & Wanner, Geometric Numerical Integration, 2006, VIII.6): on the
-fig2 case it takes 2-3 sweeps where u^n takes 7.  A run from a fresh
-state ramps the order up over its first steps, the first starting from
-u^n as ``step_midpoint`` does.  A completed run leaves the ring of its
-last states on its final state, and a run started from that state with
-the same grid, dt, s and sigma continues it at full order: k chained
-runs equal one run of k times the steps, bit for bit.  A predicted start
+Lubich & Wanner, Geometric Numerical Integration, 2006, VIII.6): in the
+steady state of a chained run it takes 2.08 sweeps per step on the fig2
+case and 2.00 on an n = 8192 one, where u^n takes 7.  A step then costs
+two sweeps of two transforms each, plus the row of invariants ``run``
+records.  The rest of a sweep is formed in place and rounds exactly as
+the sweep above does with a fresh array per operation, |w|^{2 sigma}
+taken as (Re(w)^2 + Im(w)^2)^sigma.  A run from a fresh state ramps the
+order up over its first steps, the first starting from u^n as
+``step_midpoint`` does.  A completed run leaves the ring of its last
+states on its final state, and a run started from that state with the
+same grid, dt, s and sigma continues it at full order: k chained runs
+equal one run of k times the steps, bit for bit.  A predicted start
 that stops contracting is dropped, the step reruns from u^n before it
 can fail, and the order ramps up again from the new state.  The new
 state carries the spectrum 2 w_hat - fft(u^n) of the last sweep, so no
@@ -47,7 +52,7 @@ import numpy as np
 
 from .params import metadata
 from .spectral import (ComplexField, Grid, fractional_symbol, invariants, save_field,
-                       write_csv)
+                       vector_norm, write_csv)
 # bench/workloads.py reads and traces mass under this name (ROADMAP direction 13)
 from .spectral import mass  # noqa: F401
 
@@ -69,6 +74,19 @@ def _start_weights(order: int) -> np.ndarray:
     weights = np.array([0.5 * (j == 0) + 0.5 * (-1) ** j * comb(order, j + 1) for j in range(order)])
     weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=PREDICT_ORDER)
+def _ring_weights(order: int) -> np.ndarray:
+    """The weights of _start_weights(order) laid out on the predictor's
+    ring: row r weighs the ring rows when u_k is in row r, u_{k-j} in row
+    (r - j) % PREDICT_ORDER, so the start is ``_ring_weights(order)[r] @
+    past``.  Built once per order and shared read-only."""
+    table = np.zeros((PREDICT_ORDER, PREDICT_ORDER))
+    for r in range(PREDICT_ORDER):
+        table[r, (r - np.arange(order)) % PREDICT_ORDER] = _start_weights(order)
+    table.flags.writeable = False
+    return table
 
 
 class StepError(RuntimeError):
@@ -159,32 +177,50 @@ def _step(u: ComplexField, inv: np.ndarray, kick: np.ndarray, sigma: float,
     """
     u0, u_hat = u.samples, u.spectrum()
     rhs = u_hat * inv
+    scratch = np.empty((2, len(u0)), dtype=complex)
     w, spent = None, 0
     if start is not None:
         with np.errstate(all="ignore"):  # a wild start may overflow before the rerun
-            w, w_hat, spent = _sweep(rhs, start, kick, sigma, cfg, guarded=True)
+            w, w_hat, spent = _sweep(rhs, start, kick, sigma, cfg, scratch, guarded=True)
     dropped = start is not None and w is None
     if w is None:
-        w, w_hat, used = _sweep(rhs, u0, kick, sigma, cfg)
+        w, w_hat, used = _sweep(rhs, u0, kick, sigma, cfg, scratch)
         spent += used
-    return ComplexField.with_spectrum(u.grid, 2.0 * w - u0, 2.0 * w_hat - u_hat), spent, dropped
+    # 2 w - u0 and 2 w_hat - u_hat, formed in place on the sweep's own arrays
+    w *= 2.0
+    w -= u0
+    w_hat *= 2.0
+    w_hat -= u_hat
+    return ComplexField.with_spectrum(u.grid, w, w_hat), spent, dropped
 
 
-def _sweep(rhs, w, kick, sigma, cfg: EvolveConfig, guarded: bool = False):
+def _sweep(rhs, w, kick, sigma, cfg: EvolveConfig, scratch: np.ndarray, guarded: bool = False):
     """Sweep the midpoint map w <- ifft(rhs + kick fft(|w|^{2 sigma} w)),
     rhs = inv fft(u), from w until a sweep moves w by at most nl_tol;
-    returns (w, w_hat, sweeps), w_hat the spectrum w came from.
+    returns (w, w_hat, sweeps), w_hat the spectrum w came from, both new
+    arrays.
+
+    Each sweep computes the module docstring's expressions in their order,
+    bit for bit, with every temporary but the two transforms written into
+    ``scratch``, two complex rows of len(w) that the caller owns.
 
     Out of sweeps it raises StepError.  A guarded sweep gives up as soon as
     a sweep moves w no less than the one before, and returns
     (None, None, sweeps) instead.
     """
+    work = scratch[0]  # |w|^{2 sigma} w, then w_new - w
+    dens, square = scratch[1].view(float).reshape(2, -1)  # |w|^2 and im(w)^2
     last = np.inf
     for j in range(cfg.nl_max):
-        nl = (w.real ** 2 + w.imag ** 2) ** sigma * w
-        w_hat = rhs + kick * np.fft.fft(nl)
+        np.square(w.real, out=dens)
+        dens += np.square(w.imag, out=square)
+        if sigma != 1.0:  # x ** 1.0 is x
+            dens **= sigma
+        w_hat = np.fft.fft(np.multiply(dens, w, out=work))
+        np.multiply(kick, w_hat, out=w_hat)
+        np.add(rhs, w_hat, out=w_hat)
         w_new = np.fft.ifft(w_hat)
-        delta = np.linalg.norm(w_new - w)
+        delta = vector_norm(np.subtract(w_new, w, out=work))
         w = w_new
         if delta <= cfg.nl_tol:
             return w, w_hat, j + 1
@@ -226,9 +262,7 @@ class _Predictor:
         order = min(self.usable, PREDICT_ORDER)
         if order < 2:
             return None
-        weights = np.zeros(PREDICT_ORDER)
-        weights[(self.stored - 1 - np.arange(order)) % PREDICT_ORDER] = _start_weights(order)
-        return weights @ self.past
+        return _ring_weights(order)[(self.stored - 1) % PREDICT_ORDER] @ self.past
 
     def push(self, samples: np.ndarray, dropped: bool) -> None:
         """Store the state a step reached; after a dropped start the order

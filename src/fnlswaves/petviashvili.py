@@ -72,7 +72,8 @@ import numpy as np
 
 from . import accel
 from .params import ProblemParams, metadata
-from .spectral import ComplexField, Grid, RealField, profile_operator, save_field, write_csv
+from .spectral import (ComplexField, Grid, RealField, profile_operator, save_field, vector_norm,
+                       write_csv)
 
 # fixed_point_spectrum_probe: the Ritz residual |h_{k+1,k} y_k| of the
 # dominant Ritz pair at which the Arnoldi run stops, and the Krylov
@@ -306,7 +307,7 @@ class ProfileIteration:
         num = float(np.vdot(z, lu_hat).real)
         den = float(np.vdot(z, g_hat).real)
         lu_hat -= g_hat
-        res = _norm(lu_hat) / math.sqrt(self.grid.n)
+        res = vector_norm(lu_hat) / math.sqrt(self.grid.n)
         if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
             raise accel.DivergenceError(f"residual {res}; check the parameters and the seed")
         if den == 0.0:
@@ -369,13 +370,6 @@ def _rolled(spec: np.ndarray) -> np.ndarray:
     w = spec.copy()
     w[1::2] *= -1.0
     return w
-
-
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a vector, bit for bit, without its per-call checks."""
-    if x.dtype.kind == "c":
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
 
 
 def _class_defect(w: np.ndarray) -> float:
@@ -453,7 +447,7 @@ def _checked(iteration: ProfileIteration, seed: ComplexField, tol: float) -> np.
     spec = np.fft.fft(seed.samples)
     diff = iteration.symbol * spec
     diff -= np.fft.fft(iteration._nonlinearity(seed.samples))
-    return iteration.iterate(spec) if _norm(diff) / math.sqrt(iteration.grid.n) <= tol else None
+    return iteration.iterate(spec) if vector_norm(diff) / math.sqrt(iteration.grid.n) <= tol else None
 
 
 def _level(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,

@@ -30,6 +30,7 @@ it transform nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -287,6 +288,13 @@ def apply_multiplier(op: MultiplierOp, f):
     return ComplexField(f.grid, out)
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bit for bit, without its per-call checks."""
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
 def derivative_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Spectral first derivative; Nyquist zeroed to keep real data real."""
     out = np.fft.ifft(1j * grid.xi_odd * np.fft.fft(samples))
@@ -318,15 +326,21 @@ def invariants(u: ComplexField, s: float, sigma: float) -> Invariants:
     (h/2) sum |(-d_xx)^{s/2} u|^2 by Parseval, minus the potential sum.
     """
     g = u.grid
-    dens = u.v ** 2 + u.w ** 2
     spec = u.spectrum()
-    power = spec.real ** 2 + spec.imag ** 2
+    # |u|^2, |u_hat|^2 and a row for the products, each formed in place;
+    # np.add.reduce is np.sum without its wrapper, bit for bit
+    dens, power, work = np.empty((3, g.n))
+    np.square(u.v, out=dens)
+    dens += np.square(u.w, out=work)
+    np.square(spec.real, out=power)
+    power += np.square(spec.imag, out=work)
     peak_x, amplitude = _peak(u, dens)
-    momentum = 0.5 * g.h / g.n * float(np.sum(g.xi_odd * power))
-    kinetic = 0.5 / g.n * float(np.sum(fractional_symbol(g, s) * power))
-    potential = float(np.sum(dens ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
-    return Invariants(0.5 * g.h * float(np.sum(dens)), momentum, g.h * (kinetic - potential),
-                      amplitude, peak_x)
+    momentum = 0.5 * g.h / g.n * float(np.add.reduce(np.multiply(g.xi_odd, power, out=work)))
+    kinetic = 0.5 / g.n * float(np.add.reduce(np.multiply(fractional_symbol(g, s), power, out=work)))
+    total = float(np.add.reduce(dens))
+    dens **= sigma + 1.0
+    potential = float(np.add.reduce(dens)) / (2.0 * sigma + 2.0)
+    return Invariants(0.5 * g.h * total, momentum, g.h * (kinetic - potential), amplitude, peak_x)
 
 
 # bench/workloads.py reads this through evolve.mass (ROADMAP direction 13)
@@ -338,7 +352,7 @@ def _peak(u: ComplexField, dens: np.ndarray):
     """(x, |u|) at the quadratic interpolation of the modulus maximum
     around the grid point where |u|^2 peaks."""
     g = u.grid
-    j = int(np.argmax(dens))
+    j = int(dens.argmax())
     y0, y1, y2 = np.abs(u.samples[[(j - 1) % g.n, j, (j + 1) % g.n]])
     dd = y0 - 2.0 * y1 + y2
     delta = 0.5 * (y0 - y2) / dd if dd != 0.0 else 0.0

@@ -272,8 +272,9 @@ class TestPredictedStart:
     def test_dropped_start_restarts_the_ramp(self, wave2048, monkeypatch):
         # every prediction is wild and dropped; the step after a drop starts
         # from u_k, so no two steps in a row spend guard sweeps, and each
-        # state is the step_midpoint state
-        monkeypatch.setattr(evolve, "_start_weights", lambda order: np.r_[10.0, np.zeros(order - 1)])
+        # state is the step_midpoint state; row r of the ring weights reads
+        # u_k from ring row r, so ten times the identity predicts 10 u_k
+        monkeypatch.setattr(evolve, "_ring_weights", lambda order: 10.0 * np.eye(evolve.PREDICT_ORDER))
         cfg = EvolveConfig(dt=0.01, t_end=0.06, nl_tol=1e-12, nl_max=10, snapshot_stride=1)
         report = run(wave2048, params34(), cfg)
         assert report.aborted is None
@@ -427,3 +428,105 @@ class TestContinuation:
         last = run(wave2048, params34(), cfg).snapshots[-1][1]
         monkeypatch.setattr(evolve, "_step", step)
         self.assert_same_run(run(last, params34(), cfg), run(self.cold(last), params34(), cfg))
+
+
+class TestBitForBit:
+    """run computes the module docstring's scheme bit for bit: its in-place
+    sweep, step, predictor and invariants equal a plain transcription with
+    a fresh array for every expression."""
+
+    @staticmethod
+    def plain_sweep(rhs, w, kick, sigma, cfg, guarded=False):
+        last = np.inf
+        for j in range(cfg.nl_max):
+            nl = (w.real ** 2 + w.imag ** 2) ** sigma * w
+            w_hat = rhs + kick * np.fft.fft(nl)
+            w_new = np.fft.ifft(w_hat)
+            delta = np.linalg.norm(w_new - w)
+            w = w_new
+            if delta <= cfg.nl_tol:
+                return w, w_hat, j + 1
+            if guarded and not delta < last:
+                return None, None, j + 1
+            last = delta
+        if guarded:
+            return None, None, cfg.nl_max
+        raise StepError("plain sweep stalled")
+
+    @staticmethod
+    def plain_invariants(g, u, spec, sym, sigma):
+        dens = u.real ** 2 + u.imag ** 2
+        power = spec.real ** 2 + spec.imag ** 2
+        j = int(np.argmax(dens))
+        y0, y1, y2 = np.abs(u[[(j - 1) % g.n, j, (j + 1) % g.n]])
+        dd = y0 - 2.0 * y1 + y2
+        delta = 0.5 * (y0 - y2) / dd if dd != 0.0 else 0.0
+        momentum = 0.5 * g.h / g.n * float(np.sum(g.xi_odd * power))
+        kinetic = 0.5 / g.n * float(np.sum(sym * power))
+        potential = float(np.sum(dens ** (sigma + 1.0))) / (2.0 * sigma + 2.0)
+        return (0.5 * g.h * float(np.sum(dens)), momentum, g.h * (kinetic - potential),
+                y1 - 0.25 * (y0 - y2) * delta, g.x[j] + delta * g.h)
+
+    def plain_march(self, u0, params, cfg, steps):
+        """(states, spectra, invariants rows, sweeps) of ``steps`` steps from
+        u0, each sweep started from the ramped predictor as run starts it."""
+        g, order_max = u0.grid, evolve.PREDICT_ORDER
+        sym = np.abs(g.xi) ** (2.0 * params.s)
+        inv = 1.0 / (1.0 + 0.5j * cfg.dt * sym)
+        kick = 0.5j * cfg.dt * inv
+        u, u_hat = u0.samples, np.fft.fft(u0.samples)
+        past = np.zeros((order_max, g.n), dtype=complex)
+        past[0], stored, usable = u, 1, 1
+        states, spectra, sweeps = [u], [u_hat], []
+        rows = [self.plain_invariants(g, u, u_hat, sym, params.sigma)]
+        for _ in range(steps):
+            order = min(usable, order_max)
+            start = None
+            if order >= 2:
+                weights = np.zeros(order_max)
+                weights[(stored - 1 - np.arange(order)) % order_max] = evolve._start_weights(order)
+                start = weights @ past
+            rhs = u_hat * inv
+            w, spent = None, 0
+            if start is not None:
+                with np.errstate(all="ignore"):
+                    w, w_hat, spent = self.plain_sweep(rhs, start, kick, params.sigma, cfg, guarded=True)
+            dropped = start is not None and w is None
+            if w is None:
+                w, w_hat, used = self.plain_sweep(rhs, u, kick, params.sigma, cfg)
+                spent += used
+            u, u_hat = 2.0 * w - u, 2.0 * w_hat - u_hat
+            past[stored % order_max] = u
+            stored += 1
+            usable = 1 if dropped else usable + 1
+            states.append(u)
+            spectra.append(u_hat)
+            sweeps.append(spent)
+            rows.append(self.plain_invariants(g, u, u_hat, sym, params.sigma))
+        return states, spectra, rows, sweeps
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_chained_runs_equal_the_plain_scheme(self, sigma):
+        # two chained runs of 32 steps from a fresh state: the first ramps
+        # the predictor order up, the second continues it at full order
+        params = ProblemParams(s=0.75, sigma=sigma, lambda1=1.0, lambda2=1.0)
+        g = Grid(l=16.0, n=256)
+        u0 = ComplexField(g, 1.2 / np.cosh(g.x) * np.exp(0.5j * g.x))
+        cfg = EvolveConfig(dt=0.01, t_end=0.32, nl_tol=1e-13, snapshot_stride=1)
+        first = run(u0, params, cfg)
+        kept = [(fld.samples.copy(), fld.spectrum().copy()) for _, fld in first.snapshots]
+        second = run(first.snapshots[-1][1], params, cfg)
+        assert first.aborted is None and second.aborted is None
+        states, spectra, rows, sweeps = self.plain_march(u0, params, cfg, 2 * cfg.steps)
+        snaps = first.snapshots + second.snapshots[1:]
+        assert len(snaps) == len(states) == 65
+        for (_, fld), samples, spec in zip(snaps, states, spectra):
+            assert np.array_equal(fld.samples, samples) and np.array_equal(fld.spectrum(), spec)
+        assert np.array_equal(np.r_[first.sweeps, second.sweeps], sweeps)
+        got = [np.r_[getattr(first, name), getattr(second, name)[1:]]
+               for name in ("mass", "momentum", "hamiltonian", "amplitude", "peak_x")]
+        assert np.array_equal(np.column_stack(got), np.array(rows))
+        # the second run wrote nothing the first one handed out
+        for (_, fld), (samples, spec) in zip(first.snapshots, kept):
+            assert not fld.samples.flags.writeable and not fld.spectrum().flags.writeable
+            assert np.array_equal(fld.samples, samples) and np.array_equal(fld.spectrum(), spec)
