@@ -66,14 +66,10 @@ from .spectral import mass  # noqa: F401
 PREDICT_ORDER = 8
 
 
-@lru_cache(maxsize=PREDICT_ORDER)
 def _start_weights(order: int) -> np.ndarray:
     """Weights c_j of w0 = sum_j c_j u_{k-j} for a predictor of this order:
-    P(t_{k+1}) = sum_j (-1)^j C(order, j+1) u_{k-j}, averaged with u_k.
-    Built once per order and shared read-only."""
-    weights = np.array([0.5 * (j == 0) + 0.5 * (-1) ** j * comb(order, j + 1) for j in range(order)])
-    weights.flags.writeable = False
-    return weights
+    P(t_{k+1}) = sum_j (-1)^j C(order, j+1) u_{k-j}, averaged with u_k."""
+    return np.array([0.5 * (j == 0) + 0.5 * (-1) ** j * comb(order, j + 1) for j in range(order)])
 
 
 @lru_cache(maxsize=PREDICT_ORDER)

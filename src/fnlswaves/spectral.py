@@ -289,10 +289,9 @@ def apply_multiplier(op: MultiplierOp, f):
 
 
 def vector_norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a vector, bit for bit, without its per-call checks."""
-    if x.dtype.kind == "c":
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
+    """np.linalg.norm of a complex vector, bit for bit, without its
+    per-call checks."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def derivative_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
