@@ -55,10 +55,12 @@ How fast the iteration contracts near its answer, and so what MPE can
 gain (A. Sidi, Vector Extrapolation Methods, SIAM 2017), is set by the
 spectrum of the linearized map.  fixed_point_spectrum_probe measures its
 dominant multiplier by Arnoldi on the exact derivative of the
-full-layout map at the wave (ProfileIteration.derivative): G_hat, m and
-the two factors of DG(u) are made once, and each product then takes two
-transforms, with the translation and phase directions of the wave's
-orbit, multiplier one, deflated.
+half-layout map at the wave's real iterate (ProfileIteration.derivative):
+G_hat, m and the two factors of DG(u) are made once, and each product
+then takes two half-size transforms.  The half layout holds only the
+class, which the translation and phase directions of the wave's orbit,
+multiplier one, leave, so nothing is deflated; a wave off the class is
+aligned onto it first (align_to_class).
 """
 
 from __future__ import annotations
@@ -321,41 +323,40 @@ class ProfileIteration:
         g_hat /= self.symbol
         return g_hat, res, m
 
-    def derivative(self, field: ComplexField):
-        """The derivative DT of the full-layout map T(z) = m(z)^alpha
-        G_hat(z) / L at the iterate z of ``field``, as a function h -> DT h
-        of a complex spectrum h; it writes to no input.
+    def derivative(self, w: np.ndarray):
+        """The derivative DT of the half-layout map T(w) = m(w)^alpha
+        G_hat(w) / L at a real iterate ``w``, as a function h -> DT h of a
+        real vector h; it writes to no input.
 
-        With u the samples of ``field`` and v = ifft(h),
+        With u = rfft(w) and v = rfft(h), the samples at x >= 0 as in step,
 
             DG(u) v = (sigma + 1) |u|^{2 sigma} v + sigma |u|^{2 sigma - 2} u^2 conj(v),
-            DT h = [m^alpha fft(DG(u) v) + alpha m^{alpha - 1} dm(h) G_hat] / L,
+            DT h = [m^alpha irfft(DG(u) v) + alpha m^{alpha - 1} dm(h) G_hat] / L,
 
-        where dm(h) = (d<L z, z> - m d<G(z), z>) / <G(z), z> comes from the
+        where dm(h) = (d<L w, w> - m d<G(w), w>) / <G(w), w> comes from the
         two Parseval pairings of step.  G_hat, m and both factors of DG(u)
-        are made once, at one transform (and that of the field's spectrum,
-        which it caches), so a product takes two: ifft(h) and
-        fft(DG(u) v).  A zero sample gives the second factor 0 at any
-        sigma > 0.  The map is real-linear, not complex-linear, because of
-        conj(v).
+        are made once, at two half-size transforms, so a product takes two
+        more: rfft(h) and irfft(DG(u) v).  A zero sample gives the second
+        factor 0 at any sigma > 0.
         """
-        u, z = field.samples, field.spectrum()
+        n = self.grid.n
+        u = np.fft.rfft(w, norm="forward")
         r = np.abs(u)
         power = r ** (2.0 * self.sigma)
-        g_hat = np.fft.fft(power * u)
-        lz = self.symbol * z
-        den = float(np.vdot(z, g_hat).real)
-        m = float(np.vdot(z, lz).real) / den
+        g_hat = np.fft.irfft(power * u, n, norm="forward")
+        lw = self.symbol * w
+        den = float(w.dot(g_hat))
+        m = float(w.dot(lw)) / den
         scale, dscale = m ** self.alpha, self.alpha * m ** (self.alpha - 1.0)
         direct = (self.sigma + 1.0) * power
         phase = np.divide(u, r, out=np.zeros_like(u), where=r > 0.0)
         conjugate = self.sigma * power * phase ** 2
 
         def product(h: np.ndarray) -> np.ndarray:
-            v = np.fft.ifft(h)
-            dg_hat = np.fft.fft(direct * v + conjugate * v.conj())
-            dnum = 2.0 * float(np.vdot(h, lz).real)
-            dden = float(np.vdot(h, g_hat).real) + float(np.vdot(z, dg_hat).real)
+            v = np.fft.rfft(h, norm="forward")
+            dg_hat = np.fft.irfft(direct * v + conjugate * v.conj(), n, norm="forward")
+            dnum = 2.0 * float(h.dot(lw))
+            dden = float(h.dot(g_hat)) + float(w.dot(dg_hat))
             dg_hat *= scale
             dg_hat += (dscale * (dnum - m * dden) / den) * g_hat
             dg_hat /= self.symbol
@@ -630,47 +631,38 @@ class ProbeEstimate(float):
         return self
 
 
-def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> float:
+def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> ProbeEstimate:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
-    Arnoldi on the exact derivative DT of the full-layout map
-    (ProfileIteration.derivative, two transforms a product) at the wave
-    builds a real Krylov basis of the spectra, paired by Re <a, b>, which
-    is kept orthogonal to the translation and phase-rotation directions.
-    Those carry multiplier exactly one (the symmetry orbit of the wave) and
-    are deflated, so the estimate measures the convergence rate transverse
-    to the orbit: below one for a stabilized iteration, 2 sigma + 1 for the
-    naive map alpha = 0.  The estimate is the real part of the Ritz value
-    of largest modulus; the run stops once that pair's Ritz residual is at
-    most PROBE_TOL, or at PROBE_MAX_DIM products.  It reads the wave's grid
-    and envelope from ``report``, and returns a ProbeEstimate.
+    Arnoldi on the exact derivative DT of the half-layout map
+    (ProfileIteration.derivative) at the wave's real iterate, in a basis
+    of real n-vectors.  The wave's translation and phase directions
+    (multiplier one, its orbit) leave the class that layout holds, so
+    nothing is deflated and the estimate is the rate transverse to the
+    orbit: below one for a stabilized iteration, 2 sigma + 1 for the naive
+    map alpha = 0.  An envelope outside CLASS_RTOL (a quadratic-seed wave)
+    is aligned onto the class first, and one whose aligned defect exceeds
+    CLASS_GUARD raises ValueError.  The estimate is the real part of the
+    Ritz value of largest modulus; the run stops once that pair's Ritz
+    residual is at most PROBE_TOL, or at PROBE_MAX_DIM products.
     """
     grid = report.envelope.grid
-    product = ProfileIteration(params, grid, alpha).derivative(report.envelope)
-    z0 = report.envelope.spectrum()
+    iteration = ProfileIteration(params, grid, alpha)
+    z = iteration.iterate(report.envelope.spectrum())
+    if z.dtype.kind == "c":
+        z, _, _, defect = align_to_class(z, grid)
+        if defect > CLASS_GUARD:
+            raise ValueError(f"aligned class defect {defect:.3e} of the envelope exceeds CLASS_GUARD")
+    product = iteration.derivative(z)
 
-    # symmetry directions: translation du/dx and phase rotation i*u, as spectra
-    d0 = 1j * grid.xi_odd * z0
-    d0 /= np.linalg.norm(d0)
-    d1 = 1j * z0
-    d1 -= np.vdot(d1, d0).real * d0
-    d1 /= np.linalg.norm(d1)
-    sym = (d0.view(float), d1.view(float))  # orthonormal, as real vectors
-
-    # the Krylov basis, real views of spectra, one array each: one block of
-    # PROBE_MAX_DIM + 1 rows (4 MB at n = 4096) raised the peak RSS of a CLI
-    # process by 1.4 MB, since freeing it raises glibc's mmap threshold for
-    # the rest of the process and the heap then keeps more memory
+    # one array per basis vector: freeing one block of PROBE_MAX_DIM + 1 rows
+    # raises glibc's mmap threshold, and the heap then keeps more memory
     hess = np.zeros((PROBE_MAX_DIM + 1, PROBE_MAX_DIM))
-    v = np.random.default_rng(0).standard_normal(2 * grid.n)
-    for q in sym:
-        v -= q.dot(v) * q
+    v = np.random.default_rng(0).standard_normal(grid.n)
     basis = [v / np.linalg.norm(v)]
     for k in range(PROBE_MAX_DIM):
-        w = product(basis[k].view(complex)).view(float)
+        w = product(basis[k])
         for _ in range(2):  # modified Gram-Schmidt, repeated once to keep the basis orthogonal
-            for q in sym:
-                w -= q.dot(w) * q
             for i, q in enumerate(basis):
                 c = q.dot(w)
                 w -= c * q

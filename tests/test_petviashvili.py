@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,16 +308,38 @@ class TestSpectrumProbe:
                for p in (fig1_params(1.0), fig1_params(-1.0))]
         assert abs(est[0] - est[1]) <= 1e-8
 
-    def test_transform_budget(self, grid64, fft_calls):
-        # two transforms to set up, the envelope's spectrum and G_hat, and two
-        # a product, 13 products at c = 1 on (64, 4096); the central-difference
-        # power iteration took 4 a step and 118 in all
+    def test_transform_budget(self, grid64, fft_calls, fft_length):
+        # three transforms to set up, the envelope's spectrum and the half-size
+        # pair of the wave's samples and G_hat, and two half-size ones a
+        # product, 11 products at c = 1 on (64, 4096); the full-layout
+        # derivative took 2 + 2 * 13 full-size transforms, 28 * 4096 points,
+        # and the central-difference power iteration 4 a step and 118 in all
         rep = solve_scalar(fig1_params(1.0), grid64)
-        fft_calls[0] = 0
+        fft_calls[0] = fft_length[0] = 0
         est = fixed_point_spectrum_probe(fig1_params(1.0), rep, alpha=1.5)
-        assert est.krylov_dim == 13 and est.ritz_residual <= petviashvili.PROBE_TOL
-        assert fft_calls[0] == 2 + 2 * est.krylov_dim
-        assert fft_calls[0] <= 118 // 3
+        assert est.krylov_dim == 11 and est.ritz_residual <= petviashvili.PROBE_TOL
+        assert fft_calls[0] == 3 + 2 * est.krylov_dim
+        assert fft_length[0] <= 28 * grid64.n
+        assert est == pytest.approx(0.565, abs=1e-3)
+
+    @pytest.mark.parametrize("c", [0.5, 1.5])
+    def test_quadratic_seed_wave_reads_as_the_linear_phase_one(self, grid64, c):
+        # the coupled wave from the quadratic seed is off the class; aligned
+        # onto it, it is probed as the linear-phase wave of the same problem
+        params = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=c, kind=Kind.COUPLED)
+        coupled = solve_scalar(params, grid64, seed=initial_iterate(grid64, "quadratic"))
+        linear = solve_scalar(fig1_params(c), grid64)
+        assert reflection_conjugate_defect(coupled.envelope.samples) > CLASS_RTOL
+        estimates = [fixed_point_spectrum_probe(params, rep, 1.5) for rep in (coupled, linear)]
+        assert abs(estimates[0] - estimates[1]) <= 1e-8
+
+    def test_envelope_off_the_class_is_refused(self, grid64, report_c1):
+        # no translate or rotation makes sech(x + 4) + sech(x - 4) / 2 even,
+        # so the half-layout map has no iterate of it
+        x = grid64.x
+        field = ComplexField(grid64, 1.0 / np.cosh(x + 4.0) + 0.5 / np.cosh(x - 4.0))
+        with pytest.raises(ValueError, match="CLASS_GUARD"):
+            fixed_point_spectrum_probe(fig1_params(1.0), replace(report_c1, envelope=field), 1.5)
 
     def test_matches_residual_contraction(self, grid64):
         rep = solve_scalar(fig1_params(1.0), grid64)
@@ -327,15 +350,17 @@ class TestSpectrumProbe:
 
 class TestExactDerivative:
     """ProfileIteration.derivative against a central difference of step,
-    the full-layout map it differentiates."""
+    the half-layout map it differentiates."""
 
     @staticmethod
     def assert_matches_central_difference(params, field, seed, eps=1e-6):
         iteration = ProfileIteration(params, field.grid, SolverConfig().resolved_alpha(params.sigma))
-        product, z = iteration.derivative(field), field.spectrum()
+        z = iteration.iterate(field.spectrum())
+        assert z.dtype.kind == "f"
+        product = iteration.derivative(z)
         rng = np.random.default_rng(seed)
         for _ in range(3):
-            h = rng.standard_normal(2 * field.grid.n).view(complex)
+            h = rng.standard_normal(field.grid.n)
             h *= np.linalg.norm(z) / np.linalg.norm(h)
             exact = product(h)
             reference = (iteration.step(z + eps * h)[0] - iteration.step(z - eps * h)[0]) / (2.0 * eps)
