@@ -7,17 +7,19 @@ in the complex variable u = v + i w: both rows combine into
 
 The linear-phase subfamily u = rho(x) e^{iAx} turns the same equation into
 (M + a) rho = rho^{2 sigma + 1}, so one iteration on u solves both profile
-problems, and the seed alone picks the wave it converges to: sech e^{iAx}
-gives the linear-phase wave, other phases enter the basin elsewhere.  The
-iteration runs on the spectrum of u, where L is diagonal, and transforms
-only to form the nonlinearity: two transforms a step.  A seed with
-u(x) = conj(u(-x)), the default one among them, keeps that symmetry under
-the iteration, which then runs on a real spectrum with half-size
-transforms (see ProfileIteration).  Any other seed runs on the full
-spectrum, where the grid pins the wave's translations (the Peierls-Nabarro
-barrier of lattice NLS, P. G. Kevrekidis, The Discrete Nonlinear
-Schroedinger Equation, Springer 2009), and an iterate can creep along
-them instead of converging; such a run is aligned onto the class in
+problems.  The seed picks the start, not the wave: sech e^{iAx} gives
+the linear-phase wave, and every other phase measured gives it translated
+by a fraction of a grid step and rotated or, on a coarse grid, the
+lattice's off-site wave midway between two grid points (DECISIONS.md,
+"Criterion 07").  The iteration runs on the spectrum of u, where L is
+diagonal, and transforms only to form the nonlinearity: two transforms a
+step.  A seed with u(x) = conj(u(-x)), the default one among them, keeps
+that symmetry under the iteration, which then runs on a real spectrum
+with half-size transforms (see ProfileIteration).  Any other seed runs
+on the full spectrum, where the grid pins the wave's translations (the
+Peierls-Nabarro barrier of lattice NLS, P. G. Kevrekidis, The Discrete
+Nonlinear Schroedinger Equation, Springer 2009), and an iterate can creep
+along them instead of converging; such a run is aligned onto the class in
 closed form (align_to_class) where it stalls, and goes on in the half
 layout.  The reported residual is the discrete Euclidean residual of the
 profile equation on the grid samples, taken from the spectrum by
@@ -288,26 +290,33 @@ class ProfileIteration:
         g **= 2.0 * self.sigma
         return g * u
 
-    def step(self, z: np.ndarray):
-        """Next iterate, plus the residual and stabilizing factor of ``z``.
-
-        The residual |L u - G(u)| and the pairings <L u, u> and <G(u), u>
-        (both times n, which cancels in m) come by Parseval from the G_hat
-        the step forms anyway, so a step transforms twice and evaluates its
-        input at no extra transform.  It keeps its transform u of z until
-        the next step or a call of samples.  A non-finite residual,
-        <G(z), z> = 0 or an overflowing m**alpha raises DivergenceError.
-        """
-        self._last = None  # the previous u goes before this one is made
+    def _evaluate(self, z: np.ndarray):
+        """The map's evaluation of an iterate ``z``, in either layout: its
+        transform u, G_hat = the transform of G(u), L z, and the pairings
+        <L z, z> and <G(z), z> by Parseval (both times n, which cancels in
+        m), at two transforms, half-size in the half layout.  It writes to
+        no input, and the two arrays it returns besides u are its own."""
         half = z.dtype.kind != "c"
         u = np.fft.rfft(z, norm="forward") if half else np.fft.ifft(z)
-        self._last = z, u
         g = self._nonlinearity(u)
         g_hat = np.fft.irfft(g, self.grid.n, norm="forward") if half else np.fft.fft(g)
         del g
-        lu_hat = self.symbol * z
-        num = float(np.vdot(z, lu_hat).real)
-        den = float(np.vdot(z, g_hat).real)
+        lz = self.symbol * z
+        return u, g_hat, lz, float(np.vdot(z, lz).real), float(np.vdot(z, g_hat).real)
+
+    def step(self, z: np.ndarray):
+        """Next iterate, plus the residual and stabilizing factor of ``z``.
+
+        The residual |L u - G(u)| comes by Parseval from the L z and G_hat
+        of _evaluate, which forms them anyway, so a step transforms twice
+        and evaluates its input at no extra transform.  It keeps its
+        transform u of z until the next step or a call of samples.  A
+        non-finite residual, <G(z), z> = 0 or an overflowing m**alpha
+        raises DivergenceError.
+        """
+        self._last = None  # the previous u goes before this one is made
+        u, g_hat, lu_hat, num, den = self._evaluate(z)
+        self._last = z, u
         lu_hat -= g_hat
         res = vector_norm(lu_hat) / math.sqrt(self.grid.n)
         if not res < np.inf:  # NaN and inf in z survive the transforms and the norm
@@ -333,21 +342,18 @@ class ProfileIteration:
             DG(u) v = (sigma + 1) |u|^{2 sigma} v + sigma |u|^{2 sigma - 2} u^2 conj(v),
             DT h = [m^alpha irfft(DG(u) v) + alpha m^{alpha - 1} dm(h) G_hat] / L,
 
-        where dm(h) = (d<L w, w> - m d<G(w), w>) / <G(w), w> comes from the
-        two Parseval pairings of step.  G_hat, m and both factors of DG(u)
-        are made once, at two half-size transforms, so a product takes two
-        more: rfft(h) and irfft(DG(u) v).  A zero sample gives the second
-        factor 0 at any sigma > 0.
+        where dm(h) = (d<L w, w> - m d<G(w), w>) / <G(w), w>.  u, G_hat, L w
+        and both pairings are step's, from _evaluate at two half-size
+        transforms, and both factors of DG(u) are made once from u, so a
+        product takes two more: rfft(h) and irfft(DG(u) v).  A zero sample
+        gives the second factor 0 at any sigma > 0.
         """
         n = self.grid.n
-        u = np.fft.rfft(w, norm="forward")
+        u, g_hat, lw, num, den = self._evaluate(w)
+        m = num / den
+        scale, dscale = m ** self.alpha, self.alpha * m ** (self.alpha - 1.0)
         r = np.abs(u)
         power = r ** (2.0 * self.sigma)
-        g_hat = np.fft.irfft(power * u, n, norm="forward")
-        lw = self.symbol * w
-        den = float(w.dot(g_hat))
-        m = float(w.dot(lw)) / den
-        scale, dscale = m ** self.alpha, self.alpha * m ** (self.alpha - 1.0)
         direct = (self.sigma + 1.0) * power
         phase = np.divide(u, r, out=np.zeros_like(u), where=r > 0.0)
         conjugate = self.sigma * power * phase ** 2
@@ -535,7 +541,7 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
 
     ``seed`` is a ComplexField v + i w (build one with initial_iterate), or
     None for the sech e^{iAx} seed, which converges to the linear-phase
-    wave rho e^{iAx}.  The seed, not params.kind, picks the wave; kind is
+    wave rho e^{iAx}.  The seed, not params.kind, picks the start; kind is
     only carried into the metadata.  The report's ``profile`` is the real
     modulus rho = |u|, centered, and ``envelope`` is the centered complex
     profile that time evolution should be seeded with; ``z`` is the

@@ -18,8 +18,8 @@ conventions keep real data real:
 
 Fields are immutable values: RealField and ComplexField share one base
 that casts, checks and freezes the samples and compares by value.  A
-ComplexField transforms itself at most once: ``spectrum()`` is cached on
-the field, and a field built ``with_spectrum`` is handed the one its
+field transforms itself at most once: ``spectrum()`` is cached on the
+field, and a ComplexField built ``with_spectrum`` is handed the one its
 maker already formed.  ``invariants`` computes the mass, momentum,
 Hamiltonian and peak of a state in one pass; the momentum and the
 dispersive part of the Hamiltonian are sums over that spectrum by
@@ -144,15 +144,23 @@ class _Field:
 
     __hash__ = None
 
+    def spectrum(self) -> np.ndarray:
+        """DFT of the samples, computed once per field and shared read-only."""
+        return self._spectrum
+
+    # Like Grid.x: the field is immutable, so the cached transform cannot go
+    # stale.  It lives outside the dataclass fields, and equality compares
+    # the samples only.
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        spec = np.fft.fft(self.samples)
+        spec.flags.writeable = False
+        return spec
+
 
 @dataclass(frozen=True, eq=False)
 class RealField(_Field):
     """Real samples on a grid."""
-
-    # read only by tests/test_spectral.py, directly and through apply_multiplier;
-    # bench/run.py applies its multiplier to a ComplexField (ROADMAP direction 13)
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fft(self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,19 +197,6 @@ class ComplexField(_Field):
         object.__setattr__(fld, "grid", grid)
         object.__setattr__(fld, "samples", samples)
         return fld
-
-    def spectrum(self) -> np.ndarray:
-        """DFT of the samples, computed once per field and shared read-only."""
-        return self._spectrum
-
-    # Like Grid.x: the field is immutable, so the cached transform cannot go
-    # stale.  It lives outside the dataclass fields, and equality compares
-    # the samples only.
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        spec = np.fft.fft(self.samples)
-        spec.flags.writeable = False
-        return spec
 
     @property
     def v(self) -> np.ndarray:

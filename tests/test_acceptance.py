@@ -13,7 +13,7 @@ import pytest
 
 from fnlswaves.analysis import decay_slope, phase_plane, speed_amplitude_scan
 from fnlswaves.evolve import EvolveConfig, run as evolve_run
-from fnlswaves.params import ProblemParams, limiting_speed, linear_phase_params, phase_slope
+from fnlswaves.params import ProblemParams, limiting_speed, phase_slope
 from fnlswaves.petviashvili import (
     SolverConfig,
     initial_iterate,
@@ -204,8 +204,7 @@ def test_criterion_10_operator_oracle():
     for n in (16, 64, 256):
         grid = Grid(l=8.0, n=n)
         rng = np.random.default_rng(n)
-        lp = linear_phase_params(params34(1.0))
-        op = m_symbol(lp, grid)
+        op = m_symbol(params34(1.0), grid)
         for samples in (
             rng.standard_normal(n),
             rng.standard_normal(n) + 1j * rng.standard_normal(n),

@@ -129,29 +129,26 @@ def test_validate_derives_slope_and_shift():
     # the parameters carry the linear-phase (A, a) of the signed speed
     for lambda2 in (0.5, -0.5):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2)
-        assert linear_phase_params(p) is p
+        assert linear_phase_params(p) is p  # the identity bench/run.py reads by name
         assert p.lambda2 == lambda2 and p.A == phase_slope(0.75, lambda2)
         assert p.a == spectral_shift(0.75, 1.0, phase_slope(0.75, 0.5))
 
 
 def test_linear_phase_params_and_metadata():
     p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=1.0)
-    lp = linear_phase_params(p)
-    assert lp.A == pytest.approx(4.0 / 9.0, rel=1e-14)
-    assert lp.a == pytest.approx(1.0 - 4.0 / 27.0, rel=1e-14)
-    assert lp.a > 0.0
+    assert p.A == pytest.approx(4.0 / 9.0, rel=1e-14)
+    assert p.a == pytest.approx(1.0 - 4.0 / 27.0, rel=1e-14)
+    assert p.a > 0.0
     meta = metadata(p)
     assert meta["limiting_speed"] == pytest.approx(1.8899, abs=5e-4)
     assert meta["phase_slope_A"] == pytest.approx(4.0 / 9.0)
     assert meta["kind"] == "linear_phase"
     assert set(meta) == {"s", "sigma", "lambda1", "lambda2", "kind", "limiting_speed",
                          "phase_slope_A", "spectral_shift_a"}
-    # linear_phase_params hands the parameters back: the signed speed is kept
+    # the parameters carry the linear-phase (A, a) of the signed speed
     for lambda2 in (-0.5, -1.0, -1.5):
         p = ProblemParams(s=0.75, sigma=1.0, lambda1=1.0, lambda2=lambda2)
-        lp = linear_phase_params(p)
-        assert lp is p
-        assert lp.lambda2 == lambda2
-        assert lp.A == pytest.approx(phase_slope(0.75, lambda2), rel=1e-14) and lp.A < 0.0
-        assert metadata(p)["lambda2"] == metadata(lp)["lambda2"] == lambda2
+        assert p.lambda2 == lambda2
+        assert p.A == pytest.approx(phase_slope(0.75, lambda2), rel=1e-14) and p.A < 0.0
+        assert metadata(p)["lambda2"] == lambda2
         assert set(metadata(p)) == set(meta)

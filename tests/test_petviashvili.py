@@ -383,6 +383,27 @@ class TestExactDerivative:
         field = ComplexField(Grid(l=32.0, n=512), np.where(np.abs(x) < 8.0, np.exp(0.3j * x) / np.cosh(x), 0.0))
         self.assert_matches_central_difference(fig1_params(1.0, 0.5), field, 5, eps=1e-7)
 
+    @pytest.mark.parametrize("alpha", [None, 1.05])
+    @pytest.mark.parametrize("c", [0.5, 1.5])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_euler_identity(self, sigma, c, alpha):
+        # G is homogeneous of degree 2 sigma + 1 and m of degree -2 sigma, so T
+        # is of degree 2 sigma + 1 - 2 sigma alpha and DT(w) w is that times
+        # T(w), by Euler's identity: 0 at the optimal alpha, the eigenvalue
+        # 2 sigma + 1 of the naive map mapped to zero.  The exact derivative
+        # meets it to roundoff at any w, where the central difference errs by
+        # its step; each of its terms (the dm term, its sign, the factor 2 of
+        # d<L w, w>, conj(v)) is needed to meet it
+        params = fig1_params(c, sigma)
+        grid = Grid(l=32.0, n=512)
+        alpha = SolverConfig(alpha=alpha).resolved_alpha(sigma)
+        iteration = ProfileIteration(params, grid, alpha)
+        w = iteration.iterate(initial_iterate(grid, params.A).spectrum())
+        assert w.dtype.kind == "f"
+        image = iteration.step(w)[0]
+        defect = iteration.derivative(w)(w) - (2.0 * sigma + 1.0 - 2.0 * sigma * alpha) * image
+        assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(image)
+
 
 def profile_iteration(lambda2, grid, half=False):
     """The iteration of the fig1 problem at speed lambda2, and the iterate

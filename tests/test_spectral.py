@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnlswaves import __version__
-from fnlswaves.params import ProblemParams, linear_phase_params
+from fnlswaves.params import ProblemParams
 from fnlswaves.petviashvili import initial_iterate
 from fnlswaves.spectral import (
     ComplexField,
@@ -143,10 +143,12 @@ class TestFields:
             np.linalg.norm(f.spectrum()) / np.sqrt(g.n), rel=1e-12
         )
 
-    def test_complex_spectrum_cached_read_only(self):
+    @pytest.mark.parametrize("cls", [RealField, ComplexField], ids=lambda cls: cls.__name__)
+    def test_spectrum_cached_read_only(self, cls):
         g = Grid(l=4.0, n=128)
         rng = np.random.default_rng(3)
-        f = ComplexField(g, rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        samples = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        f = cls(g, samples if cls is ComplexField else samples.real)
         spec = f.spectrum()
         assert spec is f.spectrum()
         assert not spec.flags.writeable
@@ -216,7 +218,7 @@ class TestApplyMultiplier:
         g = Grid(l=4.0, n=64)
         p = fig1_params()
         const = RealField(g, np.full(g.n, 2.5))
-        out = apply_multiplier(m_symbol(linear_phase_params(p), g), const)
+        out = apply_multiplier(m_symbol(p, g), const)
         assert np.max(np.abs(out.samples)) < 1e-13
         out = apply_multiplier(MultiplierOp(g, profile_operator(p, g)), const)
         assert np.max(np.abs(out.samples - p.lambda1 * 2.5)) < 1e-13
@@ -246,7 +248,7 @@ class TestApplyMultiplier:
         p = fig1_params()
         fr = RealField(g, rng.standard_normal(n))
         fc = ComplexField(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for op in (m_symbol(linear_phase_params(p), g), MultiplierOp(g, profile_operator(p, g))):
+        for op in (m_symbol(p, g), MultiplierOp(g, profile_operator(p, g))):
             for f in (fr, fc):
                 fast = apply_multiplier(op, f).samples
                 slow = dft_multiplier_oracle(g, op.values, f.samples)
@@ -278,35 +280,35 @@ class TestMSymbol:
     """m evaluated on grid modes that hit the wavenumbers of interest."""
 
     def test_zero_at_origin(self):
-        op = m_symbol(linear_phase_params(fig1_params()), Grid(l=8.0, n=64))
+        op = m_symbol(fig1_params(), Grid(l=8.0, n=64))
         assert op.values[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_classical_reduces_to_xi_squared(self):
         p = fig1_params(s=1.0)
         g = Grid(l=8.0, n=64)
-        op = m_symbol(linear_phase_params(p), g)
+        op = m_symbol(p, g)
         paired = np.arange(g.n) != g.n // 2  # the drift is zeroed at Nyquist
         assert np.allclose(op.values[paired], g.xi[paired] ** 2, atol=1e-12)
 
     def test_value_at_one(self):
         g = integer_mode_grid()
-        op = m_symbol(linear_phase_params(fig1_params()), g)
+        op = m_symbol(fig1_params(), g)
         expected = abs(1.0 + 4.0 / 9.0) ** 1.5 - 1.0 - (4.0 / 9.0) ** 1.5
         assert op.values[mode(g, 1.0)] == pytest.approx(expected, rel=1e-14)
 
     def test_stationary_at_origin(self):
-        lp = linear_phase_params(fig1_params())
+        p = fig1_params()
         for eps in (1e-2, 1e-3, 1e-4):
             g = Grid(l=np.pi / eps, n=64)  # first modes at xi = +-eps
-            op = m_symbol(lp, g)
+            op = m_symbol(p, g)
             diff = (op.values[1] - op.values[-1]) / (2 * eps)
             assert abs(diff) < 10.0 * eps  # m'(0) = 0, odd part is O(eps^3)
 
     def test_positive_shifted_on_grid(self):
         for lam2 in (0.5, 1.0, 1.5, 1.8):
-            lp = linear_phase_params(fig1_params(lam2))
-            op = m_symbol(lp, Grid(l=64.0, n=1024))
-            assert np.all(op.values + lp.a > 0.0)
+            p = fig1_params(lam2)
+            op = m_symbol(p, Grid(l=64.0, n=1024))
+            assert np.all(op.values + p.a > 0.0)
 
 
 class TestQSymbol:
