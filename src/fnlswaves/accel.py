@@ -16,13 +16,6 @@ the iteration's step(z) -> (z_next, residual, m).  Iterates are flat
 float64 or complex128 vectors; MPE pairs them as real vectors, a complex
 entry counting as its real and imaginary parts, so the least-squares
 problem stays real.
-
-A run may also be tested for a stall: when STALL_WINDOW history rows pass
-without a residual below STALL_DROP times the residual of the last row
-that made such a drop, the run is creeping, not converging (see
-DECISIONS.md, "Lattice pinning"), and the driver hands its iterate to the
-caller's on_stall hook at the end of that cycle, once, which may restart
-the run from another start.
 """
 
 from __future__ import annotations
@@ -33,8 +26,6 @@ import numpy as np
 
 _DEGENERATE_RTOL = 1e-12  # |sum c| below this times the coefficient scale
 _COND_LIMIT = 1e12  # normal equations handed to SVD lstsq beyond this
-STALL_WINDOW = 60  # rows without a drop after which a tested run stalls
-STALL_DROP = 0.5  # a drop: a residual below this times the last drop's
 
 
 def mpe_coefficients(diffs: np.ndarray):
@@ -87,12 +78,10 @@ def mpe_extrapolate(iterates):
 @dataclass
 class AccelResult:
     """The record of one solve: a residual, an m and the base iterations
-    taken so far (``history_iterations``, which an extrapolant's row and a
-    restart row repeat) per iterate, the rows of the extrapolants
-    (``cycle_ends``), the base ``iterations``, the degenerate
-    extrapolations (``mpe_fallbacks``) and the last iterate ``z``.  A run
-    that an on_stall hook restarted from another start than its last
-    iterate records that start's row as ``restart_row``."""
+    taken so far (``history_iterations``, which an extrapolant's row
+    repeats) per iterate, the rows of the extrapolants (``cycle_ends``),
+    the base ``iterations``, the degenerate extrapolations
+    (``mpe_fallbacks``) and the last iterate ``z``."""
 
     z: np.ndarray
     converged: bool = False
@@ -102,10 +91,9 @@ class AccelResult:
     history_iterations: list = field(default_factory=list)
     cycle_ends: list = field(default_factory=list)
     mpe_fallbacks: int = 0
-    restart_row: int | None = None
 
 
-def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelResult:
+def accelerated_iterate(iteration, z0: np.ndarray, cfg) -> AccelResult:
     """Drive a fixed-point iteration from ``z0`` with restarted-MPE cycles.
 
     ``iteration`` provides step(z) -> (z_next, residual, m), with the
@@ -113,8 +101,7 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
     writes to no iterate.  One local recorder, the only place that steps
     an iterate, fills the AccelResult as the loop runs: a row of each
     iterate's residual, m and the base count at that moment, each cycle's
-    extrapolant included (evaluated on the profile equation itself), and
-    it moves the last drop (below) when a residual makes one.
+    extrapolant included (evaluated on the profile equation itself).
 
     Every iterate is stepped from exactly once, so one base iteration or
     one extrapolant costs one step.  When an extrapolation is degenerate
@@ -124,30 +111,15 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
     ``step`` judges its input, a base iterate or an extrapolant, and raises
     DivergenceError on one it cannot evaluate, so the driver takes each
     residual as given and checks no iterate itself.
-
-    With ``on_stall``, the run is tested at the end of every cycle that
-    leaves it unconverged and within max_iter: once STALL_WINDOW rows
-    have passed since the last drop (a residual below STALL_DROP times
-    the previous drop's, the first row being the first drop), the driver
-    calls on_stall(z, iterations) with that cycle's last iterate, and
-    tests no further.  The hook returns a start, which the driver steps as
-    a row of its own (``restart_row``) and goes on from within the same
-    budget, or None, and the run goes on untouched.  So a run that never
-    stalls, or whose hook returns None, takes the untested path exactly.
     """
     rec = AccelResult(z0)
-    hist = rec.residual_history
-    drop = 0  # the row of the last drop
 
     def record(z):
         """Step ``z`` and append its row; returns the step and its residual."""
-        nonlocal drop
         nxt, res, m = iteration.step(z)
-        hist.append(res)
+        rec.residual_history.append(res)
         rec.m_history.append(m)
         rec.history_iterations.append(rec.iterations)
-        if res < STALL_DROP * hist[drop]:
-            drop = len(hist) - 1
         return nxt, res
 
     z = z0
@@ -166,16 +138,8 @@ def accelerated_iterate(iteration, z0: np.ndarray, cfg, on_stall=None) -> AccelR
                 else:
                     z = y
                     nxt, res = record(z)
-                    rec.cycle_ends.append(len(hist) - 1)
+                    rec.cycle_ends.append(len(rec.residual_history) - 1)
             cycle = [z]
-            if (on_stall is not None and res > cfg.tol and rec.iterations < cfg.max_iter
-                    and len(hist) - 1 - drop >= STALL_WINDOW):
-                start, on_stall = on_stall(z, rec.iterations), None
-                if start is not None:
-                    z = start
-                    nxt, res = record(z)
-                    rec.restart_row = len(hist) - 1
-                    cycle = [z]
     rec.z, rec.converged = z, res <= cfg.tol
     return rec
 

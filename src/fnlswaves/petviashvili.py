@@ -7,24 +7,23 @@ in the complex variable u = v + i w: both rows combine into
 
 The linear-phase subfamily u = rho(x) e^{iAx} turns the same equation into
 (M + a) rho = rho^{2 sigma + 1}, so one iteration on u solves both profile
-problems.  The seed picks the start, not the wave: sech e^{iAx} gives
-the linear-phase wave, and every other phase measured gives it translated
-by a fraction of a grid step and rotated or, on a coarse grid, the
-lattice's off-site wave midway between two grid points (DECISIONS.md,
-"Criterion 07").  The iteration runs on the spectrum of u, where L is
-diagonal, and transforms only to form the nonlinearity: two transforms a
-step.  A seed with u(x) = conj(u(-x)), the default one among them, keeps
-that symmetry under the iteration, which then runs on a real spectrum
-with half-size transforms (see ProfileIteration).  Any other seed runs
-on the full spectrum, where the grid pins the wave's translations (the
-Peierls-Nabarro barrier of lattice NLS, P. G. Kevrekidis, The Discrete
-Nonlinear Schroedinger Equation, Springer 2009), and an iterate can creep
-along them instead of converging; such a run is aligned onto the class in
-closed form (align_to_class) where it stalls, and goes on in the half
-layout.  The reported residual is the discrete Euclidean residual of the
-profile equation on the grid samples, taken from the spectrum by
-Parseval, and the real profile rho is the modulus of the converged
-envelope.  Each step evaluates the stabilizing factor
+problems.  The iteration runs on the spectrum of u, where L is diagonal,
+and transforms only to form the nonlinearity: two transforms a step.  It
+keeps the reflection-conjugate class u(x) = conj(u(-x)), which holds the
+linear-phase wave and the default seed sech e^{iAx}, and runs there on a
+real spectrum with half-size transforms (see ProfileIteration).  Every
+solve starts on the class: a passed seed outside it is centred on its
+largest sample, rotated to make that sample real and projected onto the
+class.  Every seed measured off the class reached a translate of the
+class wave, or on a coarse grid the lattice's off-site copy of it, which
+the grid pins midway between two grid points (the Peierls-Nabarro
+barrier of lattice NLS, P. G. Kevrekidis, The Discrete Nonlinear
+Schroedinger Equation, Springer 2009; DECISIONS.md, "Criterion 07" and
+"One layout"); started on the class, it reaches the class wave itself.
+The reported residual is the discrete Euclidean residual of the profile
+equation on the grid samples, taken from the spectrum by Parseval, and
+the real profile rho is the modulus of the converged envelope.  Each
+step evaluates the stabilizing factor
 
     m = <L z, z> / <G(z), z>,
 
@@ -49,9 +48,10 @@ gives it none, so it is the cold one-grid solve.
 
 A solve transforms in its steps and, outside them, only its seed, once,
 on the level that starts from it, a passed seed's G(u) once for its
-check, and a nested solve's padded start on n once, for
-``resolution_defect``: layout tests read spectra, and the samples of the
-answer are those the last step made of it.
+check, a moved seed once more, and a nested solve's padded start on n
+once, for ``resolution_defect``: the class test of a passed seed reads
+the spectrum its check uses, and the samples of the answer are those the
+last step made of it.
 
 How fast the iteration contracts near its answer, and so what MPE can
 gain (A. Sidi, Vector Extrapolation Methods, SIAM 2017), is set by the
@@ -61,8 +61,8 @@ half-layout map at the wave's real iterate (ProfileIteration.derivative):
 G_hat, m and the two factors of DG(u) are made once, and each product
 then takes two half-size transforms.  The half layout holds only the
 class, which the translation and phase directions of the wave's orbit,
-multiplier one, leave, so nothing is deflated; a wave off the class is
-aligned onto it first (align_to_class).
+multiplier one, leave, so nothing is deflated; an envelope off the class
+is refused.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ from .spectral import (ComplexField, Grid, RealField, profile_operator, save_fie
 PROBE_TOL = 1e-8
 PROBE_MAX_DIM = 60
 
-# relative Euclidean distance from u(x) = conj(u(-x)) below which a start is
-# solved in the half layout; the default seed sech e^{iAx} misses the class
-# by 2 sech(l) |sin(Al)| at x = -l, 1.3e-14 relative on l = 32, n = 512
+# relative Euclidean distance from u(x) = conj(u(-x)) below which a passed
+# seed is solved as it is, and above which it is centred and rotated first;
+# the default seed sech e^{iAx} misses the class by 2 sech(l) |sin(Al)| at
+# x = -l, 1.3e-14 relative on l = 32, n = 512
 CLASS_RTOL = 1e-13
 
 # a grid nests when n/2 is an even grid of at least NEST_MIN_N // 2 points
@@ -95,19 +96,12 @@ CLASS_RTOL = 1e-13
 # seed e^{ix^2} from aliasing there; every level below the requested one
 # is solved to max(tol, COARSE_TOL) within the requested
 # max_iter // COARSE_ITER_SHARE iterations, at the width COARSE_MW whatever
-# the requested mw when it starts in the half layout (the choices are
-# argued in DECISIONS.md, "Nested solves")
+# the requested mw (the choices are argued in DECISIONS.md, "Nested solves")
 NEST_MIN_N = 2048
 NEST_MAX_H = 1.0 / 8.0
 COARSE_TOL = 1e-9
 COARSE_ITER_SHARE = 4
 COARSE_MW = 6
-
-# a full-layout run that stalls (accel.STALL_WINDOW) is aligned onto the
-# reflection-conjugate class by align_to_class, and goes on in the half
-# layout from the aligned iterate when its class defect is at most
-# CLASS_GUARD (the choice is argued in DECISIONS.md, "Lattice pinning")
-CLASS_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -144,27 +138,6 @@ class SolverConfig:
         return self.alpha
 
 
-@dataclass(frozen=True)
-class ClassSwitch:
-    """A stalled full-layout run on ``n`` points, aligned onto the class
-    after ``iteration`` base iterations: the shift ``d`` and phase ``phi``
-    of align_to_class and the class ``defect`` of the aligned iterate.
-    ``taken`` when the defect was within CLASS_GUARD and the run went on
-    in the half layout from the aligned iterate; otherwise it carried on
-    in the full layout."""
-
-    n: int
-    iteration: int
-    d: float
-    phi: float
-    defect: float
-    taken: bool
-
-    def __str__(self):
-        return (f"n={self.n} iteration={self.iteration} d={self.d:.6e} phi={self.phi:.6e} "
-                f"defect={self.defect:.3e} finished={'half' if self.taken else 'full'}")
-
-
 @dataclass(kw_only=True)
 class SolveReport(accel.AccelResult):
     """The driver's record, whose ``z`` stays the uncentred last iterate,
@@ -172,15 +145,15 @@ class SolveReport(accel.AccelResult):
     A nested solve (see solve_scalar) adds its ``coarse_iterations`` and
     ``resolution_defect`` (0, bounding nothing, when n took no iteration),
     and its ``meta["mw"]`` and histories are n's; one grid leaves 0 and NaN.
-    ``class_switch`` is the ClassSwitch of the stalled run on the
-    requested grid or, failing that, of the finest level below it whose
-    run stalled; None when no run stalled."""
+    ``seed_class_defect`` is the class defect of a passed seed as it was
+    passed, which was moved onto the class when it exceeds CLASS_RTOL; NaN
+    for the default seed."""
 
     envelope: ComplexField
     meta: dict
     coarse_iterations: int = 0
     resolution_defect: float = float("nan")
-    class_switch: ClassSwitch | None = None
+    seed_class_defect: float = float("nan")
 
     @cached_property
     def profile(self) -> RealField:
@@ -224,22 +197,16 @@ class ProfileIteration:
         <L u, u> = sum L |u_hat|^2 / n,   <G(u), u> = Re sum G_hat conj(u_hat) / n,
 
     so a step transforms twice, u from u_hat and G_hat from G(u), and
-    returns the residual and m of its input with the next iterate.  Two
-    layouts share every line but that pair, and the iterate's dtype says
-    which one it is in:
+    returns the residual and m of its input with the next iterate.
 
-    * full, a complex iterate: u_hat = fft(u), with ifft/fft;
-    * half, a real iterate: for an envelope in the reflection-conjugate
-      class u(x) = conj(u(-x)), the spectrum of u rolled so that x = 0
-      sits at index 0 is real, (-1)^k u_hat_k; that real vector is the
-      iterate, and rfft/irfft move between it and conj(u) at the n/2 + 1
-      points x >= 0 that determine u, where G acts as on u itself.
-
+    The iterate lives in the half layout: for an envelope in the
+    reflection-conjugate class u(x) = conj(u(-x)), the spectrum of u rolled
+    so that x = 0 sits at index 0 is real, (-1)^k u_hat_k; that real vector
+    is the iterate, and rfft/irfft move between it and conj(u) at the
+    n/2 + 1 points x >= 0 that determine u, where G acts as on u itself.
     L has a real symbol and G commutes with u(x) -> conj(u(-x)), so the
-    iteration keeps the class and the half layout never leaves it.  MPE
-    pairs either iterate as a real vector, which by Parseval is the
-    pairing of the samples scaled by n, so the extrapolants do not depend
-    on the layout.
+    iteration keeps the class.  MPE pairs the iterate as a real vector,
+    which by Parseval is the pairing of the samples scaled by n.
     """
 
     def __init__(self, params: ProblemParams, grid: Grid, alpha: float):
@@ -255,26 +222,21 @@ class ProfileIteration:
         self._last = None  # (z, u): the last step's input and its transform, see samples
 
     def iterate(self, spec: np.ndarray) -> np.ndarray:
-        """The iterate of the field whose spectrum is ``spec``: in the half
-        layout, its rolled spectrum projected onto the class, when the field
-        is within CLASS_RTOL of it (_class_defect, no transform); ``spec``
-        itself, in the full layout, otherwise."""
-        if _class_defect(spec) <= CLASS_RTOL:
-            return _rolled(spec).real
-        return spec
+        """The iterate of the field whose spectrum is ``spec``: its rolled
+        spectrum projected onto the class, the real part, which is the
+        field (u + conj(u(-x))) / 2, at no transform."""
+        return _rolled(spec).real
 
     def samples(self, z: np.ndarray) -> np.ndarray:
         """The n envelope samples u on the grid of an iterate ``z``.
 
         When z is the last iterate stepped, that step's transform of it is
-        used, and released; otherwise z is transformed once, at half size
-        in the half layout.  There rfft(z, norm="forward") is conj(u) at the
-        n/2 + 1 points x >= 0, and u(-x) = conj(u(x)) mirrors it onto x < 0.
+        used, and released; otherwise z is transformed once, at half size:
+        rfft(z, norm="forward") is conj(u) at the n/2 + 1 points x >= 0, and
+        u(-x) = conj(u(x)) mirrors it onto x < 0.
         """
         last, self._last = self._last, None
         u = last[1] if last is not None and last[0] is z else None
-        if z.dtype.kind == "c":
-            return np.fft.ifft(z) if u is None else u
         if u is None:
             u = np.fft.rfft(z, norm="forward")
         k = self.grid.zero_index()
@@ -291,15 +253,14 @@ class ProfileIteration:
         return g * u
 
     def _evaluate(self, z: np.ndarray):
-        """The map's evaluation of an iterate ``z``, in either layout: its
-        transform u, G_hat = the transform of G(u), L z, and the pairings
-        <L z, z> and <G(z), z> by Parseval (both times n, which cancels in
-        m), at two transforms, half-size in the half layout.  It writes to
-        no input, and the two arrays it returns besides u are its own."""
-        half = z.dtype.kind != "c"
-        u = np.fft.rfft(z, norm="forward") if half else np.fft.ifft(z)
+        """The map's evaluation of an iterate ``z``: its transform u, G_hat
+        = the transform of G(u), L z, and the pairings <L z, z> and
+        <G(z), z> by Parseval (both times n, which cancels in m), at two
+        half-size transforms.  It writes to no input, and the two arrays it
+        returns besides u are its own."""
+        u = np.fft.rfft(z, norm="forward")
         g = self._nonlinearity(u)
-        g_hat = np.fft.irfft(g, self.grid.n, norm="forward") if half else np.fft.fft(g)
+        g_hat = np.fft.irfft(g, self.grid.n, norm="forward")
         del g
         lz = self.symbol * z
         return u, g_hat, lz, float(np.vdot(z, lz).real), float(np.vdot(z, g_hat).real)
@@ -333,9 +294,9 @@ class ProfileIteration:
         return g_hat, res, m
 
     def derivative(self, w: np.ndarray):
-        """The derivative DT of the half-layout map T(w) = m(w)^alpha
-        G_hat(w) / L at a real iterate ``w``, as a function h -> DT h of a
-        real vector h; it writes to no input.
+        """The derivative DT of the map T(w) = m(w)^alpha G_hat(w) / L at
+        an iterate ``w``, as a function h -> DT h of a real vector h; it
+        writes to no input.
 
         With u = rfft(w) and v = rfft(h), the samples at x >= 0 as in step,
 
@@ -401,57 +362,44 @@ def reflection_conjugate_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u - np.conj(reflect_samples(u))) / norm) if norm else 0.0
 
 
-def align_to_class(z: np.ndarray, grid: Grid):
-    """The translate and rotation nearest the reflection-conjugate class of
-    the field on ``grid`` whose spectrum is ``z``, a full-layout iterate,
-    in closed form.
+def _resolve_seed(params, grid: Grid, seed: ComplexField | None):
+    """The start of a solve and the class defect of ``seed`` as passed.
 
-    The rolled spectrum w_k = (-1)^k u_hat_k of a class envelope is real,
-    so its translate by d, rotated by phi, has w_k = e^{i phi}
-    e^{-i xi_k d} r_k with r real.  Squaring removes the sign of r, and
-    with the modes in xi order, spaced by dxi = pi / l,
-
-        d = -arg sum_k w_{k+1}^2 conj(w_k^2) / (2 dxi),
-        phi = arg sum_k w_k^2 e^{2 i xi_k d} / 2,
-
-    d unique for |d| < l/2 and phi modulo pi.  Returns the half-layout
-    iterate of the aligned envelope, the real part of
-    e^{-i phi} e^{i xi d} w (its projection onto the class), with d, phi
-    and the class defect of the aligned envelope (its
-    reflection_conjugate_defect, _class_defect of the aligned w).  It
-    transforms nothing, and writes to no input: O(n) work.
-    """
-    w = _rolled(z)
-    w2 = np.fft.fftshift(w) ** 2
-    d = -float(np.angle(np.vdot(w2[:-1], w2[1:]))) / (2.0 * np.pi / grid.l)
-    phi = 0.5 * float(np.angle(np.sum(w ** 2 * np.exp(2j * d * grid.xi_odd))))
-    aligned = w * np.exp(1j * (d * grid.xi_odd - phi))
-    return aligned.real, d, phi, _class_defect(aligned)
-
-
-def _resolve_seed(params, grid: Grid, seed: ComplexField | None) -> ComplexField | None:
-    """``seed``, or None for the sech e^{iAx} seed, which the level that
-    starts from it builds on its own grid; a seed that is not a
-    ComplexField on ``grid``, or on which <G(z), z> vanishes, is refused.
-    Only the requested grid's seed is checked: on a coarse level the first
-    step raises DivergenceError on <G(z), z> = 0."""
+    None stands for the sech e^{iAx} seed, which the level that starts
+    from it builds on its own grid, and reads a NaN defect.  A seed that
+    is not a ComplexField on ``grid``, or on which <G(z), z> vanishes, is
+    refused.  The class defect is _class_defect of the seed's spectrum,
+    whose transform the seed caches for its check.  Above CLASS_RTOL the
+    seed is rolled so that its largest |u| sample sits at x = 0, and
+    rotated so that this sample is real; the iterate then projects it
+    onto the class.  A defect that overflows is not finite, and its seed
+    is not moved.  Only the requested grid's seed is checked: on a coarse
+    level the first step raises DivergenceError on <G(z), z> = 0."""
     if seed is None:
-        return None
+        return None, float("nan")
     if not isinstance(seed, ComplexField):
         raise TypeError(f"unsupported seed {type(seed).__name__}")
     if seed.grid != grid:
         raise ValueError(f"seed is on {seed.grid}, the solve on {grid}")
-    with np.errstate(over="ignore"):  # a huge sample overflows to inf, which is not 0
+    # a huge sample overflows to inf, which is not 0, and the defect to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         if np.sum(np.abs(seed.samples) ** (2.0 * params.sigma + 2.0)) == 0.0:
             raise ValueError("degenerate seed: <G(z), z> vanishes")
-    return seed
+        defect = _class_defect(seed.spectrum())
+    if defect > CLASS_RTOL:
+        u = np.roll(seed.samples, grid.zero_index() - int(np.argmax(np.abs(seed.samples))))
+        peak = u[grid.zero_index()]
+        u *= abs(peak) / peak
+        seed = ComplexField._adopt(grid, u)
+    return seed, defect
 
 
 def _checked(iteration: ProfileIteration, seed: ComplexField, tol: float) -> np.ndarray | None:
     """The seed check of solve_scalar: the iterate of ``seed`` when the
     residual |L u - G(u)| of its samples u meets ``tol``, else None.  It
-    takes two transforms, of u and of G(u), and keeps neither on a miss."""
-    spec = np.fft.fft(seed.samples)
+    reads the seed's spectrum, which the seed caches, and transforms
+    G(u)."""
+    spec = seed.spectrum()
     diff = iteration.symbol * spec
     diff -= np.fft.fft(iteration._nonlinearity(seed.samples))
     return iteration.iterate(spec) if vector_norm(diff) / math.sqrt(iteration.grid.n) <= tol else None
@@ -465,30 +413,19 @@ def _level(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
     Given a ``coarse_cfg`` on a grid that nests, the level first solves
     (l, n/2) from the seed sampled there, under ``coarse_cfg``, and starts
     from that answer's iterate padded by prolong if it converged, else
-    from the seed, in the layout of that start; each layout test reads a
-    spectrum, so a padded start is not transformed.  Before that, the
+    from the seed; a padded start is not transformed.  Before that, the
     requested level (not ``below``) checks a passed seed (_checked): if
     the residual of its samples meets tol it solves from it at once, on
-    this level alone; on a miss the seed is transformed again only if the
-    level falls back to it.  A level ``below`` n that starts in the half
-    layout runs at width COARSE_MW.  Returns the iteration, the driver
-    record (``z`` a spectrum), the padded start or None, the ClassSwitch
-    of this run (see solve_on_grid) or else of the finest level below,
-    and the iterations of the levels below."""
+    this level alone.  A level ``below`` n runs at width COARSE_MW.
+    Returns the iteration, the driver record (``z`` a spectrum), the
+    padded start or None, and the iterations of the levels below."""
     iteration = ProfileIteration(params, grid, cfg.resolved_alpha(params.sigma))
-    switch = start = z0 = None
+    start = z0 = None
     coarse_iterations = 0
     descend = coarse_cfg is not None and _nests(grid)
-
-    def align(z, iterations):
-        nonlocal switch
-        aligned, d, phi, defect = align_to_class(z, grid)
-        switch = ClassSwitch(grid.n, iterations, d, phi, defect, taken=defect <= CLASS_GUARD)
-        return aligned if switch.taken else None
-
-    # the check and the layout test of a huge seed overflow: the check misses, the layout
-    # is the full one, where the step raises DivergenceError on a residual that is not
-    # finite; no overflow needs a warning of its own
+    # the check of a huge seed overflows and misses, and the step raises
+    # DivergenceError on a residual that is not finite; no overflow needs a
+    # warning of its own
     with np.errstate(over="ignore", invalid="ignore"):
         if descend and seed is not None and not below:
             z0 = _checked(iteration, seed, cfg.tol)
@@ -496,7 +433,7 @@ def _level(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
         if descend:
             half = Grid(grid.l, grid.n // 2)
             try:
-                _, coarse, _, switch, coarse_iterations = _level(
+                _, coarse, _, coarse_iterations = _level(
                     params, half, None if seed is None else ComplexField(half, seed.samples[::2]),
                     coarse_cfg, coarse_cfg, below=True)
             except accel.DivergenceError:
@@ -506,28 +443,27 @@ def _level(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
             else:
                 coarse_iterations += coarse.iterations
                 if coarse.converged:
-                    start = prolong(coarse.z, half, grid)
+                    start = z0 = prolong(coarse.z, half, grid)
                 del coarse  # the run on n holds no array of (l, n/2)
-        if start is not None:
-            z0 = start if np.isrealobj(start) else iteration.iterate(start)
-        elif z0 is None:
+        if z0 is None:
             z0 = iteration.iterate((initial_iterate(grid, params.A) if seed is None else seed).spectrum())
-        real = np.isrealobj(z0)
-        run_cfg = replace(cfg, mw=COARSE_MW) if below and real else cfg
-        raw = accel.accelerated_iterate(iteration, z0, run_cfg, on_stall=None if real else align)
-    return iteration, raw, start, switch, coarse_iterations
+        raw = accel.accelerated_iterate(iteration, z0, replace(cfg, mw=COARSE_MW) if below else cfg)
+    return iteration, raw, start, coarse_iterations
 
 
 def _solve(params, grid: Grid, seed: ComplexField | None, cfg: SolverConfig,
            coarse_cfg: SolverConfig | None = None) -> SolveReport:
-    """The _level on ``grid``, whose iterate alone becomes samples and a
-    report: those the last step made, and one transform of a padded start."""
-    iteration, raw, start, switch, coarse_its = _level(params, grid, seed, cfg, coarse_cfg)
+    """The _level on ``grid`` from the resolved ``seed``, whose iterate
+    alone becomes samples and a report: those the last step made, and one
+    transform of a padded start."""
+    seed, seed_class_defect = _resolve_seed(params, grid, seed)
+    iteration, raw, start, coarse_its = _level(params, grid, seed, cfg, coarse_cfg)
     z = raw.z = iteration.samples(raw.z)
     meta = {**metadata(params), "alpha": iteration.alpha, "mw": cfg.mw, "tol": cfg.tol}
     # the envelope is z centred, its modulus peak on the grid point x = 0: one copy of z
     envelope = ComplexField._adopt(grid, np.roll(z, grid.zero_index() - int(np.argmax(np.abs(z)))))
-    report = SolveReport(**vars(raw), envelope=envelope, meta=meta, coarse_iterations=coarse_its, class_switch=switch)
+    report = SolveReport(**vars(raw), envelope=envelope, meta=meta, coarse_iterations=coarse_its,
+                         seed_class_defect=seed_class_defect)
     if start is not None:
         # z is uncentred on both grids, and n starts where P u_{n/2} is
         report.resolution_defect = float(np.linalg.norm(np.abs(iteration.samples(start)) - np.abs(z))
@@ -545,18 +481,17 @@ def solve_on_grid(params, grid: Grid, cfg: SolverConfig | None = None,
     only carried into the metadata.  The report's ``profile`` is the real
     modulus rho = |u|, centered, and ``envelope`` is the centered complex
     profile that time evolution should be seeded with; ``z`` is the
-    uncentred last iterate, as grid samples.  A seed within CLASS_RTOL of
-    u(x) = conj(u(-x)) is solved in the half layout of ProfileIteration,
-    any other in the full one; the report reads the same either way.  A
-    full-layout run that stalls is aligned onto the class and, within
-    CLASS_GUARD, goes on in the half layout; the report's ``class_switch``
-    records it.
+    uncentred last iterate, as grid samples.  A seed outside CLASS_RTOL of
+    u(x) = conj(u(-x)) is centred on its largest sample and rotated to
+    make it real, and every start is projected onto the class, on which
+    the iteration runs (ProfileIteration); the report's
+    ``seed_class_defect`` records how far the passed seed was from it.
     A seed on another grid than ``grid`` raises ValueError.  This is the
     iteration itself, cold from its seed: the level solve of solve_scalar
-    with no level below it.  Whatever measures the iteration (its counts,
-    layouts and transform budget) calls it.
+    with no level below it.  Whatever measures the iteration (its counts
+    and transform budget) calls it.
     """
-    return _solve(params, grid, _resolve_seed(params, grid, seed), cfg or SolverConfig())
+    return _solve(params, grid, seed, cfg or SolverConfig())
 
 
 def prolong(z: np.ndarray, coarse: Grid, grid: Grid) -> np.ndarray:
@@ -594,8 +529,8 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     (l, n/2) at most NEST_MAX_H), the solve is nested: the seed sampled on
     (l, n/2) (every other point; for the formula seeds that is the same
     seed built there) is solved to max(tol, COARSE_TOL) within
-    max_iter // COARSE_ITER_SHARE iterations, at width COARSE_MW if it
-    starts in the half layout, and its last iterate, padded onto n,
+    max_iter // COARSE_ITER_SHARE iterations, at width COARSE_MW, and its
+    last iterate, padded onto n,
     starts the solve on n, which then only polishes it.  (l, n/2) nests
     again by the same rule, so on (256, 16384) the levels are 4096, 8192
     and 16384; a level whose coarse solve does not converge starts from
@@ -611,13 +546,13 @@ def solve_scalar(params, grid: Grid, cfg: SolverConfig | None = None,
     ``resolution_defect`` is || |P u_{n/2}| - |u_n| || / ||u_n|| for the
     padding P, the grid-doubling estimate of how well n/2 resolves the
     wave (NaN when the solve was not nested or fell back), at one
-    transform of the padded start, half-size in the half layout.  When n
-    takes no iteration it reads 0, which bounds nothing beyond tol.
+    half-size transform of the padded start.  When n takes no iteration
+    it reads 0, which bounds nothing beyond tol.
     """
     cfg = cfg or SolverConfig()
     share = cfg.max_iter // COARSE_ITER_SHARE
     coarse_cfg = replace(cfg, tol=max(cfg.tol, COARSE_TOL), max_iter=share) if share else None
-    return _solve(params, grid, _resolve_seed(params, grid, seed), cfg, coarse_cfg)
+    return _solve(params, grid, seed, cfg, coarse_cfg)
 
 
 # The coupled system needs no solve of its own; bench/workloads.py calls and
@@ -640,25 +575,25 @@ class ProbeEstimate(float):
 def fixed_point_spectrum_probe(params, report: SolveReport, alpha: float) -> ProbeEstimate:
     """Dominant multiplier of the linearized iteration map at a fixed point.
 
-    Arnoldi on the exact derivative DT of the half-layout map
-    (ProfileIteration.derivative) at the wave's real iterate, in a basis
-    of real n-vectors.  The wave's translation and phase directions
-    (multiplier one, its orbit) leave the class that layout holds, so
+    Arnoldi on the exact derivative DT of the map
+    (ProfileIteration.derivative) at the wave's iterate, in a basis of
+    real n-vectors.  The wave's translation and phase directions
+    (multiplier one, its orbit) leave the class the iterate holds, so
     nothing is deflated and the estimate is the rate transverse to the
     orbit: below one for a stabilized iteration, 2 sigma + 1 for the naive
-    map alpha = 0.  An envelope outside CLASS_RTOL (a quadratic-seed wave)
-    is aligned onto the class first, and one whose aligned defect exceeds
-    CLASS_GUARD raises ValueError.  The estimate is the real part of the
-    Ritz value of largest modulus; the run stops once that pair's Ritz
-    residual is at most PROBE_TOL, or at PROBE_MAX_DIM products.
+    map alpha = 0.  Every solve reports an envelope on the class; one
+    outside CLASS_RTOL of it raises ValueError.  The estimate is the real
+    part of the Ritz value of largest modulus; the run stops once that
+    pair's Ritz residual is at most PROBE_TOL, or at PROBE_MAX_DIM
+    products.
     """
     grid = report.envelope.grid
     iteration = ProfileIteration(params, grid, alpha)
-    z = iteration.iterate(report.envelope.spectrum())
-    if z.dtype.kind == "c":
-        z, _, _, defect = align_to_class(z, grid)
-        if defect > CLASS_GUARD:
-            raise ValueError(f"aligned class defect {defect:.3e} of the envelope exceeds CLASS_GUARD")
+    spec = report.envelope.spectrum()
+    defect = _class_defect(spec)
+    if not defect <= CLASS_RTOL:
+        raise ValueError(f"class defect {defect:.3e} of the envelope exceeds CLASS_RTOL")
+    z = iteration.iterate(spec)
     product = iteration.derivative(z)
 
     # one array per basis vector: freeing one block of PROBE_MAX_DIM + 1 rows
@@ -687,8 +622,9 @@ def save_report(report: SolveReport, directory, stem: str):
     """Write <stem>.csv (iter, residual, m_nu) and <stem>_profile.dat.
 
     The iter column is ``report.history_iterations``, so an extrapolant's
-    row, and a restart row, repeat the base-iteration count before them;
-    the profile snapshot stores the complex envelope with full metadata.
+    row repeats the base-iteration count before it; a seed that was moved
+    onto the class adds a ``seed_class_defect`` header line.  The profile
+    snapshot stores the complex envelope with full metadata.
     """
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
@@ -696,8 +632,8 @@ def save_report(report: SolveReport, directory, stem: str):
     meta = {**report.meta, "iterations": report.iterations, "converged": report.converged,
             "mpe_fallbacks": report.mpe_fallbacks, "coarse_iterations": report.coarse_iterations,
             "resolution_defect": report.resolution_defect}
-    if report.class_switch is not None:
-        meta["class_switch"] = str(report.class_switch)
+    if report.seed_class_defect > CLASS_RTOL:
+        meta["seed_class_defect"] = report.seed_class_defect
     meta["profile_file"] = os.path.basename(prof_path)
     write_csv(csv_path, meta, {"iter": report.history_iterations,
                                "residual": report.residual_history, "m_nu": report.m_history})

@@ -149,15 +149,21 @@ def test_criterion_06_subfamily_consistency(grid64, fig1_reports):
 def test_criterion_07_evenness_dichotomy(grid64, fig1_reports):
     defects = {c: reflection_conjugate_defect(rep.profile.samples)
                for c, rep in fig1_reports.items()}
+    # the quadratic-seed answer is the linear-phase wave, not a translate of
+    # it by a fraction of a grid step (DECISIONS.md, "Criterion 07")
     quad = solve_scalar(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
     quad_defect = reflection_conjugate_defect(quad.profile.samples)
-    ok = all(d < 1e-6 for d in defects.values()) and quad_defect > 1e-2
+    linear = solve_scalar(params34(1.0), grid64)
+    quad_gap = float(np.linalg.norm(quad.profile.samples - linear.profile.samples)
+                     / np.linalg.norm(linear.profile.samples))
+    ok = all(d < 1e-6 for d in defects.values()) and quad_defect < 1e-6 and quad_gap <= 1e-10
     assert report_line(
         7,
         ok,
         "linear-phase defects "
         + ", ".join(f"{d:.1e}" for _, d in sorted(defects.items()))
-        + f" (< 1e-6); theta=x^2 defect {quad_defect:.2e} (> 1e-2)",
+        + f" (< 1e-6); theta=x^2 defect {quad_defect:.2e} (< 1e-6),"
+        + f" |u| {quad_gap:.1e} from the default seed's (<= 1e-10)",
     )
 
 

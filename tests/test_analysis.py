@@ -119,10 +119,14 @@ class TestEvenness:
     def test_scalar_profiles_even(self, profile_c05):
         assert reflection_conjugate_defect(profile_c05.samples) < 1e-6
 
-    def test_quadratic_coupled_profile_uneven(self, grid64):
+    def test_quadratic_coupled_profile_even(self, grid64):
+        # the quadratic seed starts on the class, and its answer is the
+        # linear-phase wave, whose centred modulus is even
         rep = solve_scalar(params34(1.0), grid64, seed=initial_iterate(grid64, "quadratic"))
+        linear = solve_scalar(params34(1.0), grid64)
         assert rep.converged
-        assert reflection_conjugate_defect(rep.profile.samples) > 1e-2
+        assert reflection_conjugate_defect(rep.profile.samples) < 1e-6
+        assert np.max(np.abs(rep.profile.samples - linear.profile.samples)) <= 1e-10
 
     def test_zero_profile(self, grid64):
         assert reflection_conjugate_defect(np.zeros(grid64.n)) == 0.0

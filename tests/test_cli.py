@@ -239,18 +239,23 @@ class TestSolveCommand:
         assert line in header and "# converged = True" in header
 
     def test_stalled_coupled_solve_switches_and_records(self, tmp_path, capsys):
-        # from the quadratic seed on (32, 1024) this problem creeps along
-        # its orbit and, untested, runs all 500 iterations (exit 3);
-        # aligned onto the class, it finishes in the half layout
+        # from the quadratic seed itself, off the class, on (32, 1024) this
+        # problem crept along its orbit and ran all 500 iterations (exit 3);
+        # the seed is switched onto the class first, solve.csv records its
+        # class defect, and at mw 1 every row is one base iteration on
         text = SOLVE_CONFIG
         for key, value in {"s": "0.698", "sigma": "2.564", "lambda2": "-0.669",
                            "kind": "coupled", "mw": "1\ntheta = quadratic"}.items():
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         out = str(tmp_path / "out")
         assert main(["--config", write(tmp_path, "run.ini", text), "--out", out]) == 0
-        header, _ = read_table(os.path.join(out, "solve.csv"))
-        assert "# converged = True" in header
-        assert [line for line in header if line.startswith("# class_switch = n=1024 iteration=")]
+        header, columns = read_table(os.path.join(out, "solve.csv"))
+        assert "# converged = True" in header and columns == "iter,residual,m_nu"
+        defects = [float(line.split(" = ")[1]) for line in header if line.startswith("# seed_class_defect = ")]
+        assert len(defects) == 1 and defects[0] > 1.0
+        with open(os.path.join(out, "solve.csv")) as fh:
+            counts = [int(line.split(",")[0]) for line in fh.read().splitlines()[len(header) + 1:]]
+        assert counts == list(range(len(counts)))
 
     def test_speed_beyond_limit_exits_2(self, tmp_path, capsys):
         # a speed, a scan speed, an alpha, a decay window, or a value that
